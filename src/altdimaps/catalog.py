@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .core import (AltDimap, EMPTY_MAP, build_map, disjoint_union,
+from .core import (MUW, MUW2, AltDimap, EMPTY_MAP, build_map, disjoint_union,
                    map_from_rotations, reflect)
 from .perm import Perm
 
@@ -81,10 +81,11 @@ def canonical_code(g: AltDimap) -> bytes:
     component, and component codes are sorted and concatenated.  Maps with
     more than 255 edges in a component are not supported.
     """
-    if any(len(c) > 255 for c in [g.edges]) and g.n_edges > 255:
-        raise ValueError("canonical codes support at most 255 edges")
     sw, sw2 = _dense(g)
     comps, swi, sw2i = _components_dense(sw, sw2)
+    if any(len(c) > 255 for c in comps):
+        raise ValueError("canonical codes support at most 255 edges "
+                         "per component")
     codes = sorted(_component_code(sw, sw2, swi, sw2i, c) for c in comps)
     return b"".join(codes)
 
@@ -157,36 +158,35 @@ def _fresh(g: AltDimap, label: Hashable) -> Hashable:
     return ("e", i)
 
 
-def add_omega_loop(g: AltDimap, anchor: Hashable, label: Hashable) -> AltDimap:
-    """Attach a new ω-loop at the head of anchor, inserted into the in-star
-    directly after anchor."""
+def _add_loop(g: AltDimap, anchor: Hashable, label: Hashable,
+              mu: int) -> AltDimap:
+    """Attach a new mu-loop (mu = ω or ω²) at the head of anchor, inserted
+    into the in-star directly after anchor."""
     label = _fresh(g, label)
     s1m = g.s1.mapping()
     s1m[label] = s1m[anchor]
     s1m[anchor] = label
     s1 = Perm(s1m)
-    swm = g.sw.mapping()
-    swm[label] = label
-    sw = Perm(swm)
-    # sw2 = sw⁻¹ ∘ s1⁻¹ from the triple identity
-    sw2 = Perm({e: sw.inv(s1.inv(e)) for e in s1m})
-    return AltDimap(sw, sw2)
+    loopm = (g.sw if mu == MUW else g.sw2).mapping()
+    loopm[label] = label
+    loop = Perm(loopm)
+    # the other permutation from the triple identity:
+    # sw2 = sw⁻¹ ∘ s1⁻¹ and sw = s1⁻¹ ∘ sw2⁻¹
+    if mu == MUW:
+        return AltDimap(loop, Perm({e: loop.inv(s1.inv(e)) for e in s1m}))
+    return AltDimap(Perm({e: s1.inv(loop.inv(e)) for e in s1m}), loop)
+
+
+def add_omega_loop(g: AltDimap, anchor: Hashable, label: Hashable) -> AltDimap:
+    """Attach a new ω-loop at the head of anchor, inserted into the in-star
+    directly after anchor."""
+    return _add_loop(g, anchor, label, MUW)
 
 
 def add_omega2_loop(g: AltDimap, anchor: Hashable, label: Hashable) -> AltDimap:
     """Attach a new ω²-loop at the head of anchor, inserted into the
     in-star directly after anchor."""
-    label = _fresh(g, label)
-    s1m = g.s1.mapping()
-    s1m[label] = s1m[anchor]
-    s1m[anchor] = label
-    s1 = Perm(s1m)
-    sw2m = g.sw2.mapping()
-    sw2m[label] = label
-    sw2 = Perm(sw2m)
-    # sw = s1⁻¹ ∘ sw2⁻¹
-    sw = Perm({e: s1.inv(sw2.inv(e)) for e in s1m})
-    return AltDimap(sw, sw2)
+    return _add_loop(g, anchor, label, MUW2)
 
 
 def ultraloop() -> AltDimap:

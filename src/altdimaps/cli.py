@@ -14,16 +14,15 @@ import numpy as np
 
 from .binfn import OMEGA, BinFn, bf_minor, solve_uniform_reduction, transform
 from .catalog import canonical_code, enumerate_maps, isomorphic
-from .core import map_stats, trial_power
+from .core import MU_BY_NAME, map_stats, trial_power
 from .invariants import (T_a, T_c, T_i, alt_a, alt_c, alt_i,
                          plane_multigraph)
-from .minors import (commute_check, is_posy, is_posy_union, minor_closure,
-                     reduce_map)
+from .minors import commute_check, excluded_minor_witness, is_posy, reduce_map
 from .multigraph import tutte_poly
 from .textio import (edge_class_summary, export_dot, export_json, parse_map,
                      parse_plane_graph, serialize_map)
 
-MU_INDEX = {"1": 0, "w": 1, "w2": 2}
+MU_CHOICES = ["1", "w", "w2"]
 
 
 def _read_text(path: str) -> str:
@@ -81,7 +80,7 @@ def _cmd_reduce(args) -> int:
     g = _load_map(args.map_file)
     if args.edge not in g.edges:
         raise ValueError(f"unknown edge label {args.edge!r}")
-    h = reduce_map(g, args.edge, MU_INDEX[args.mu])
+    h = reduce_map(g, args.edge, MU_BY_NAME[args.mu])
     sys.stdout.write(serialize_map(h, name="minor"))
     return 0
 
@@ -98,8 +97,8 @@ def _cmd_commute(args) -> int:
     for lab in (args.e, args.f):
         if lab not in g.edges:
             raise ValueError(f"unknown edge label {lab!r}")
-    actual, predicted = commute_check(g, args.e, MU_INDEX[args.mu],
-                                      args.f, MU_INDEX[args.nu])
+    actual, predicted = commute_check(g, args.e, MU_BY_NAME[args.mu],
+                                      args.f, MU_BY_NAME[args.nu])
     print(f"actual: {str(actual).lower()}")
     print(f"predicted: {str(predicted).lower()}")
     return 0
@@ -121,11 +120,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_genus_test(args) -> int:
     g = _load_map(args.map_file)
     st = map_stats(g)
-    witness = None
-    for m in minor_closure(g).values():
-        if m.edges and is_posy_union(m) == args.k:
-            witness = m
-            break
+    witness = excluded_minor_witness(g, args.k)
     genus_below = st.genus < args.k
     print(f"genus: {st.genus}")
     print(f"genus_below_k: {str(genus_below).lower()}")
@@ -198,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="one edge reduction (minor)")
     p.add_argument("map_file")
     p.add_argument("--edge", required=True)
-    p.add_argument("--mu", required=True, choices=sorted(MU_INDEX))
+    p.add_argument("--mu", required=True, choices=MU_CHOICES)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("classify", help="per-edge loop/semiloop table")
@@ -208,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("commute", help="do two reductions commute?")
     p.add_argument("map_file")
     p.add_argument("--e", required=True)
-    p.add_argument("--mu", required=True, choices=sorted(MU_INDEX))
+    p.add_argument("--mu", required=True, choices=MU_CHOICES)
     p.add_argument("--f", required=True)
-    p.add_argument("--nu", required=True, choices=sorted(MU_INDEX))
+    p.add_argument("--nu", required=True, choices=MU_CHOICES)
     p.set_defaults(func=_cmd_commute)
 
     p = sub.add_parser("enumerate", help="all maps with N edges, up to isomorphism")

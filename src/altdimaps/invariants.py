@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from .core import AltDimap, classify_edge, map_from_rotations, map_stats, rotation_system
+from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass, classify_edge,
+                   map_from_rotations, map_stats, reflect)
 from .embedded import EmbeddedGraph
 from .minors import reduce_map
 from .multigraph import Multigraph, tutte_poly
@@ -112,30 +114,58 @@ def _resolve_order(g: AltDimap, order: Optional[Sequence[Hashable]]) -> List[Has
     return order
 
 
+# -- the recursion engine -------------------------------------------------------
+
+# A case table is a sequence of rows (test, terms), tried in priority order;
+# the first row whose test accepts the EdgeClass of the edge being reduced
+# applies.  Its terms are (coefficient, reduction type) pairs and the row
+# evaluates to the sum of coefficient × (value of the reduced map).  A
+# coefficient None takes the sub-result as it is, and a zero coefficient
+# drops its term without reducing.
+Case = Tuple[Callable[[EdgeClass], bool], Sequence[Tuple[Any, int]]]
+
+
+def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
+             cases: Sequence[Case], one, zero, name: str):
+    """Evaluate a case-table recursion, always reducing the first
+    surviving edge of `order` (default: edges sorted by repr).  The empty
+    map is worth `one`; a row whose terms are all dropped is worth `zero`;
+    an edge that no row accepts raises ValueError."""
+    rem = _resolve_order(g, order)
+
+    def rec(m: AltDimap, i: int):
+        if i == len(rem):
+            return one
+        e = rem[i]
+        c = classify_edge(m, e)
+        terms = next((terms for test, terms in cases if test(c)), None)
+        if terms is None:
+            raise ValueError(f"edge {e!r} fits no case of the {name} recursion")
+        total = None
+        for coeff, mu in terms:
+            if coeff is not None and not coeff:
+                continue
+            sub = rec(reduce_map(m, e, mu), i + 1)
+            term = sub if coeff is None else coeff * sub
+            total = term if total is None else total + term
+        return zero if total is None else total
+
+    return rec(g, 0)
+
+
+def _no_semiloop(c: EdgeClass) -> bool:
+    return not (c.is_1_semiloop or c.is_omega_semiloop or c.is_omega2_semiloop)
+
+
 # -- simple and extended invariants ----------------------------------------------
 
 def simple_tutte_eval(g: AltDimap, p: SimpleParams,
                       order: Optional[Sequence[Hashable]] = None) -> Fraction:
     """Evaluate the four-parameter recursion, always reducing the first
-    surviving edge of `order` (default: edges sorted by repr)."""
-    rem = _resolve_order(g, order)
-
-    def rec(m: AltDimap, todo: Sequence[Hashable]) -> Fraction:
-        if not todo:
-            return Q(1)
-        e, rest = todo[0], todo[1:]
-        c = classify_edge(m, e)
-        if c.is_ultraloop:
-            return p.w * rec(reduce_map(m, e, 0), rest)
-        if c.is_1_loop:
-            return p.x * rec(reduce_map(m, e, 0), rest)
-        if c.is_omega_loop:
-            return p.y * rec(reduce_map(m, e, 1), rest)
-        if c.is_omega2_loop:
-            return p.z * rec(reduce_map(m, e, 2), rest)
-        return sum(rec(reduce_map(m, e, mu), rest) for mu in (0, 1, 2))
-
-    return rec(g, rem)
+    surviving edge of `order` (default: edges sorted by repr).  It is
+    extended_eval with the twelve semiloop and generic coefficients set
+    to 1."""
+    return extended_eval(g, ExtendedParams(p.w, p.x, p.y, p.z, *[1] * 12), order)
 
 
 SIMPLE_FAMILIES: Dict[str, SimpleParams] = {
@@ -169,37 +199,16 @@ def extended_eval(g: AltDimap, p: ExtendedParams,
     edge of `order`.  Cases are tested in priority order: ultraloop,
     proper 1-/ω-/ω²-loop, proper 1-/ω-/ω²-semiloop, then the generic
     three-term case."""
-    rem = _resolve_order(g, order)
-
-    def branch(m, e, rest, coeffs) -> Fraction:
-        total = Q(0)
-        for mu, coeff in enumerate(coeffs):
-            if coeff:
-                total += coeff * rec(reduce_map(m, e, mu), rest)
-        return total
-
-    def rec(m: AltDimap, todo: Sequence[Hashable]) -> Fraction:
-        if not todo:
-            return Q(1)
-        e, rest = todo[0], todo[1:]
-        c = classify_edge(m, e)
-        if c.is_ultraloop:
-            return p.w * rec(reduce_map(m, e, 0), rest)
-        if c.is_1_loop:
-            return p.x * rec(reduce_map(m, e, 0), rest)
-        if c.is_omega_loop:
-            return p.y * rec(reduce_map(m, e, 1), rest)
-        if c.is_omega2_loop:
-            return p.z * rec(reduce_map(m, e, 2), rest)
-        if c.is_proper_semiloop(0):
-            return branch(m, e, rest, (p.a, p.b, p.c))
-        if c.is_proper_semiloop(1):
-            return branch(m, e, rest, (p.d, p.e, p.f))
-        if c.is_proper_semiloop(2):
-            return branch(m, e, rest, (p.g, p.h, p.i))
-        return branch(m, e, rest, (p.j, p.k, p.l))
-
-    return rec(g, rem)
+    return _recurse(g, order, (
+        (lambda c: c.is_ultraloop, ((p.w, MU1),)),
+        (lambda c: c.is_1_loop, ((p.x, MU1),)),
+        (lambda c: c.is_omega_loop, ((p.y, MUW),)),
+        (lambda c: c.is_omega2_loop, ((p.z, MUW2),)),
+        (lambda c: c.is_proper_semiloop(MU1), tuple(zip((p.a, p.b, p.c), ALL_MU))),
+        (lambda c: c.is_proper_semiloop(MUW), tuple(zip((p.d, p.e, p.f), ALL_MU))),
+        (lambda c: c.is_proper_semiloop(MUW2), tuple(zip((p.g, p.h, p.i), ALL_MU))),
+        (lambda c: True, tuple(zip((p.j, p.k, p.l), ALL_MU))),
+    ), Q(1), Q(0), "extended")
 
 
 # -- the polynomial recursions T_c, T_a, T_i --------------------------------------
@@ -210,48 +219,21 @@ def T_c(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
     ω²-reduction; proper 1-semiloop or ω-loop — y times the 1-reduction;
     non-semiloop — sum of the 1- and ω²-reductions.  Edges fitting no
     case are rejected (the recursion is defined only piecewise)."""
-    rem = _resolve_order(g, order)
     x, y = Poly2.var(0), Poly2.var(1)
-
-    def rec(m: AltDimap, todo: Sequence[Hashable]) -> Poly2:
-        if not todo:
-            return Poly2.one()
-        e, rest = todo[0], todo[1:]
-        c = classify_edge(m, e)
-        if c.is_omega2_loop:
-            return rec(reduce_map(m, e, 2), rest)
-        if c.is_omega_semiloop:
-            return x * rec(reduce_map(m, e, 2), rest)
-        if c.is_proper_semiloop(0) or c.is_omega_loop:
-            return y * rec(reduce_map(m, e, 0), rest)
-        if not (c.is_1_semiloop or c.is_omega_semiloop or c.is_omega2_semiloop):
-            return rec(reduce_map(m, e, 0), rest) + rec(reduce_map(m, e, 2), rest)
-        raise ValueError(f"unclassified edge {e!r} for the clockwise recursion")
-
-    return rec(g, rem)
+    return _recurse(g, order, (
+        (lambda c: c.is_omega2_loop, ((None, MUW2),)),
+        (lambda c: c.is_omega_semiloop, ((x, MUW2),)),
+        (lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop, ((y, MU1),)),
+        (_no_semiloop, ((None, MU1), (None, MUW2))),
+    ), Poly2.one(), Poly2.zero(), "clockwise")
 
 
 def T_a(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
-    """Anticlockwise Tutte recursion: T_c with ω and ω² exchanged."""
-    rem = _resolve_order(g, order)
-    x, y = Poly2.var(0), Poly2.var(1)
-
-    def rec(m: AltDimap, todo: Sequence[Hashable]) -> Poly2:
-        if not todo:
-            return Poly2.one()
-        e, rest = todo[0], todo[1:]
-        c = classify_edge(m, e)
-        if c.is_omega_loop:
-            return rec(reduce_map(m, e, 1), rest)
-        if c.is_omega2_semiloop:
-            return x * rec(reduce_map(m, e, 1), rest)
-        if c.is_proper_semiloop(0) or c.is_omega2_loop:
-            return y * rec(reduce_map(m, e, 0), rest)
-        if not (c.is_1_semiloop or c.is_omega_semiloop or c.is_omega2_semiloop):
-            return rec(reduce_map(m, e, 0), rest) + rec(reduce_map(m, e, 1), rest)
-        raise ValueError(f"unclassified edge {e!r} for the anticlockwise recursion")
-
-    return rec(g, rem)
+    """Anticlockwise Tutte recursion: T_c with ω and ω² exchanged.  The
+    mirror image exchanges exactly those (its ω-loops, ω-semiloops and
+    ω-reductions are the ω²-ones of G, edge for edge), so this is T_c on
+    reflect(G)."""
+    return T_c(reflect(g), order)
 
 
 def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:
@@ -260,26 +242,13 @@ def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:
     times the ω²-reduction; proper ω²-semiloop or ω-loop — x times the
     ω-reduction; non-semiloop — sum of the ω- and ω²-reductions.  A
     proper 1-semiloop is rejected: the recursion is undefined there."""
-    rem = _resolve_order(g, order)
     x = Poly1.var()
-
-    def rec(m: AltDimap, todo: Sequence[Hashable]) -> Poly1:
-        if not todo:
-            return Poly1.one()
-        e, rest = todo[0], todo[1:]
-        c = classify_edge(m, e)
-        if c.is_1_loop:
-            return rec(reduce_map(m, e, 0), rest)
-        if c.is_proper_semiloop(1) or c.is_omega2_loop:
-            return x * rec(reduce_map(m, e, 2), rest)
-        if c.is_proper_semiloop(2) or c.is_omega_loop:
-            return x * rec(reduce_map(m, e, 1), rest)
-        if not (c.is_1_semiloop or c.is_omega_semiloop or c.is_omega2_semiloop):
-            return rec(reduce_map(m, e, 1), rest) + rec(reduce_map(m, e, 2), rest)
-        raise ValueError(f"proper 1-semiloop {e!r}: the in-star recursion "
-                         "is undefined on it")
-
-    return rec(g, rem)
+    return _recurse(g, order, (
+        (lambda c: c.is_1_loop, ((None, MU1),)),
+        (lambda c: c.is_proper_semiloop(MUW) or c.is_omega2_loop, ((x, MUW2),)),
+        (lambda c: c.is_proper_semiloop(MUW2) or c.is_omega_loop, ((x, MUW),)),
+        (_no_semiloop, ((None, MUW), (None, MUW2))),
+    ), Poly1.one(), Poly1.zero(), "in-star")
 
 
 # -- plane graphs and the alt constructions ---------------------------------------
@@ -327,7 +296,9 @@ def _alt_doubled(p: PlaneGraph, clockwise: bool) -> AltDimap:
         rotations[v] = out
     g = map_from_rotations(rotations)
     st = map_stats(g)
-    n_e, n_f = len(eg.edges), eg.face_count()
+    # a vertex without darts bounds a face of its own but gives the map
+    # no vertex, so it is left out of the face identity
+    n_e, n_f = len(eg.edges), sum(1 for f in eg.trace_faces() if f)
     two_faces = st.n_c_faces if clockwise else st.n_a_faces
     old_faces = st.n_a_faces if clockwise else st.n_c_faces
     if two_faces != n_e or old_faces != n_f:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, Iterator, Optional, Sequence, Set, Tuple
 
-from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, classify_edge, mu_inv,
-                   mu_mul, trial, trial_power)
+from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, classify_edge, map_stats,
+                   trial_power)
 from .multigraph import Multigraph
 from .perm import Perm
 
@@ -161,16 +161,18 @@ def triloops_cover_trimedial(g: AltDimap) -> bool:
     return all(u in triloops or v in triloops for _, u, v in tri.edges)
 
 
+def _all_pairs_commute(g: AltDimap, commutes) -> bool:
+    """Whether commutes(g, e, mu, f, nu) holds for every pair of distinct
+    edges (sorted by repr) and every pair of reduction types."""
+    edges = sorted(g.edges, key=repr)
+    return all(commutes(g, e, mu, f, nu)
+               for i, e in enumerate(edges) for f in edges[i + 1:]
+               for mu in ALL_MU for nu in ALL_MU)
+
+
 def is_2_reduction_commutative(g: AltDimap) -> bool:
     """Whether every pair of single reductions on G commutes."""
-    edges = sorted(g.edges)
-    for i, e in enumerate(edges):
-        for f in edges[i + 1:]:
-            for mu in ALL_MU:
-                for nu in ALL_MU:
-                    if not predict_commute(g, e, mu, f, nu):
-                        return False
-    return True
+    return _all_pairs_commute(g, predict_commute)
 
 
 def is_tricircuit(g: AltDimap) -> bool:
@@ -192,18 +194,49 @@ def is_tricircuit(g: AltDimap) -> bool:
     return canonical_code(g) == canonical_code(model)
 
 
-def is_totally_reduction_commutative(g: AltDimap, brute: bool = False,
-                                     brute_bound: int = 5) -> bool:
+def _minors(g: AltDimap, key: Callable[[AltDimap], Hashable]
+            ) -> Iterator[Tuple[Hashable, AltDimap]]:
+    """Depth-first walk over the minors of G (G first), yielding
+    (key(m), m) for the first minor m met with each key.
+
+    The children of a minor are its reductions by the edges sorted by
+    repr, each by types 1, ω, ω²; they are made only when the walk is
+    resumed after their parent, so a consumer that stops early reduces
+    nothing further."""
+    seen: Set[Hashable] = set()
+    stack = [g]
+    while stack:
+        m = stack.pop()
+        k = key(m)
+        if k in seen:
+            continue
+        seen.add(k)
+        yield k, m
+        for e in sorted(m.edges, key=repr):
+            for mu in ALL_MU:
+                stack.append(reduce_map(m, e, mu))
+
+
+def _labelled(m: AltDimap) -> Tuple:
+    return (frozenset(m.sw.mapping().items()),
+            frozenset(m.sw2.mapping().items()))
+
+
+_BRUTE_MAX_EDGES = 5
+
+
+def is_totally_reduction_commutative(g: AltDimap, brute: bool = False) -> bool:
     """Whether reductions commute at every depth (the result of a sequence
     of reductions never depends on their order).
 
     Equivalently: in every minor of G (G included), all pairs of
-    reductions commute.  The structural mode decides this by walking the
-    minor closure and applying predict_commute to every pair, so no pair
-    of composite minors is ever compared; the brute mode instead compares
-    all reduction sequences directly (only for maps with at most
-    brute_bound edges).  The two modes agree on every map with at most
-    five edges, where the pair prediction has been verified exhaustively.
+    reductions commute.  Both modes walk the labelled minor closure and
+    test every pair in every minor: the structural mode with
+    predict_commute, so no pair of composite minors is ever compared; the
+    brute mode by comparing the two composite minors directly (only for
+    maps with at most five edges).  The two modes agree on every map with
+    at most five edges, where the pair prediction has been verified
+    exhaustively.
 
     Up to five edges the connected maps with this property are exactly
     the ultraloop, the pure 1-, ω- and ω²-circuits, the genus-one posy,
@@ -211,62 +244,11 @@ def is_totally_reduction_commutative(g: AltDimap, brute: bool = False,
     (circuit, ω-loops, ω²-loops) in {(1,1,1), (2,1,0), (2,0,1)}.
     """
     if brute:
-        if g.n_edges > brute_bound:
-            raise ValueError(f"brute force capped at {brute_bound} edges")
-        return _brute_totally_commutative(g)
-    seen: Set[Tuple] = set()
-    stack = [g]
-    while stack:
-        m = stack.pop()
-        k = (frozenset(m.sw.mapping().items()),
-             frozenset(m.sw2.mapping().items()))
-        if k in seen:
-            continue
-        seen.add(k)
-        edges = sorted(m.edges, key=repr)
-        for i, e in enumerate(edges):
-            for f in edges[i + 1:]:
-                for mu in ALL_MU:
-                    for nu in ALL_MU:
-                        if not predict_commute(m, e, mu, f, nu):
-                            return False
-        for e in edges:
-            stack.append(reduce_map(m, e, MU1))
-            stack.append(reduce_map(m, e, MUW))
-            stack.append(reduce_map(m, e, MUW2))
-    return True
-
-
-def _brute_totally_commutative(g: AltDimap) -> bool:
-    """All maximal reduction sequences over all typed-edge orderings agree
-    step-for-step with a canonical order — checked by recursion: every
-    pair of first steps must commute, in every reachable minor."""
-    seen: Set[Tuple] = set()
-
-    def key(m: AltDimap) -> Tuple:
-        return (frozenset(m.sw.mapping().items()),
-                frozenset(m.sw2.mapping().items()))
-
-    def rec(m: AltDimap) -> bool:
-        k = key(m)
-        if k in seen:
-            return True
-        seen.add(k)
-        edges = sorted(m.edges, key=repr)
-        for i, e in enumerate(edges):
-            for f in edges[i + 1:]:
-                for mu in ALL_MU:
-                    for nu in ALL_MU:
-                        actual, _ = commute_check(m, e, mu, f, nu)
-                        if not actual:
-                            return False
-        for e in edges:
-            for mu in ALL_MU:
-                if not rec(reduce_map(m, e, mu)):
-                    return False
-        return True
-
-    return rec(g)
+        if g.n_edges > _BRUTE_MAX_EDGES:
+            raise ValueError(f"brute force capped at {_BRUTE_MAX_EDGES} edges")
+        return all(_all_pairs_commute(m, lambda *pair: commute_check(*pair)[0])
+                   for _, m in _minors(g, _labelled))
+    return all(is_2_reduction_commutative(m) for _, m in _minors(g, _labelled))
 
 
 # -- posies and the excluded-minor genus test ---------------------------------
@@ -277,7 +259,6 @@ def is_posy(g: AltDimap) -> Optional[int]:
     one c-face); otherwise None.  The empty map is not a posy."""
     if not g.edges:
         return None
-    from .core import map_stats
     st = map_stats(g)
     if (st.n_components == 1 and st.n_vertices == 1
             and st.n_a_faces == 1 and st.n_c_faces == 1
@@ -304,18 +285,15 @@ def minor_closure(g: AltDimap, max_edges: int = 8):
     from .catalog import canonical_code
     if g.n_edges > max_edges:
         raise ValueError(f"minor closure capped at {max_edges} edges")
-    out: Dict[bytes, AltDimap] = {}
-    stack = [g]
-    while stack:
-        m = stack.pop()
-        code = canonical_code(m)
-        if code in out:
-            continue
-        out[code] = m
-        for e in m.edges:
-            for mu in ALL_MU:
-                stack.append(reduce_map(m, e, mu))
-    return out
+    return dict(_minors(g, canonical_code))
+
+
+def excluded_minor_witness(g: AltDimap, k: int,
+                           max_edges: int = 8) -> Optional[AltDimap]:
+    """A nonempty minor of G whose components are posies of total genus
+    k, or None if G has no such minor."""
+    return next((m for m in minor_closure(g, max_edges=max_edges).values()
+                 if m.edges and is_posy_union(m) == k), None)
 
 
 def genus_excluded_minor_test(g: AltDimap, k: int,
@@ -325,11 +303,5 @@ def genus_excluded_minor_test(g: AltDimap, k: int,
     Returns (genus_below_k, no_posy_union_minor_of_genus_k): for a
     nonempty map the two booleans agree exactly when the theorem holds.
     """
-    from .core import map_stats
     genus_below = map_stats(g).genus < k
-    no_witness = True
-    for m in minor_closure(g, max_edges=max_edges).values():
-        if m.edges and is_posy_union(m) == k:
-            no_witness = False
-            break
-    return genus_below, no_witness
+    return genus_below, excluded_minor_witness(g, k, max_edges) is None

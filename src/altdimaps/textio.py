@@ -117,13 +117,19 @@ def parse_map(text: str) -> AltDimap:
     return build_map(edges, sw_cycles, sw2_cycles)
 
 
-def _cycles_text(perm) -> str:
-    cycles = [c for c in perm.cycles() if len(c) > 1]
+def _normal_cycles(perm) -> List[Tuple]:
+    """All cycles of perm, each rotated to start at its least label (by
+    str), sorted by that label (by str)."""
     norm = []
-    for c in cycles:
+    for c in perm.cycles():
         i = c.index(min(c, key=str))
         norm.append(c[i:] + c[:i])
     norm.sort(key=lambda c: str(c[0]))
+    return norm
+
+
+def _cycles_text(perm) -> str:
+    norm = [c for c in _normal_cycles(perm) if len(c) > 1]
     if not norm:
         return "()"
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in norm)
@@ -238,12 +244,7 @@ def export_json(g: AltDimap) -> str:
     st = map_stats(g)
 
     def cyc(perm):
-        out = []
-        for c in perm.cycles():
-            i = c.index(min(c, key=str))
-            out.append([str(x) for x in c[i:] + c[:i]])
-        out.sort(key=lambda c: c[0])
-        return out
+        return [[str(x) for x in c] for c in _normal_cycles(perm)]
 
     doc = {
         "edges": sorted(map(str, g.edges)),

@@ -49,6 +49,13 @@ def test_canonical_code_separates():
     assert canonical_code(loop_star_1(2)) != canonical_code(loop_star_omega(2))
 
 
+def test_canonical_code_size_limit_is_per_component():
+    # 300 one-edge components are fine; one component of 256 edges is not
+    assert canonical_code(free_loops(300)) == bytes([1, 0, 0]) * 300
+    with pytest.raises(ValueError):
+        canonical_code(loop_star_omega(256))
+
+
 # -- named families -----------------------------------------------------------
 
 def test_posy_counts_by_genus():

@@ -104,6 +104,17 @@ def test_tutte_variants_agree(capsys, triangle_file):
         assert out.strip().endswith("equal: true")
 
 
+def test_tutte_isolated_vertex(capsys, tmp_path):
+    # a dartless vertex changes neither the Tutte polynomial nor the map
+    doc = tmp_path / "edge_and_point.pg"
+    doc.write_text("planegraph edge_and_point\nvertex u: a0\nvertex v: a1\n"
+                   "vertex z:\nedge a: a0 a1\n")
+    for variant in ("c", "a", "i"):
+        rc, out, _ = run(capsys, "tutte", str(doc), "--variant", variant)
+        assert rc == 0
+        assert out.strip().splitlines() == ["x", "x", "equal: true"]
+
+
 def test_export_json(capsys, posy_file):
     rc, out, _ = run(capsys, "export", posy_file, "--format", "json")
     assert rc == 0

@@ -9,7 +9,7 @@ from altdimaps import (classify_edge, commute_check, is_posy, is_posy_union,
                        reduce_seq, trial, trial_power, trimedial)
 from altdimaps.catalog import (digon_with_omega2_loop, free_loops, isomorphic,
                                loop_star_1, loop_star_omega, loop_star_omega2,
-                               posy, tricircuit, ultraloop)
+                               posy, tricircuit, ultraloop, witness_a)
 from altdimaps.core import mu_inv, mu_mul
 
 from conftest import maps_up_to
@@ -143,8 +143,10 @@ def test_reduce_seq_matches_composition():
 # -- reduction-commutative classes --------------------------------------------
 
 def test_2_commutative_matches_brute_pairs():
-    for g in maps_up_to(3, n_min=0):
-        edges = sorted(g.edges)
+    # the named maps mix integer and string edge labels
+    extra = [witness_a(), digon_with_omega2_loop(), tricircuit(2, 3, 1)]
+    for g in maps_up_to(3, n_min=0) + extra:
+        edges = sorted(g.edges, key=repr)
         brute = all(commute_check(g, e, mu, f, nu)[0]
                     for i, e in enumerate(edges) for f in edges[i + 1:]
                     for mu in range(3) for nu in range(3))
