@@ -290,11 +290,68 @@ class EdgeClass:
         return self.is_semiloop(mu) and not self.is_triloop
 
 
+def is_triloop(g: AltDimap, e: Hashable) -> bool:
+    """Whether e is a 1-, ω- or ω²-loop: a fixed point of σ₁, σ_ω or σ_ω²."""
+    return g.s1(e) == e or g.sw(e) == e or g.sw2(e) == e
+
+
+def is_ultraloop(g: AltDimap, e: Hashable) -> bool:
+    """Whether e is fixed by all three permutations (a one-edge component)."""
+    return g.s1(e) == e and g.sw(e) == e and g.sw2(e) == e
+
+
 def _pair_separates(g: AltDimap, e: Hashable, f: Hashable) -> bool:
-    """Whether deleting {e, f} from the underlying embedded graph increases
-    k - γ (isolated vertices are kept and counted)."""
-    eg = rotation_system(g)
-    return eg.delete_edges({e, f}).k_minus_gamma() > eg.k_minus_gamma()
+    """Whether deleting the distinct edges e and f from the underlying
+    embedded graph (see rotation_system) increases k - γ.
+
+    The deletion keeps every vertex and removes two edges, so by Euler's
+    relation V - E + F = 2(k - γ) the value k - γ rises exactly when the
+    face count does not fall, a vertex left with no darts counting as one
+    face.  Only the faces through the darts of e and f change: the c-faces
+    (σ_ω² cycles, bounded by in darts (x, 0)) and a-faces (σ_ω cycles,
+    bounded by out darts (x, 1)) of e and f.  Those faces are cut at the
+    darts of e and f into stretches, and the stretches are joined again as
+    the embedding without e and f joins them, from the permutations alone.
+    """
+    drop = (e, f)
+    old_faces = 4
+    stretch = {}  # first dart of a surviving stretch of a face -> its last dart
+    for end, perm in ((0, g.sw2), (1, g.sw)):
+        # along the face of (x, end) the next dart is (perm⁻¹(x), end)
+        shared = perm.inv(e) == f or f in perm.cycle_of(e)
+        old_faces -= shared
+        # the stretch after x ends just before y, the next dart of e or f
+        for x, y in ((e, f), (f, e)) if shared else ((e, e), (f, f)):
+            first = perm.inv(x)
+            if first not in drop:
+                stretch[(first, end)] = (perm(y), end)
+    back = (g.sw2.inv, g.sw.inv)
+
+    def new_next(first):
+        # from the last dart of a stretch go on around its mate's vertex,
+        # where (x, end) is followed by (back[1 - end](x), 1 - end), to the
+        # first dart not of e or f: the first dart of the next stretch
+        x, end = stretch[first]
+        while True:
+            x = back[end](x)
+            if x not in drop:
+                return x, end
+            end = 1 - end
+
+    new_faces = 0
+    unseen = set(stretch)
+    while unseen:
+        d = new_next(unseen.pop())
+        new_faces += 1
+        while d in unseen:
+            unseen.remove(d)
+            d = new_next(d)
+    # in-stars whose in and out darts all belong to e and f
+    s1 = g.s1
+    emptied = {frozenset((x, s1(x))) for x in drop
+               if s1(x) in drop and s1(s1(x)) == x
+               and g.sw.inv(x) in drop and g.sw.inv(s1(x)) in drop}
+    return new_faces + len(emptied) >= old_faces
 
 
 def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:
@@ -304,7 +361,7 @@ def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:
     ultra = (l1 + lw + lw2) >= 2  # any two force the third
     if ultra and not (l1 and lw and lw2):
         raise AssertionError("triple identity violated")
-    standard = g.head(e) == g.tail(e)
+    standard = g.sw(e) in g.s1.cycle_of(e)  # head(e) == tail(e)
     # ω-semiloop: e with its right successor sw2(e); ω²-semiloop: e with
     # its left successor sw⁻¹(e).  Degenerate pairs count as semiloops.
     right = g.sw2(e)

@@ -130,12 +130,19 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
     """Evaluate a case-table recursion, always reducing the first
     surviving edge of `order` (default: edges sorted by repr).  The empty
     map is worth `one`; a row whose terms are all dropped is worth `zero`;
-    an edge that no row accepts raises ValueError."""
-    rem = _resolve_order(g, order)
+    an edge that no row accepts raises ValueError.
 
-    def rec(m: AltDimap, i: int):
-        if i == len(rem):
-            return one
+    Sub-results are memoised for the duration of the call.  A state met
+    after i reductions has exactly the edges order[i:], so the images of
+    order[i:] under σ_ω and then σ_ω², as one tuple, fix both the map and
+    i: the memo is exact for the given order.  The walk runs depth first
+    on an explicit stack, in the order of the rows' terms, so it needs no
+    Python recursion and the first error met is the one raised."""
+    rem = _resolve_order(g, order)
+    memo: Dict[Tuple, Any] = {}
+
+    def row(m: AltDimap, i: int):
+        # yields each reduced map with its position, receives its value
         e = rem[i]
         c = classify_edge(m, e)
         terms = next((terms for test, terms in cases if test(c)), None)
@@ -145,12 +152,33 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
         for coeff, mu in terms:
             if coeff is not None and not coeff:
                 continue
-            sub = rec(reduce_map(m, e, mu), i + 1)
+            sub = yield reduce_map(m, e, mu), i + 1
             term = sub if coeff is None else coeff * sub
             total = term if total is None else total + term
         return zero if total is None else total
 
-    return rec(g, 0)
+    # frames (memo key, suspended row); `state` is the map a row asked for
+    stack: List[Tuple[Tuple, Any]] = []
+    state, value = (g, 0), None
+    while True:
+        if state is not None:
+            m, i = state
+            if i == len(rem):
+                value = one
+            else:
+                key = tuple(map(m.sw, rem[i:])) + tuple(map(m.sw2, rem[i:]))
+                value = memo.get(key)
+                if value is None:
+                    stack.append((key, row(m, i)))
+        if not stack:
+            return value
+        key, gen = stack[-1]
+        try:
+            state = gen.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[key] = done.value
+            state = None
 
 
 def _no_semiloop(c: EdgeClass) -> bool:

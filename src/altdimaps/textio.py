@@ -8,7 +8,10 @@ Map documents::
     sigma_omega2 (b a c)
 
 Cycles use whitespace-separated labels inside parentheses; several
-cycles may appear on one line; fixed points are omitted.  Only the two
+cycles may appear on one line; fixed points are omitted.  A label is
+written as its ``str``, with whitespace, ``(``, ``)``, ``#`` and ``%``
+percent-encoded (``('a', '+')`` becomes ``%28'a',%20'+'%29``), and read
+back decoded, so every label reads back as one string.  Only the two
 permutations sigma_omega and sigma_omega2 are stored; sigma_1 is always
 derived, so a document can never hold an inconsistent triple.
 
@@ -28,7 +31,9 @@ exactly one rotation and one edge.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, List, Tuple
+from urllib.parse import quote, unquote
 
 from .core import AltDimap, build_map, classify_edge, map_stats
 from .invariants import PlaneGraph
@@ -61,7 +66,7 @@ def _parse_cycles(line_no: int, body: str, known: set,
         close = rest.find(")")
         if close < 0:
             raise DocumentError(line_no, f"unclosed '(' in {perm_name} cycles")
-        labels = rest[1:close].split()
+        labels = _untoken(rest[1:close])
         rest = rest[close + 1:].strip()
         for lab in labels:
             if lab not in known:
@@ -90,7 +95,7 @@ def parse_map(text: str) -> AltDimap:
         elif key == "edges":
             if edges is not None:
                 raise DocumentError(line_no, "duplicate 'edges' line")
-            edges = body.split()
+            edges = _untoken(body)
             if len(set(edges)) != len(edges):
                 dup = next(e for e in edges if edges.count(e) > 1)
                 raise DocumentError(line_no, f"duplicate edge label {dup!r}")
@@ -128,21 +133,39 @@ def _normal_cycles(perm) -> List[Tuple]:
     return norm
 
 
-def _cycles_text(perm) -> str:
+_RESERVED = re.compile(r"[\s()#%]")
+
+
+def _escape(match) -> str:
+    return quote(match.group(), safe="")
+
+
+def _tokens(g: AltDimap) -> Dict:
+    """Each edge label as one document token (see the module docstring)."""
+    return {e: _RESERVED.sub(_escape, str(e)) for e in g.edges}
+
+
+def _untoken(tokens: str) -> List[str]:
+    """The labels written in a run of whitespace-separated tokens."""
+    return [unquote(t) for t in tokens.split()]
+
+
+def _cycles_text(perm, tokens: Dict) -> str:
     norm = [c for c in _normal_cycles(perm) if len(c) > 1]
     if not norm:
         return "()"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in norm)
+    return "".join("(" + " ".join(map(tokens.get, c)) + ")" for c in norm)
 
 
 def serialize_map(g: AltDimap, name: str = "m") -> str:
     """Emit the canonical document: cycles sorted by least element,
     fixed points omitted, one permutation per line."""
     edges = sorted(g.edges, key=str)
+    tokens = _tokens(g)
     return (f"map {name}\n"
-            f"edges {' '.join(str(e) for e in edges)}\n"
-            f"sigma_omega {_cycles_text(g.sw)}\n"
-            f"sigma_omega2 {_cycles_text(g.sw2)}\n")
+            f"edges {' '.join(map(tokens.get, edges))}\n"
+            f"sigma_omega {_cycles_text(g.sw, tokens)}\n"
+            f"sigma_omega2 {_cycles_text(g.sw2, tokens)}\n")
 
 
 def parse_plane_graph(text: str) -> PlaneGraph:

@@ -40,6 +40,38 @@ def plane_suite():
     }
 
 
+def wheel(k):
+    """The wheel W_k: hub h and rim vertices r0..r(k-1) placed
+    anticlockwise, spokes s<i> = h r<i> and rim edges t<i> = r<i> r<i+1>."""
+    rotations = {"h": [("s0", 0)] + [(f"s{i}", 0) for i in range(k - 1, 0, -1)]}
+    for i in range(k):
+        rotations[f"r{i}"] = [(f"s{i}", 1), (f"t{i}", 0), (f"t{(i - 1) % k}", 1)]
+    return PlaneGraph.from_rotations(rotations)
+
+
+def grid(rows, cols):
+    """The rows × cols grid of vertices (i, j): edge h<i>_<j> joins (i, j)
+    to (i, j+1) and v<i>_<j> joins (i, j) to (i+1, j), the row index
+    growing upwards."""
+    rotations = {}
+    for i in range(rows):
+        for j in range(cols):
+            north = [(f"v{i}_{j}", 0)] if i + 1 < rows else []
+            east = [(f"h{i}_{j}", 0)] if j + 1 < cols else []
+            south = [(f"v{i - 1}_{j}", 1)] if i else []
+            west = [(f"h{i}_{j - 1}", 1)] if j else []
+            rotations[(i, j)] = north + east + south + west
+    return PlaneGraph.from_rotations(rotations)
+
+
+def theta(k):
+    """The theta graph θ_k: k parallel edges e000.. between u and v."""
+    names = [f"e{i:03d}" for i in range(k)]
+    return PlaneGraph.from_rotations({
+        "u": [(e, 0) for e in names],
+        "v": [(e, 1) for e in reversed(names)]})
+
+
 @pytest.fixture(scope="session")
 def suite():
     return plane_suite()

@@ -16,7 +16,7 @@ from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
                                loop_star_omega2, posy, ultraloop)
 from altdimaps.poly import Poly1, Poly2
 
-from conftest import maps_up_to, plane_suite
+from conftest import grid, maps_up_to, plane_suite, theta, wheel
 
 
 # -- the five order-independent parameter families -----------------------------
@@ -190,6 +190,24 @@ def test_diagonal_correspondence_both_orientations(suite):
         for choice in (0, 1):
             assert T_i(alt_i(p, orientation_choice=choice)) == want, \
                 (name, choice)
+
+
+@pytest.mark.parametrize("p", [wheel(7), wheel(8), grid(3, 3)],
+                         ids=["W7", "W8", "grid3x3"])
+def test_tutte_correspondence_larger(p):
+    want = tutte_poly(plane_multigraph(p), max_edges=16)
+    assert T_c(alt_c(p)) == want
+    assert T_a(alt_a(p)) == want
+    assert T_i(alt_i(p)) == want.diagonal()
+
+
+def test_recursions_deeper_than_the_recursion_limit():
+    # 600 edges; θ_k has Tutte polynomial x + y + y² + … + y^(k-1)
+    k = 300
+    p = theta(k)
+    want = Poly2({(1, 0): 1, **{(0, j): 1 for j in range(1, k)}})
+    assert T_c(alt_c(p)) == want
+    assert T_a(alt_a(p)) == want
 
 
 def test_alt_images_shape(suite):

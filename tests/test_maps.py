@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from altdimaps import (AltDimap, EMPTY_MAP, Perm, build_map, classify_edge,
                        map_from_rotations, map_stats, reflect,
                        rotation_system, trial, trial_power)
+from altdimaps.core import _pair_separates, is_triloop, is_ultraloop
 from altdimaps.catalog import (loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
 
@@ -123,6 +124,32 @@ def test_classify_posy_all_semiloops_no_loops():
         c = classify_edge(g, e)
         assert not c.is_triloop
         assert c.is_1_semiloop and c.is_omega_semiloop and c.is_omega2_semiloop
+
+
+def test_loop_bits_match_classify_edge():
+    for g in maps_up_to(5):
+        for e in g.edges:
+            c = classify_edge(g, e)
+            assert is_triloop(g, e) == c.is_triloop
+            assert is_ultraloop(g, e) == c.is_ultraloop
+
+
+def test_local_semiloop_test_matches_global():
+    # the face count local to {e, f} against k - γ of the whole underlying
+    # embedded graph before and after deleting e and f, for both pairs the
+    # semiloop bits use
+    cases = 0
+    for g in maps_up_to(6, n_min=1):
+        eg = rotation_system(g)
+        before = eg.k_minus_gamma()
+        for e in g.edges:
+            for f in (g.sw2(e), g.sw.inv(e)):
+                if f == e:
+                    continue
+                cases += 1
+                after = eg.delete_edges({e, f}).k_minus_gamma()
+                assert _pair_separates(g, e, f) == (after > before), (g, e, f)
+    assert cases == 10288
 
 
 def test_mismatched_domains_rejected():

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-from altdimaps import (DocumentError, export_dot, export_json, isomorphic,
-                       map_stats, parse_map, parse_plane_graph,
-                       plane_multigraph, serialize_map)
-from altdimaps.catalog import loop_star_1, posy, ultraloop
+from altdimaps import (DocumentError, alt_a, alt_c, alt_i, build_map,
+                       export_dot, export_json, isomorphic, map_stats,
+                       parse_map, parse_plane_graph, plane_multigraph,
+                       serialize_map)
+from altdimaps.catalog import (add_omega_loop, loop_star_1, posy, tricircuit,
+                               ultraloop)
 
-from conftest import maps_up_to
+from conftest import maps_up_to, plane_suite
 
 ULTRALOOP_DOC = """map ultra
 edges e
@@ -41,6 +43,26 @@ def test_serialize_is_canonical_small():
     for g in maps_up_to(3):
         t = serialize_map(g)
         assert serialize_map(parse_map(t)) == t
+
+
+def test_tuple_labels_roundtrip():
+    maps = [tricircuit(2, 3, 1), tricircuit(1, 1, 1),
+            add_omega_loop(posy(1), 0, 0)]
+    for p in plane_suite().values():
+        maps += [alt_c(p), alt_a(p), alt_i(p)]
+    for g in maps:
+        t = serialize_map(g)
+        h = parse_map(t)
+        assert h.n_edges == g.n_edges and isomorphic(h, g), t
+        assert serialize_map(h) == t
+
+
+def test_reserved_characters_in_labels():
+    g = build_map(["a b", "(c)", "d#", "e%20"], [("a b", "(c)")],
+                  [("d#", "e%20")])
+    h = parse_map(serialize_map(g))
+    assert h.edges == {"a b", "(c)", "d#", "e%20"}
+    assert h == g
 
 
 def test_parse_errors():
