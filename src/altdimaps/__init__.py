@@ -9,8 +9,8 @@ genus via excluded minors, Tutte-style polynomial invariants on images
 of plane graphs, and the binary-function transform calculus.
 """
 
-from .core import (AltDimap, EMPTY_MAP, EdgeClass, MapStats, build_map,
-                   classify_edge, disjoint_union, map_from_rotations,
+from .core import (AltDimap, EMPTY_MAP, EdgeClass, InvariantError, MapStats,
+                   build_map, classify_edge, disjoint_union, map_from_rotations,
                    map_stats, reflect, rotation_system, trial, trial_power)
 from .perm import Perm
 from .embedded import EmbeddedGraph

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on a domain error (bad input data, failed
-precondition), 2 on a usage error (unknown flags, missing arguments).
+precondition) or a failed internal check, 2 on a usage error (unknown
+flags, missing arguments).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .binfn import OMEGA, BinFn, bf_minor, solve_uniform_reduction, transform
 from .catalog import canonical_code, enumerate_maps, isomorphic
-from .core import MU_BY_NAME, map_stats, trial_power
+from .core import MU_BY_NAME, InvariantError, map_stats, trial_power
 from .invariants import (T_a, T_c, T_i, alt_a, alt_c, alt_i,
                          plane_multigraph)
 from .minors import commute_check, excluded_minor_witness, is_posy, reduce_map
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

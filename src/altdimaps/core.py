@@ -31,10 +31,14 @@ def mu_inv(a: int) -> int:
     return (-a) % 3
 
 
-class AltDimap:
-    """An alternating dimap, stored as the pair (sigma_omega, sigma_omega2)."""
+class InvariantError(AssertionError):
+    """A failed internal check: a library bug, not bad input."""
 
-    __slots__ = ("edges", "sw", "sw2", "s1")
+
+class AltDimap:
+    """An alternating dimap, stored as (sw, sw2); s1 is derived lazily."""
+
+    __slots__ = ("edges", "sw", "sw2", "_s1")
 
     def __init__(self, sigma_omega: Perm, sigma_omega2: Perm):
         if sigma_omega.domain != sigma_omega2.domain:
@@ -42,8 +46,14 @@ class AltDimap:
         self.edges = sigma_omega.domain
         self.sw = sigma_omega
         self.sw2 = sigma_omega2
-        # s1 = (sw ∘ sw2)⁻¹, so that s1(sw(sw2(e))) = e.
-        self.s1 = Perm({e: self.sw2.inv(self.sw.inv(e)) for e in self.edges})
+        self._s1 = None
+
+    @property
+    def s1(self) -> Perm:
+        """s1 = (sw ∘ sw2)⁻¹, so that s1(sw(sw2(e))) = e; made on first use."""
+        if self._s1 is None:
+            self._s1 = Perm({e: self.sw2.inv(self.sw.inv(e)) for e in self.edges})
+        return self._s1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AltDimap):
@@ -360,7 +370,7 @@ def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:
     lw2 = g.sw2(e) == e
     ultra = (l1 + lw + lw2) >= 2  # any two force the third
     if ultra and not (l1 and lw and lw2):
-        raise AssertionError("triple identity violated")
+        raise InvariantError("triple identity violated")
     standard = g.sw(e) in g.s1.cycle_of(e)  # head(e) == tail(e)
     # ω-semiloop: e with its right successor sw2(e); ω²-semiloop: e with
     # its left successor sw⁻¹(e).  Degenerate pairs count as semiloops.

@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass, classify_edge,
-                   map_from_rotations, map_stats, reflect)
+from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
+                   InvariantError, classify_edge, map_from_rotations,
+                   map_stats, reflect)
 from .embedded import EmbeddedGraph
 from .minors import reduce_map
 from .multigraph import Multigraph, tutte_poly
@@ -330,9 +331,9 @@ def _alt_doubled(p: PlaneGraph, clockwise: bool) -> AltDimap:
     two_faces = st.n_c_faces if clockwise else st.n_a_faces
     old_faces = st.n_a_faces if clockwise else st.n_c_faces
     if two_faces != n_e or old_faces != n_f:
-        raise AssertionError("doubled map fails the face-count identities")
+        raise InvariantError("doubled map fails the face-count identities")
     if st.genus != eg.genus():
-        raise AssertionError("doubled map changed the genus")
+        raise InvariantError("doubled map changed the genus")
     return g
 
 
@@ -368,7 +369,7 @@ def medial(p: PlaneGraph) -> EmbeddedGraph:
         k = side.get(corner, 0)
         side[corner] = k + 1
         if k > 1:
-            raise AssertionError(f"corner {corner!r} used more than twice")
+            raise InvariantError(f"corner {corner!r} used more than twice")
         return (corner, k)
 
     for e in sorted(eg.edges, key=repr):
@@ -379,9 +380,9 @@ def medial(p: PlaneGraph) -> EmbeddedGraph:
         rotations[("m", e)] = rot
     med = EmbeddedGraph(rotations.keys(), rotations)
     if any(len(r) != 4 for r in med.rotations.values()):
-        raise AssertionError("medial graph is not 4-regular")
+        raise InvariantError("medial graph is not 4-regular")
     if med.genus() != eg.genus():
-        raise AssertionError("medial construction changed the genus")
+        raise InvariantError("medial construction changed the genus")
     return med
 
 
@@ -415,7 +416,7 @@ def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
                 want = (need - parity[v]) % 2
                 if w in parity:
                     if parity[w] != want:
-                        raise AssertionError("medial graph is not "
+                        raise InvariantError("medial graph is not "
                                              "alternately orientable")
                 else:
                     parity[w] = want
@@ -428,5 +429,5 @@ def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
         ]
     g = map_from_rotations(rotations)
     if map_stats(g).genus != med.genus():
-        raise AssertionError("orientation changed the genus")
+        raise InvariantError("orientation changed the genus")
     return g

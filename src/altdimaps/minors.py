@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterator, Optional, Sequence, Set, Tuple
 
-from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, is_triloop, is_ultraloop,
-                   map_stats, trial_power)
+from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, InvariantError,
+                   is_triloop, is_ultraloop, map_stats, trial_power)
 from .multigraph import Multigraph
 from .perm import Perm
 
@@ -42,14 +42,14 @@ def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     del swm[e], sw2m[e]
     out = AltDimap(Perm(swm), Perm(sw2m))
 
-    # cross-check the rewired in-star against the derived s1
+    # cross-check the in-star: out.s1(x) == y iff out.sw⁻¹(x) == out.sw2(y)
     if mu == MU1:
-        rewired = (out.s1(g.s1.inv(e)) == g.sw2.inv(e)
-                   and out.s1(g.sw(e)) == g.s1(e))
+        rewired = (out.sw.inv(g.s1.inv(e)) == out.sw2(g.sw2.inv(e))
+                   and out.sw.inv(g.sw(e)) == out.sw2(g.s1(e)))
     else:
-        rewired = out.s1(g.s1.inv(e)) == g.s1(e)
+        rewired = out.sw.inv(g.s1.inv(e)) == out.sw2(g.s1(e))
     if not rewired:
-        raise AssertionError(f"reducing {e!r} by type {mu} broke its in-star")
+        raise InvariantError(f"reducing {e!r} by type {mu} broke its in-star")
     return out
 
 
@@ -201,26 +201,25 @@ def _minors(g: AltDimap, key: Callable[[AltDimap], Hashable]
     (key(m), m) for the first minor m met with each key.
 
     The children of a minor are its reductions by the edges sorted by
-    repr, each by types 1, ω, ω²; they are made only when the walk is
-    resumed after their parent, so a consumer that stops early reduces
-    nothing further."""
+    repr, each by types 1, ω, ω² (a triloop once: all three give one map),
+    made only when the consumer resumes the walk after their parent.  A
+    labelled minor met before is skipped without calling key."""
+    met: Set[AltDimap] = set()
     seen: Set[Hashable] = set()
     stack = [g]
     while stack:
         m = stack.pop()
+        if m in met:
+            continue
+        met.add(m)
         k = key(m)
         if k in seen:
             continue
         seen.add(k)
         yield k, m
         for e in sorted(m.edges, key=repr):
-            for mu in ALL_MU:
-                stack.append(reduce_map(m, e, mu))
-
-
-def _labelled(m: AltDimap) -> Tuple:
-    return (frozenset(m.sw.mapping().items()),
-            frozenset(m.sw2.mapping().items()))
+            types = (MU1,) if is_triloop(m, e) else ALL_MU
+            stack += (reduce_map(m, e, mu) for mu in types)
 
 
 _BRUTE_MAX_EDGES = 5
@@ -248,8 +247,8 @@ def is_totally_reduction_commutative(g: AltDimap, brute: bool = False) -> bool:
         if g.n_edges > _BRUTE_MAX_EDGES:
             raise ValueError(f"brute force capped at {_BRUTE_MAX_EDGES} edges")
         return all(_all_pairs_commute(m, lambda *pair: commute_check(*pair)[0])
-                   for _, m in _minors(g, _labelled))
-    return all(is_2_reduction_commutative(m) for _, m in _minors(g, _labelled))
+                   for _, m in _minors(g, lambda m: m))
+    return all(is_2_reduction_commutative(m) for _, m in _minors(g, lambda m: m))
 
 
 # -- posies and the excluded-minor genus test ---------------------------------
@@ -280,20 +279,25 @@ def is_posy_union(g: AltDimap) -> Optional[int]:
     return total
 
 
-def minor_closure(g: AltDimap, max_edges: int = 8):
-    """All minors of G up to isomorphism (including G and the empty map),
-    as a dict canonical code -> representative map."""
+def _closure_walk(g: AltDimap, max_edges: int):
+    """_minors keyed by canonical code; refused above max_edges edges."""
     from .catalog import canonical_code
     if g.n_edges > max_edges:
         raise ValueError(f"minor closure capped at {max_edges} edges")
-    return dict(_minors(g, canonical_code))
+    return _minors(g, canonical_code)
+
+
+def minor_closure(g: AltDimap, max_edges: int = 8):
+    """All minors of G up to isomorphism (including G and the empty map),
+    as a dict canonical code -> representative map in _minors order."""
+    return dict(_closure_walk(g, max_edges))
 
 
 def excluded_minor_witness(g: AltDimap, k: int,
                            max_edges: int = 8) -> Optional[AltDimap]:
-    """A nonempty minor of G whose components are posies of total genus
-    k, or None if G has no such minor."""
-    return next((m for m in minor_closure(g, max_edges=max_edges).values()
+    """The first minor in minor_closure(G) whose components are posies of
+    total genus k, or None; the walk stops at that witness."""
+    return next((m for _, m in _closure_walk(g, max_edges)
                  if m.edges and is_posy_union(m) == k), None)
 
 

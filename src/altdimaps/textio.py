@@ -11,7 +11,8 @@ Cycles use whitespace-separated labels inside parentheses; several
 cycles may appear on one line; fixed points are omitted.  A label is
 written as its ``str``, with whitespace, ``(``, ``)``, ``#`` and ``%``
 percent-encoded (``('a', '+')`` becomes ``%28'a',%20'+'%29``), and read
-back decoded, so every label reads back as one string.  Only the two
+back decoded, so every label reads back as one string (labels with one
+``str``, such as ``1`` and ``'1'``, cannot be written).  Only the two
 permutations sigma_omega and sigma_omega2 are stored; sigma_1 is always
 derived, so a document can never hold an inconsistent triple.
 
@@ -142,7 +143,10 @@ def _escape(match) -> str:
 
 def _tokens(g: AltDimap) -> Dict:
     """Each edge label as one document token (see the module docstring)."""
-    return {e: _RESERVED.sub(_escape, str(e)) for e in g.edges}
+    tokens = {e: _RESERVED.sub(_escape, str(e)) for e in g.edges}
+    if len(set(tokens.values())) < len(tokens):
+        raise ValueError("two edge labels have the same str; cannot write them")
+    return tokens
 
 
 def _untoken(tokens: str) -> List[str]:

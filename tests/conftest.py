@@ -1,8 +1,9 @@
 """Shared fixtures: the catalog of small maps and a suite of plane graphs."""
 
 import pytest
+from hypothesis import strategies as st
 
-from altdimaps import PlaneGraph, enumerate_maps
+from altdimaps import AltDimap, Perm, PlaneGraph, enumerate_maps
 
 
 def maps_up_to(n_max, n_min=0):
@@ -11,6 +12,18 @@ def maps_up_to(n_max, n_min=0):
     for n in range(n_min, n_max + 1):
         out += enumerate_maps(n, max_edges=max(n, 1))
     return out
+
+
+def random_maps(max_n=5):
+    """Strategy: any pair of permutations of {0..n-1} is a valid map."""
+    def build(n, rng1, rng2):
+        sw = Perm(dict(zip(range(n), rng1)))
+        sw2 = Perm(dict(zip(range(n), rng2)))
+        return AltDimap(sw, sw2)
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)),
+                            st.permutations(range(n))).map(
+            lambda p: build(n, *p)))
 
 
 def plane_suite():

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import altdimaps.cli
+from altdimaps import InvariantError, build_map
 from altdimaps.catalog import posy, ultraloop
 from altdimaps.cli import main
 from altdimaps.textio import serialize_map
@@ -148,6 +151,49 @@ def test_domain_error_exit_code(capsys, posy_file):
     assert rc == 1 and "error:" in err
     rc, _, err = run(capsys, "stats", "/no/such/file")
     assert rc == 1
+
+
+def test_internal_error_exit_code(capsys, posy_file, monkeypatch):
+    def broken(g):
+        raise InvariantError("a check failed")
+
+    monkeypatch.setattr(altdimaps.cli, "map_stats", broken)
+    rc, out, err = run(capsys, "stats", posy_file)
+    assert rc == 1 and out == ""
+    assert err == "internal error: a check failed\n"
+
+
+def test_unwritable_labels_exit_code(capsys, posy_file, monkeypatch):
+    # the labels 1 and "1" would both be written as the token 1
+    monkeypatch.setattr(altdimaps.cli, "_load_map",
+                        lambda path: build_map([1, "1"], [(1, "1")], []))
+    rc, out, err = run(capsys, "trial", posy_file, "--power", "3")
+    assert rc == 1 and out == "" and err.startswith("error: ")
+
+
+# document text: the map format's directives with random label words, in
+# order or in random lines, and arbitrary text
+WORDS = st.lists(st.sampled_from(["a", "b", "1", "(a", "b)", "(a b)", "(b a)",
+                                  "()", "(1)", "(", ")", "%", "%61", "#",
+                                  "\t", "é"]), max_size=3).map(" ".join)
+KEYS = ["map", "edges", "sigma_omega", "sigma_omega2"]
+DOCS = st.one_of(
+    st.tuples(*[WORDS] * 4).map(
+        lambda ws: "\n".join(f"{k} {w}" for k, w in zip(KEYS, ws))),
+    st.lists(st.tuples(st.sampled_from(KEYS + ["x", ""]), WORDS).map(" ".join),
+             max_size=6).map("\n".join),
+    st.text())
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(DOCS)
+def test_stats_exit_codes_on_any_text(capsys, tmp_path, text):
+    path = tmp_path / "fuzz.map"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "stats", str(path))
+    assert rc in (0, 1)
+    assert "Traceback" not in err
+    assert (rc == 0) == out.startswith("V=")
 
 
 def test_usage_error_exit_code(posy_file):

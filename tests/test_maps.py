@@ -6,23 +6,12 @@ from hypothesis import given, strategies as st
 from altdimaps import (AltDimap, EMPTY_MAP, Perm, build_map, classify_edge,
                        map_from_rotations, map_stats, reflect,
                        rotation_system, trial, trial_power)
-from altdimaps.core import _pair_separates, is_triloop, is_ultraloop
+from altdimaps.core import ALL_MU, _pair_separates, is_triloop, is_ultraloop
+from altdimaps.minors import reduce_map
 from altdimaps.catalog import (loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
 
-from conftest import maps_up_to
-
-
-def random_maps(max_n=5):
-    """Strategy: any pair of permutations of {0..n-1} is a valid map."""
-    def build(n, rng1, rng2):
-        sw = Perm(dict(zip(range(n), rng1)))
-        sw2 = Perm(dict(zip(range(n), rng2)))
-        return AltDimap(sw, sw2)
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(st.permutations(range(n)),
-                            st.permutations(range(n))).map(
-            lambda p: build(n, *p)))
+from conftest import maps_up_to, random_maps
 
 
 # -- the defining identity ---------------------------------------------------
@@ -32,6 +21,20 @@ def test_alternation_identity(g):
     # s1(sw(sw2(e))) = e defines the derived permutation
     for e in g.edges:
         assert g.s1(g.sw(g.sw2(e))) == e
+
+
+@given(random_maps(), st.data())
+def test_lazy_s1(g, data):
+    # s1 is derived on first use; reading it never changes == or hash
+    e = data.draw(st.sampled_from(sorted(g.edges)))
+    mu = data.draw(st.sampled_from(ALL_MU))
+    for h in (g, reduce_map(g, e, mu), trial(g)):
+        fresh = AltDimap(h.sw, h.sw2)
+        assert fresh == h and hash(fresh) == hash(h)
+        assert h.s1 == Perm({h.sw(h.sw2(x)): x for x in h.edges})
+        assert fresh == h and hash(fresh) == hash(h)
+        assert len({h, fresh}) == 1
+        assert fresh.s1 == h.s1
 
 
 def test_empty_map():

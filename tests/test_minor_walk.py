@@ -1,0 +1,89 @@
+"""The minor-closure walk against a copy of the full walk it replaced.
+
+The reference walk gives every child a canonical code and reduces a
+triloop by all three types; the library walk skips labelled minors it has
+already met and reduces a triloop once.  Both must yield the same
+representatives in the same order, so the genus witness is the same too.
+"""
+
+import random
+
+import pytest
+
+import altdimaps.catalog
+from altdimaps import (AltDimap, Perm, canonical_code, is_posy_union,
+                       is_totally_reduction_commutative, minor_closure,
+                       reduce_map)
+from altdimaps.core import ALL_MU
+from altdimaps.minors import excluded_minor_witness
+
+from conftest import maps_up_to
+
+MAPS = maps_up_to(5)
+
+
+def full_closure(g):
+    """The closure walk as it was: canonical code first, then the check."""
+    seen, out = set(), {}
+    stack = [g]
+    while stack:
+        m = stack.pop()
+        k = canonical_code(m)
+        if k in seen:
+            continue
+        seen.add(k)
+        out[k] = m
+        for e in sorted(m.edges, key=repr):
+            for mu in ALL_MU:
+                stack.append(reduce_map(m, e, mu))
+    return out
+
+
+def string_named(g, rng):
+    """g with its edges renamed to shuffled strings, so that sorting by
+    repr orders them differently from the integer labels."""
+    names = dict(zip(sorted(g.edges),
+                     (f"n{i}" for i in rng.sample(range(100), g.n_edges))))
+    return AltDimap(Perm({names[e]: names[g.sw(e)] for e in g.edges}),
+                    Perm({names[e]: names[g.sw2(e)] for e in g.edges}))
+
+
+def labellings():
+    rng = random.Random(5)
+    return {"ints": MAPS, "strings": [string_named(g, rng) for g in MAPS]}
+
+
+@pytest.fixture(scope="module", params=["ints", "strings"])
+def labelled_maps(request):
+    return labellings()[request.param]
+
+
+def test_map_count():
+    assert len(MAPS) == 221
+
+
+def test_closure_and_witness_match_the_full_walk(labelled_maps, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return canonical_code(m)
+
+    monkeypatch.setattr(altdimaps.catalog, "canonical_code", counted)
+    for g in labelled_maps:
+        ref = full_closure(g)
+        calls.clear()
+        assert list(minor_closure(g).items()) == list(ref.items())
+        # at most one canonical code per distinct labelled minor
+        assert len(calls) == len(set(calls))
+        for k in (1, 2):
+            first = next((m for m in ref.values()
+                          if m.edges and is_posy_union(m) == k), None)
+            calls.clear()
+            assert excluded_minor_witness(g, k) == first
+            assert len(calls) == len(set(calls))
+
+
+def test_totally_commutative_count(labelled_maps):
+    assert sum(is_totally_reduction_commutative(g)
+               for g in labelled_maps if g.edges) == 80

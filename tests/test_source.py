@@ -16,3 +16,14 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_internal_checks_raise_invariant_error():
+    # cli.main turns InvariantError into exit code 1; a bare AssertionError
+    # would escape it as a traceback
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "AssertionError" in ast.unparse(node.exc)]
+    assert found == []

@@ -3,15 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from altdimaps import (DocumentError, alt_a, alt_c, alt_i, build_map,
-                       export_dot, export_json, isomorphic, map_stats,
-                       parse_map, parse_plane_graph, plane_multigraph,
-                       serialize_map)
+from altdimaps import (AltDimap, DocumentError, Perm, alt_a, alt_c, alt_i,
+                       build_map, export_dot, export_json, isomorphic,
+                       map_stats, parse_map, parse_plane_graph,
+                       plane_multigraph, serialize_map)
 from altdimaps.catalog import (add_omega_loop, loop_star_1, posy, tricircuit,
                                ultraloop)
 
-from conftest import maps_up_to, plane_suite
+from conftest import maps_up_to, plane_suite, random_maps
 
 ULTRALOOP_DOC = """map ultra
 edges e
@@ -63,6 +64,34 @@ def test_reserved_characters_in_labels():
     h = parse_map(serialize_map(g))
     assert h.edges == {"a b", "(c)", "d#", "e%20"}
     assert h == g
+
+
+def test_labels_with_one_str_rejected():
+    # 1 and "1" would both be written as the token 1
+    g = build_map([1, "1"], [(1, "1")], [])
+    with pytest.raises(ValueError, match="same str"):
+        serialize_map(g)
+
+
+LABELS = st.one_of(st.integers(-20, 20), st.text(min_size=1, max_size=4),
+                   st.tuples(st.sampled_from("ab"), st.integers(0, 2)))
+
+
+@given(random_maps(), st.data())
+def test_serialize_parse_is_relabelling(g, data):
+    labels = data.draw(st.lists(LABELS, min_size=g.n_edges,
+                                max_size=g.n_edges, unique=True))
+    name = dict(zip(sorted(g.edges), labels))
+    g = AltDimap(Perm({name[e]: name[g.sw(e)] for e in g.edges}),
+                 Perm({name[e]: name[g.sw2(e)] for e in g.edges}))
+    if len(set(map(str, labels))) < len(labels):
+        with pytest.raises(ValueError):
+            serialize_map(g)
+        return
+    # every label reads back as its str
+    h = parse_map(serialize_map(g))
+    assert h == AltDimap(Perm({str(e): str(g.sw(e)) for e in g.edges}),
+                         Perm({str(e): str(g.sw2(e)) for e in g.edges}))
 
 
 def test_parse_errors():
