@@ -8,6 +8,7 @@ flags, missing arguments).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -39,12 +40,34 @@ def _load_map(path: str):
 
 # -- binary-function JSON I/O ------------------------------------------------
 
+def _json_complex(v) -> complex:
+    """A finite JSON number or [re, im] pair of numbers as a complex."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in parts):
+        raise ValueError(f"a value is a number or a [re, im] pair, not {v!r}")
+    try:
+        z = complex(*map(float, parts))
+    except OverflowError:  # an integer beyond the float range
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise ValueError("values must be finite")
+    return z
+
+
 def _bf_from_json(text: str) -> BinFn:
+    """A document {"ground": [label, ...], "values": [value, ...]} whose
+    labels are JSON scalars."""
     doc = json.loads(text)
-    ground = tuple(doc["ground"])
-    values = [complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-              for v in doc["values"]]
-    return BinFn(ground, np.array(values))
+    if not isinstance(doc, dict):
+        raise ValueError("a binary function is a JSON object")
+    ground, values = doc["ground"], doc["values"]
+    if not isinstance(ground, list) or not isinstance(values, list):
+        raise ValueError('"ground" and "values" must be lists')
+    if any(isinstance(x, (list, dict)) for x in ground):
+        raise ValueError("ground labels must be strings, numbers or null")
+    return BinFn(tuple(ground),
+                 np.array([_json_complex(v) for v in values], dtype=np.complex128))
 
 
 def _bf_to_json(f: BinFn) -> str:

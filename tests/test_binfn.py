@@ -55,6 +55,35 @@ def test_sweep_equals_naive_kronecker():
             <= 1e-12
 
 
+def sweep_transform(f, mu):
+    """The transform as m pairwise sweeps, one 2x2 contraction per
+    coordinate: the reference for the blocked kernel."""
+    mat = mu_matrix(mu)
+    v = np.array(f.values)
+    m = f.m
+    for i in range(m):
+        v = np.einsum("ab,xby->xay", mat, v.reshape(2 ** (m - 1 - i), 2, 2 ** i))
+    return v.reshape(-1)
+
+
+@pytest.mark.parametrize("m", list(range(14)) + [19])
+def test_transform_equals_coordinate_sweeps(m):
+    rng = np.random.default_rng(1000 + m)
+    f = random_bf(m, rng)
+    for mu in (1, -1, OMEGA, OMEGA ** 2, complex(*rng.normal(size=2))):
+        want = sweep_transform(f, mu)
+        got = transform(f, mu).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_transform_leaves_input_unchanged():
+    f = random_bf(9)
+    before = f.values.copy()
+    g = transform(f, OMEGA)
+    assert np.array_equal(f.values, before)
+    assert not g.values.flags.writeable
+
+
 def test_transform_identity():
     f = random_bf(6)
     assert np.max(np.abs(transform(f, 1).values - f.values)) <= 1e-12
@@ -89,6 +118,18 @@ def test_transform_performance_m20():
 def test_lambda_special_values():
     assert abs(lambda_of(1) - 1) < 1e-12
     assert abs(lambda_of(-1)) < 1e-12
+
+
+@pytest.mark.parametrize("mu", [complex("nan"), complex("inf"),
+                                complex(0, float("-inf")), 1e400, 1e308])
+def test_non_finite_mu_rejected(mu):
+    with pytest.raises(ValueError):
+        mu_matrix(mu)
+    with pytest.raises(ValueError):
+        transform(ultraloop_bf(2), mu)
+    if mu != 1e308:  # lambda(1e308) is finite
+        with pytest.raises(ValueError):
+            lambda_of(mu)
 
 
 def test_minor_at_mu_1_sums_and_at_minus_1_restricts():
@@ -240,3 +281,22 @@ def test_binfn_validation():
         BinFn(("a",), [1, 2, 3])
     with pytest.raises(ValueError):
         BinFn(("a", "a"), [1, 2, 3, 4])
+
+
+def test_binfn_keeps_caller_array_writeable():
+    arr = np.array([1, 2, 3, 4], dtype=np.complex128)
+    f = BinFn(("a", "b"), arr)
+    arr[1] = 5  # the caller's array is still its own to write
+    assert arr.flags.writeable and not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[1] = 6
+
+
+def test_binfn_equality():
+    assert ultraloop_bf(2) == ultraloop_bf(2)
+    assert ultraloop_bf(2) != ultraloop_bf(2, labels=("a", "b"))
+    assert ultraloop_bf(2) != ultraloop_bf(3)
+    assert BinFn((0,), [1, 2]) != BinFn((0,), [1, 3])
+    assert BinFn((0,), [1, 2]) != (0,)
+    with pytest.raises(TypeError):
+        hash(ultraloop_bf(1))

@@ -146,6 +146,29 @@ def test_binfn_solve(capsys, tmp_path):
     assert abs(vals[1][0] - (2 ** 0.5 - 1)) < 1e-9
 
 
+@pytest.mark.parametrize("mu", ["nan", "1e400"])
+def test_binfn_non_finite_mu_exit_code(capsys, tmp_path, mu):
+    vec = tmp_path / "u.json"
+    vec.write_text(json.dumps({"ground": [0], "values": [1, 0.5]}))
+    for extra in ([], ["--element", "0"]):
+        op = "minor" if extra else "transform"
+        rc, out, err = run(capsys, "binfn", op, str(vec), "--mu", mu, *extra)
+        assert rc == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2, 3], None, "text", {"ground": 0, "values": [1, 2]},
+    {"ground": [[0]], "values": [1, 2]}, {"ground": [0], "values": [1, "x"]},
+    {"ground": [0], "values": [1, [2]]}, {"ground": [0], "values": [1, True]},
+    {"ground": [0], "values": [1, 1e400]}, {"ground": [0], "values": [1, 10 ** 400]},
+    {"ground": [0]}, {"ground": [0, 1], "values": [1, 2]}])
+def test_binfn_malformed_json_exit_code(capsys, tmp_path, doc):
+    vec = tmp_path / "u.json"
+    vec.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "binfn", "transform", str(vec), "--mu", "w")
+    assert rc == 1 and out == "" and err.startswith("error: ")
+
+
 def test_domain_error_exit_code(capsys, posy_file):
     rc, _, err = run(capsys, "reduce", posy_file, "--edge", "zzz", "--mu", "1")
     assert rc == 1 and "error:" in err
@@ -194,6 +217,45 @@ def test_stats_exit_codes_on_any_text(capsys, tmp_path, text):
     assert rc in (0, 1)
     assert "Traceback" not in err
     assert (rc == 0) == out.startswith("V=")
+
+
+# binary-function documents: well-formed ones with random labels and
+# values, any JSON value, and arbitrary text
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=8)
+BF_DOCS = st.one_of(
+    st.integers(0, 3).flatmap(lambda m: st.fixed_dictionaries({
+        "ground": st.lists(JSON_SCALARS, min_size=m, max_size=m),
+        "values": st.lists(st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS,
+                                                            max_size=3)),
+                           min_size=2 ** m, max_size=2 ** m)})).map(json.dumps),
+    JSON_VALUES.map(json.dumps),
+    st.text())
+BF_COMMANDS = st.sampled_from([("transform", "--mu", "w"),
+                               ("transform", "--mu", "nan"),
+                               ("minor", "--mu", "1", "--element", "0"),
+                               ("minor", "--mu", "w2", "--element", "a"),
+                               ("solve",)])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(BF_DOCS, BF_COMMANDS)
+def test_binfn_exit_codes_on_any_text(capsys, tmp_path, text, command):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    op, *opts = command
+    rc, out, err = run(capsys, "binfn", op, str(path), *opts)
+    assert rc in (0, 1)
+    assert "Traceback" not in err
+    assert (rc == 0) == bool(out)
+    if rc == 0:
+        assert set(json.loads(out)) == {"ground", "values"}
 
 
 def test_usage_error_exit_code(posy_file):
