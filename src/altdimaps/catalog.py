@@ -5,71 +5,43 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .core import (MUW, MUW2, AltDimap, EMPTY_MAP, build_map, disjoint_union,
+from .core import (MUW, MUW2, AltDimap, EMPTY_MAP, build_map, closing,
                    map_from_rotations, reflect)
-from .perm import Perm
+from .perm import Perm, numbering
 
 
 # -- canonical codes -----------------------------------------------------------
 
-def _dense(g: AltDimap) -> Tuple[List[int], List[int]]:
-    """(sw, sw2) as index arrays over edges sorted by repr."""
-    order = sorted(g.edges, key=repr)
-    pos = {e: i for i, e in enumerate(order)}
-    sw = [pos[g.sw(e)] for e in order]
-    sw2 = [pos[g.sw2(e)] for e in order]
-    return sw, sw2
-
-
 def _component_code(sw: Sequence[int], sw2: Sequence[int],
                     swi: Sequence[int], sw2i: Sequence[int],
                     comp: Sequence[int]) -> bytes:
-    best = None
+    """The least code of one component over all roots.  The σ_ω part of a
+    root's code is known as its breadth-first walk goes, so a root is
+    given up as soon as that part exceeds the best code's."""
+    best = b""
     size = len(comp)
     for root in comp:
         order = [root]
         pos = {root: 0}
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
+        head = []  # pos[sw[x]] for x in order: the code after its size byte
+        tied = bool(best)  # whether head is a prefix of best[1:]
+        for x in order:  # order grows as the walk meets new edges
             for gen in (sw, swi, sw2, sw2i):
                 y = gen[x]
                 if y not in pos:
                     pos[y] = len(order)
                     order.append(y)
-        code = bytes([size]) + bytes(pos[sw[x]] for x in order) \
-            + bytes(pos[sw2[x]] for x in order)
-        if best is None or code < best:
-            best = code
+            c = pos[sw[x]]
+            if tied and c != best[len(head) + 1]:
+                if c > best[len(head) + 1]:
+                    break
+                tied = False
+            head.append(c)
+        else:
+            code = bytes([size, *head]) + bytes(pos[sw2[x]] for x in order)
+            if not best or code < best:
+                best = code
     return best
-
-
-def _components_dense(sw: Sequence[int], sw2: Sequence[int]) -> List[List[int]]:
-    n = len(sw)
-    seen = [False] * n
-    swi = [0] * n
-    sw2i = [0] * n
-    for i in range(n):
-        swi[sw[i]] = i
-        sw2i[sw2[i]] = i
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        qi = 0
-        while qi < len(comp):
-            x = comp[qi]
-            qi += 1
-            for gen in (sw, swi, sw2, sw2i):
-                y = gen[x]
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-        comps.append(comp)
-    return comps, swi, sw2i
 
 
 def canonical_code(g: AltDimap) -> bytes:
@@ -81,13 +53,12 @@ def canonical_code(g: AltDimap) -> bytes:
     component, and component codes are sorted and concatenated.  Maps with
     more than 255 edges in a component are not supported.
     """
-    sw, sw2 = _dense(g)
-    comps, swi, sw2i = _components_dense(sw, sw2)
+    comps = g.orbits()
     if any(len(c) > 255 for c in comps):
         raise ValueError("canonical codes support at most 255 edges "
                          "per component")
-    codes = sorted(_component_code(sw, sw2, swi, sw2i, c) for c in comps)
-    return b"".join(codes)
+    gens = (g.sw.img, g.sw2.img, g.sw.pre, g.sw2.pre)
+    return b"".join(sorted(_component_code(*gens, c) for c in comps))
 
 
 def isomorphic(a: AltDimap, b: AltDimap) -> bool:
@@ -134,12 +105,13 @@ def enumerate_maps(n: int, connected_only: bool = False,
         return [EMPTY_MAP]
     out: Dict[bytes, AltDimap] = {}
     pts = list(range(n))
+    labels, index = numbering(pts)
     for parts in _partitions(n):
-        sw = _perm_of_cycle_type(parts)
-        swp = Perm(dict(enumerate(sw)))
+        # sw and sw2 permute the edge numbers (labels[i] need not be i)
+        swp = Perm._of(labels, index, _perm_of_cycle_type(parts))
         for sw2 in permutations(pts):
-            g = AltDimap(swp, Perm(dict(enumerate(sw2))))
-            if connected_only and len(g.components()) != 1:
+            g = AltDimap(swp, Perm._of(labels, index, sw2))
+            if connected_only and len(g.orbits()) != 1:
                 continue
             code = canonical_code(g)
             if code not in out:
@@ -170,11 +142,10 @@ def _add_loop(g: AltDimap, anchor: Hashable, label: Hashable,
     loopm = (g.sw if mu == MUW else g.sw2).mapping()
     loopm[label] = label
     loop = Perm(loopm)
-    # the other permutation from the triple identity:
-    # sw2 = sw⁻¹ ∘ s1⁻¹ and sw = s1⁻¹ ∘ sw2⁻¹
+    # the other permutation closes the triple (s1, sw, sw2)
     if mu == MUW:
-        return AltDimap(loop, Perm({e: loop.inv(s1.inv(e)) for e in s1m}))
-    return AltDimap(Perm({e: s1.inv(loop.inv(e)) for e in s1m}), loop)
+        return AltDimap(loop, closing(s1, loop))
+    return AltDimap(closing(loop, s1), loop)
 
 
 def add_omega_loop(g: AltDimap, anchor: Hashable, label: Hashable) -> AltDimap:
@@ -230,10 +201,11 @@ def posies(k: int) -> List[AltDimap]:
     n = 2 * k + 1
     out: Dict[bytes, AltDimap] = {}
     pts = list(range(n))
-    swp = Perm.from_cycles(pts, [tuple(pts)])
+    labels, index = numbering(pts)
+    swp = Perm._on_cycles(labels, index, [tuple(pts)])
     for rest in permutations(pts[1:]):
         # sw2 ranges over all n-cycles (one a-face forces sw to one too)
-        g = AltDimap(swp, Perm.from_cycles(pts, [(0,) + rest]))
+        g = AltDimap(swp, Perm._on_cycles(labels, index, [(0,) + rest]))
         if len(g.s1.cycles()) == 1:
             code = canonical_code(g)
             mirror = canonical_code(reflect(g))

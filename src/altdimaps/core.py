@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .embedded import EmbeddedGraph
-from .perm import Perm
+from .perm import Perm, numbering
 
 # The three reduction/loop types, as exponents of the rotation ω:
 # 0 ↔ 1, 1 ↔ ω, 2 ↔ ω².
@@ -35,15 +35,22 @@ class InvariantError(AssertionError):
     """A failed internal check: a library bug, not bad input."""
 
 
-class AltDimap:
-    """An alternating dimap, stored as (sw, sw2); s1 is derived lazily."""
+def closing(x: Perm, y: Perm) -> Perm:
+    """The z with z(x(y(e))) = e, over the numbering x and y share: the
+    permutation that closes a triple such as (s1, sw, sw2)."""
+    return Perm._of(x.labels, x.index, tuple(map(y.pre.__getitem__, x.pre)),
+                    tuple(map(x.img.__getitem__, y.img)))
 
-    __slots__ = ("edges", "sw", "sw2", "_s1")
+
+class AltDimap:
+    """An alternating dimap, stored as (sw, sw2) over one edge numbering;
+    s1 is derived lazily."""
+
+    __slots__ = ("sw", "sw2", "_s1")
 
     def __init__(self, sigma_omega: Perm, sigma_omega2: Perm):
-        if sigma_omega.domain != sigma_omega2.domain:
+        if sigma_omega.labels != sigma_omega2.labels:
             raise ValueError("sigma_omega and sigma_omega2 act on different edge sets")
-        self.edges = sigma_omega.domain
         self.sw = sigma_omega
         self.sw2 = sigma_omega2
         self._s1 = None
@@ -52,23 +59,34 @@ class AltDimap:
     def s1(self) -> Perm:
         """s1 = (sw ∘ sw2)⁻¹, so that s1(sw(sw2(e))) = e; made on first use."""
         if self._s1 is None:
-            self._s1 = Perm({e: self.sw2.inv(self.sw.inv(e)) for e in self.edges})
+            self._s1 = closing(self.sw, self.sw2)
         return self._s1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AltDimap):
             return NotImplemented
-        return self.sw == other.sw and self.sw2 == other.sw2
+        return self.sw == other.sw and self.sw2.img == other.sw2.img
 
     def __hash__(self) -> int:
-        return hash((self.sw, self.sw2))
+        return hash((self.sw.labels, self.sw.img, self.sw2.img))
 
     def __repr__(self) -> str:
         return f"AltDimap(sw={self.sw!r}, sw2={self.sw2!r})"
 
     @property
+    def edges(self):
+        """The edge set, as a set-like view in numbering order."""
+        return self.sw.index.keys()
+
+    @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.sw.labels)
+
+    def number(self, e: Hashable) -> int:
+        """The position of edge e in labels."""
+        if e not in self.sw.index:
+            raise ValueError(f"edge {e!r} not in map")
+        return self.sw.index[e]
 
     # -- incidence --------------------------------------------------------
 
@@ -85,25 +103,27 @@ class AltDimap:
     def vertices(self) -> List[Tuple[Hashable, ...]]:
         return self.s1.cycles()
 
+    def orbits(self) -> List[List[int]]:
+        """Edge numbers of the connected components (orbits of <sw, sw2>),
+        each in breadth-first order under sw, sw⁻¹, sw2, sw2⁻¹."""
+        gens = (self.sw.img, self.sw.pre, self.sw2.img, self.sw2.pre)
+        seen = [False] * len(gens[0])
+        comps = []
+        for root in range(len(seen)):
+            if not seen[root]:
+                seen[root] = True
+                comps.append([root])
+                for x in comps[-1]:  # the component grows as the walk goes
+                    for gen in gens:
+                        if not seen[gen[x]]:
+                            seen[gen[x]] = True
+                            comps[-1].append(gen[x])
+        return comps
+
     def components(self) -> List[frozenset]:
         """Edge sets of connected components (orbits of <sw, sw2>)."""
-        seen = set()
-        comps = []
-        for e0 in self.edges:
-            if e0 in seen:
-                continue
-            stack, comp = [e0], set()
-            while stack:
-                e = stack.pop()
-                if e in comp:
-                    continue
-                comp.add(e)
-                for x in (self.sw(e), self.sw.inv(e), self.sw2(e), self.sw2.inv(e)):
-                    if x not in comp:
-                        stack.append(x)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        labels = self.sw.labels
+        return [frozenset(map(labels.__getitem__, c)) for c in self.orbits()]
 
     def restricted(self, edges: Iterable[Hashable]) -> "AltDimap":
         """Sub-dimap induced by a union of components."""
@@ -117,9 +137,9 @@ def build_map(edge_labels: Sequence[Hashable],
               sigma_omega_cycles: Iterable[Tuple[Hashable, ...]],
               sigma_omega2_cycles: Iterable[Tuple[Hashable, ...]]) -> AltDimap:
     """Build a map from labelled cycle notation; s1 is always derived."""
-    sw = Perm.from_cycles(edge_labels, sigma_omega_cycles)
-    sw2 = Perm.from_cycles(edge_labels, sigma_omega2_cycles)
-    return AltDimap(sw, sw2)
+    labels, index = numbering(edge_labels)
+    return AltDimap(Perm._on_cycles(labels, index, sigma_omega_cycles),
+                    Perm._on_cycles(labels, index, sigma_omega2_cycles))
 
 
 @dataclass(frozen=True)
@@ -142,7 +162,7 @@ def map_stats(g: AltDimap) -> MapStats:
     af = len(g.sw.cycles())
     cf = len(g.sw2.cycles())
     e = g.n_edges
-    k = len(g.components())
+    k = len(g.orbits())
     # V - E + F = 2(k - γ)
     chi = v - e + af + cf
     if chi % 2:
@@ -179,24 +199,14 @@ def disjoint_union(a: AltDimap, b: AltDimap,
                    relabel: bool = False) -> AltDimap:
     """Disjoint union; edge sets must already be disjoint unless relabel is
     set, in which case edges are renumbered 0..n-1 (a's edges first)."""
+    pairs = ((a.sw, b.sw), (a.sw2, b.sw2))
     if relabel:
-        lab = {}
-        for i, e in enumerate(sorted(a.edges, key=repr)):
-            lab[("a", e)] = i
-        for i, e in enumerate(sorted(b.edges, key=repr)):
-            lab[("b", e)] = len(a.edges) + i
-        swm = {lab[("a", x)]: lab[("a", a.sw(x))] for x in a.edges}
-        swm.update({lab[("b", x)]: lab[("b", b.sw(x))] for x in b.edges})
-        sw2m = {lab[("a", x)]: lab[("a", a.sw2(x))] for x in a.edges}
-        sw2m.update({lab[("b", x)]: lab[("b", b.sw2(x))] for x in b.edges})
-        return AltDimap(Perm(swm), Perm(sw2m))
+        n = a.n_edges
+        joined = (p.img + tuple(n + j for j in q.img) for p, q in pairs)
+        return AltDimap(*(Perm(dict(enumerate(img))) for img in joined))
     if a.edges & b.edges:
         raise ValueError("edge sets overlap; pass relabel=True")
-    swm = a.sw.mapping()
-    swm.update(b.sw.mapping())
-    sw2m = a.sw2.mapping()
-    sw2m.update(b.sw2.mapping())
-    return AltDimap(Perm(swm), Perm(sw2m))
+    return AltDimap(*(Perm({**p.mapping(), **q.mapping()}) for p, q in pairs))
 
 
 # -- the underlying embedded graph -------------------------------------------
@@ -259,11 +269,8 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str
             seen_out.add(e)
     if seen_in != seen_out:
         raise ValueError("every edge needs one in dart and one out dart")
-    s1 = Perm(s1m)
     sw = Perm(swm)
-    # sw2 = sw⁻¹ ∘ s1⁻¹ from the triple identity
-    sw2 = Perm({e: sw.inv(s1.inv(e)) for e in s1m})
-    return AltDimap(sw, sw2)
+    return AltDimap(sw, closing(Perm(s1m), sw))
 
 
 # -- edge classification ------------------------------------------------------
@@ -323,27 +330,29 @@ def _pair_separates(g: AltDimap, e: Hashable, f: Hashable) -> bool:
     darts of e and f into stretches, and the stretches are joined again as
     the embedding without e and f joins them, from the permutations alone.
     """
+    e, f = g.number(e), g.number(f)
     drop = (e, f)
     old_faces = 4
     stretch = {}  # first dart of a surviving stretch of a face -> its last dart
     for end, perm in ((0, g.sw2), (1, g.sw)):
-        # along the face of (x, end) the next dart is (perm⁻¹(x), end)
-        shared = perm.inv(e) == f or f in perm.cycle_of(e)
+        img, pre = perm.img, perm.pre
+        # along the face of (x, end) the next dart is (pre[x], end)
+        shared = pre[e] == f or perm.labels[f] in perm.cycle_of(perm.labels[e])
         old_faces -= shared
         # the stretch after x ends just before y, the next dart of e or f
         for x, y in ((e, f), (f, e)) if shared else ((e, e), (f, f)):
-            first = perm.inv(x)
+            first = pre[x]
             if first not in drop:
-                stretch[(first, end)] = (perm(y), end)
-    back = (g.sw2.inv, g.sw.inv)
+                stretch[(first, end)] = (img[y], end)
+    back = (g.sw2.pre, g.sw.pre)
 
     def new_next(first):
         # from the last dart of a stretch go on around its mate's vertex,
-        # where (x, end) is followed by (back[1 - end](x), 1 - end), to the
+        # where (x, end) is followed by (back[1 - end][x], 1 - end), to the
         # first dart not of e or f: the first dart of the next stretch
         x, end = stretch[first]
         while True:
-            x = back[end](x)
+            x = back[end][x]
             if x not in drop:
                 return x, end
             end = 1 - end
@@ -357,14 +366,15 @@ def _pair_separates(g: AltDimap, e: Hashable, f: Hashable) -> bool:
             unseen.remove(d)
             d = new_next(d)
     # in-stars whose in and out darts all belong to e and f
-    s1 = g.s1
-    emptied = {frozenset((x, s1(x))) for x in drop
-               if s1(x) in drop and s1(s1(x)) == x
-               and g.sw.inv(x) in drop and g.sw.inv(s1(x)) in drop}
+    s1, swi = g.s1.img, g.sw.pre
+    emptied = {frozenset((x, s1[x])) for x in drop
+               if s1[x] in drop and s1[s1[x]] == x
+               and swi[x] in drop and swi[s1[x]] in drop}
     return new_faces + len(emptied) >= old_faces
 
 
 def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:
+    g.number(e)  # an unknown edge is a ValueError
     l1 = g.s1(e) == e
     lw = g.sw(e) == e
     lw2 = g.sw2(e) == e

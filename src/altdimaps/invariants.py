@@ -108,7 +108,7 @@ def basic_extended_params(alpha, beta, gamma, delta) -> ExtendedParams:
 
 def _resolve_order(g: AltDimap, order: Optional[Sequence[Hashable]]) -> List[Hashable]:
     if order is None:
-        return sorted(g.edges, key=repr)
+        return list(g.sw.labels)
     order = list(order)
     if len(order) != g.n_edges or set(order) != set(g.edges):
         raise ValueError("order must be a permutation of the edge set")
@@ -134,11 +134,12 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
     an edge that no row accepts raises ValueError.
 
     Sub-results are memoised for the duration of the call.  A state met
-    after i reductions has exactly the edges order[i:], so the images of
-    order[i:] under σ_ω and then σ_ω², as one tuple, fix both the map and
-    i: the memo is exact for the given order.  The walk runs depth first
-    on an explicit stack, in the order of the rows' terms, so it needs no
-    Python recursion and the first error met is the one raised."""
+    after i reductions has exactly the edges order[i:], so one numbering
+    for each i: the images of σ_ω and σ_ω² over that numbering fix both
+    the map and i, and the memo is exact for the given order.  The walk
+    runs depth first on an explicit stack, in the order of the rows'
+    terms, so it needs no Python recursion and the first error met is the
+    one raised."""
     rem = _resolve_order(g, order)
     memo: Dict[Tuple, Any] = {}
 
@@ -167,7 +168,7 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
             if i == len(rem):
                 value = one
             else:
-                key = tuple(map(m.sw, rem[i:])) + tuple(map(m.sw2, rem[i:]))
+                key = (m.sw.img, m.sw2.img)
                 value = memo.get(key)
                 if value is None:
                     stack.append((key, row(m, i)))

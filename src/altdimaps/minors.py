@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterator, Optional, Sequence, Set, Tuple
 
-from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, InvariantError,
-                   is_triloop, is_ultraloop, map_stats, trial_power)
+from .core import (ALL_MU, MU1, MUW, AltDimap, InvariantError,
+                   is_triloop, is_ultraloop, map_stats)
 from .multigraph import Multigraph
 from .perm import Perm
 
@@ -14,44 +14,46 @@ def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     """The minor G[mu]e.
 
     For a triloop all three reductions coincide: the edge is simply
-    deleted (an ultraloop's whole one-edge component disappears; the
-    explicit-vertex bookkeeping lives in the permutations, so this is the
-    same splice).  Otherwise the appropriate rewiring is applied around e.
+    deleted by the splice of the 1-reduction (an ultraloop's whole one-edge
+    component disappears).  Otherwise the appropriate rewiring is applied
+    around e.  The minor keeps the numbering of the other edges.
     """
-    if e not in g.edges:
-        raise ValueError(f"edge {e!r} not in map")
-    if is_triloop(g, e):
-        return AltDimap(g.sw.spliced(e), g.sw2.spliced(e))
-
-    swm = g.sw.mapping()
-    sw2m = g.sw2.mapping()
-    if mu == MU1:
-        # splice e out of both its a-face and its c-face
-        swm[g.sw.inv(e)] = g.sw(e)
-        sw2m[g.sw2.inv(e)] = g.sw2(e)
-    elif mu == MUW:
-        swm[g.sw.inv(e)] = g.sw(e)
-        sw2m[g.sw2.inv(e)] = g.sw.inv(e)
-        sw2m[g.s1(e)] = g.sw2(e)
-    elif mu == MUW2:
-        sw2m[g.sw2.inv(e)] = g.sw2(e)
-        swm[g.sw.inv(e)] = g.s1.inv(e)
-        swm[g.sw2(e)] = g.sw(e)
-    else:
+    i = g.number(e)
+    if mu not in ALL_MU:
         raise ValueError(f"unknown reduction type {mu!r}")
-    del swm[e], sw2m[e]
-    out = AltDimap(Perm(swm), Perm(sw2m))
-
-    # cross-check the in-star: out.s1(x) == y iff out.sw⁻¹(x) == out.sw2(y)
-    if mu == MU1:
-        rewired = (out.sw.inv(g.s1.inv(e)) == out.sw2(g.sw2.inv(e))
-                   and out.sw.inv(g.sw(e)) == out.sw2(g.s1(e)))
+    a, ai = list(g.sw.img), list(g.sw.pre)
+    b, bi = list(g.sw2.img), list(g.sw2.pre)
+    # σ_ω⁻¹(e), σ_ω(e), σ_ω²⁻¹(e), σ_ω²(e), σ₁(e) and σ₁⁻¹(e)
+    p, s, q, t = ai[i], a[i], bi[i], b[i]
+    r, u = bi[p], a[t]
+    triloop = s == i or t == i or r == i
+    # the rewired pairs x -> y of σ_ω and of σ_ω²
+    if triloop or mu == MU1:
+        # splice e out of both its a-face and its c-face
+        wa, wb = ((p, s),), ((q, t),)
+    elif mu == MUW:
+        wa, wb = ((p, s),), ((q, p), (r, t))
     else:
-        rewired = out.sw.inv(g.s1.inv(e)) == out.sw2(g.s1(e))
-    if not rewired:
-        raise InvariantError(f"reducing {e!r} by type {mu} broke its in-star")
-    return out
+        wa, wb = ((p, u), (t, s)), ((q, t),)
+    for img, pre, pairs in ((a, ai, wa), (b, bi, wb)):
+        for x, y in pairs:
+            img[x] = y
+            pre[y] = x
 
+    # cross-check the in-star: the minor's s1(x) == y iff sw⁻¹(x) == sw2(y)
+    checks = ((u, q), (s, r)) if mu == MU1 else ((u, r),)
+    if not triloop and any(ai[x] != b[y] for x, y in checks):
+        raise InvariantError(f"reducing {e!r} by type {mu} broke its in-star")
+
+    # drop number i: the numbers above it move down by one
+    n = len(a)
+    renumber = [*range(i), None, *range(i, n - 1)].__getitem__
+    a, ai, b, bi = (tuple(map(renumber, x[:i] + x[i + 1:]))
+                    for x in (a, ai, b, bi))
+    labels = g.sw.labels[:i] + g.sw.labels[i + 1:]
+    index = dict(zip(labels, range(n - 1)))
+    return AltDimap(Perm._of(labels, index, a, ai),
+                    Perm._of(labels, index, b, bi))
 
 def reduce_seq(g: AltDimap,
                steps: Sequence[Tuple[Hashable, int]]) -> AltDimap:
@@ -60,9 +62,10 @@ def reduce_seq(g: AltDimap,
     return g
 
 
-def _exceptional_pair_commutes(g: AltDimap, e: Hashable, f: Hashable) -> bool:
+def _exceptional_pair_commutes(s1: Sequence[int], sw: Sequence[int],
+                               sw2: Sequence[int], e: int, f: int) -> bool:
     """Whether {·[1]e, ·[ω]f} with f = sw(e) commutes, given that neither
-    edge is a triloop.
+    edge is a triloop, in a map given by the images of (s1, sw, sw2).
 
     Generically such a pair does not commute.  It does commute when one of
     the edges is degenerate enough that both composite minors collapse to
@@ -72,14 +75,14 @@ def _exceptional_pair_commutes(g: AltDimap, e: Hashable, f: Hashable) -> bool:
     exhaustively against both reduction orders on every map with at most
     five edges.)
     """
-    aface2 = g.sw(f) == e
-    cface2 = g.sw2(e) == f and g.sw2(f) == e
-    instar2 = g.s1(e) == f and g.s1(f) == e
-    return (g.s1(e) == e
-            or g.sw2(f) == f
-            or (g.s1(f) == f and (aface2 or cface2))
-            or (g.sw2(e) == e and (aface2 or instar2))
-            or (g.s1(e) == f and g.sw2(e) == f))
+    aface2 = sw[f] == e
+    cface2 = sw2[e] == f and sw2[f] == e
+    instar2 = s1[e] == f and s1[f] == e
+    return (s1[e] == e
+            or sw2[f] == f
+            or (s1[f] == f and (aface2 or cface2))
+            or (sw2[e] == e and (aface2 or instar2))
+            or (s1[e] == f and sw2[e] == f))
 
 
 def predict_commute(g: AltDimap, e: Hashable, mu: int,
@@ -94,25 +97,23 @@ def predict_commute(g: AltDimap, e: Hashable, mu: int,
     pattern up to triality, and fail except in the degenerate cases listed
     in _exceptional_pair_commutes.
     """
-    if e == f:
+    i, j = g.number(e), g.number(f)
+    if mu not in ALL_MU or nu not in ALL_MU:
+        raise ValueError(f"unknown reduction type in {mu!r}, {nu!r}")
+    if i == j:
         raise ValueError("need two distinct edges")
     if mu == nu:
         return True
     if is_ultraloop(g, e) or is_ultraloop(g, f):
         return True
-    for (x, mx), (y, my) in (((e, mu), (f, nu)), ((f, nu), (e, mu))):
-        if (mx, my) == (MU1, MUW):
-            j = 0
-        elif (mx, my) == (MUW, MUW2):
-            j = 1
-        elif (mx, my) == (MUW2, MU1):
-            j = 2
-        else:
-            continue
-        # conjugating by the trial turns each pattern into {[1]x, [ω]y}
-        h = trial_power(g, j)
-        if h.sw(x) == y:
-            return _exceptional_pair_commutes(h, x, y)
+    triple = (g.s1.img, g.sw.img, g.sw2.img)
+    for (x, mx), (y, my) in (((i, mu), (j, nu)), ((j, nu), (i, mu))):
+        if my == (mx + 1) % 3:
+            # the trial power mx turns the pattern into {[1]x, [ω]y}: its
+            # triple (σ₁, σ_ω, σ_ω²) is G's rotated back by mx
+            s1, sw, sw2 = triple[-mx], triple[1 - mx], triple[2 - mx]
+            if sw[x] == y:
+                return _exceptional_pair_commutes(s1, sw, sw2, x, y)
     return True
 
 
@@ -136,18 +137,8 @@ def trimedial(g: AltDimap) -> Multigraph:
     """The trimedial graph tri(G): one vertex per edge of G, and one edge
     joining each pair of consecutive edges in every in-star, a-face and
     c-face (a singleton cycle contributes a loop).  Always 6-regular."""
-    edges = []
-    n = 0
-    for sigma in (g.s1, g.sw, g.sw2):
-        for cyc in sigma.cycles():
-            if len(cyc) == 1:
-                edges.append((n, cyc[0], cyc[0]))
-                n += 1
-            else:
-                for i, x in enumerate(cyc):
-                    edges.append((n, x, cyc[(i + 1) % len(cyc)]))
-                    n += 1
-    return Multigraph(g.edges, edges)
+    pairs = [(x, sigma(x)) for sigma in (g.s1, g.sw, g.sw2) for x in g.edges]
+    return Multigraph(g.edges, [(n, x, y) for n, (x, y) in enumerate(pairs)])
 
 
 def triloops_cover_trimedial(g: AltDimap) -> bool:
@@ -165,7 +156,7 @@ def triloops_cover_trimedial(g: AltDimap) -> bool:
 def _all_pairs_commute(g: AltDimap, commutes) -> bool:
     """Whether commutes(g, e, mu, f, nu) holds for every pair of distinct
     edges (sorted by repr) and every pair of reduction types."""
-    edges = sorted(g.edges, key=repr)
+    edges = g.sw.labels
     return all(commutes(g, e, mu, f, nu)
                for i, e in enumerate(edges) for f in edges[i + 1:]
                for mu in ALL_MU for nu in ALL_MU)
@@ -217,7 +208,7 @@ def _minors(g: AltDimap, key: Callable[[AltDimap], Hashable]
             continue
         seen.add(k)
         yield k, m
-        for e in sorted(m.edges, key=repr):
+        for e in m.sw.labels:
             types = (MU1,) if is_triloop(m, e) else ALL_MU
             stack += (reduce_map(m, e, mu) for mu in types)
 

@@ -1,4 +1,6 @@
-"""Finite permutations on arbitrary hashable points, stored as dicts."""
+"""Finite permutations on arbitrary hashable points, stored as int tuples
+over a numbering of the points that depends on the point set alone, so
+that equality and hashing are tuple operations."""
 
 from __future__ import annotations
 
@@ -7,132 +9,165 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 Point = Hashable
 
 
+def _canonical_repr(x) -> str:
+    """repr(x), with the members of every frozenset in x in sorted order (a
+    frozenset's repr follows its insertion history).  Raises ValueError for
+    a label of any other kind that prints a frozenset."""
+    if isinstance(x, frozenset):
+        members = ", ".join(sorted(map(_canonical_repr, x)))
+        return type(x).__name__ + "({" + members + "})" if x else repr(x)
+    if isinstance(x, tuple):  # a named tuple is keyed by its type's name
+        name = "" if type(x) is tuple else type(x).__name__
+        inner = ", ".join(map(_canonical_repr, x))
+        return name + "(" + inner + "," * (len(x) == 1) + ")"
+    r = repr(x)
+    if "frozenset(" in r and not isinstance(x, str):
+        raise ValueError(f"label {r} holds a frozenset in no canonical order")
+    return r
+
+
+def numbering(points: Iterable[Point]) -> Tuple[tuple, Dict[Point, int]]:
+    """The distinct points sorted by repr (labels), and the index that maps
+    each to its position.  Labels holding frozensets sort by a repr with
+    every frozenset's members in order; distinct labels must print
+    differently (ValueError otherwise), as distinct strs and ints do."""
+    points = set(points)
+    if {str, int}.issuperset(map(type, points)):
+        labels = tuple(sorted(points, key=repr))
+    else:
+        keyed = dict(zip(map(_canonical_repr, points), points))
+        if len(keyed) < len(points):
+            raise ValueError("two distinct labels print alike")
+        labels = tuple(map(keyed.__getitem__, sorted(keyed)))
+    return labels, {x: i for i, x in enumerate(labels)}
+
+
 class Perm:
     """A bijection on a finite set of points.
 
-    The domain is explicit: every point the permutation acts on appears as a
-    key, including fixed points.
+    The domain is explicit: every point the permutation acts on is one of
+    its labels, including fixed points.  Point labels[i] is numbered i
+    (index[labels[i]] == i), and img[i] / pre[i] are the numbers of its
+    image / preimage.
     """
 
-    __slots__ = ("_fwd", "_bwd")
+    __slots__ = ("labels", "index", "img", "_pre")
 
     def __init__(self, mapping: Mapping[Point, Point]):
-        fwd = dict(mapping)
-        bwd: Dict[Point, Point] = {}
-        for x, y in fwd.items():
-            if y in bwd:
-                raise ValueError(f"not injective: {y!r} hit twice")
-            bwd[y] = x
-        if set(bwd) != set(fwd):
-            raise ValueError("image differs from domain; not a permutation")
-        self._fwd = fwd
-        self._bwd = bwd
+        labels, index = numbering(mapping)
+        try:
+            img = tuple([index[mapping[x]] for x in labels])
+        except KeyError:
+            raise ValueError("image differs from domain; "
+                             "not a permutation") from None
+        if len(set(img)) < len(img):
+            raise ValueError("not injective; not a permutation")
+        self.labels, self.index, self.img, self._pre = labels, index, img, None
 
     @classmethod
-    def identity(cls, points: Iterable[Point]) -> "Perm":
-        return cls({x: x for x in points})
+    def _of(cls, labels: tuple, index: Dict[Point, int], img: Tuple[int, ...],
+            pre: Tuple[int, ...] = None) -> "Perm":
+        """A permutation from its numbering and images, unchecked."""
+        p = cls.__new__(cls)
+        p.labels, p.index, p.img, p._pre = labels, index, img, pre
+        return p
 
     @classmethod
     def from_cycles(cls, points: Iterable[Point],
                     cycles: Iterable[Tuple[Point, ...]]) -> "Perm":
         """Build from disjoint cycles; points not mentioned are fixed."""
-        fwd = {x: x for x in points}
-        seen = set()
-        for cyc in cycles:
-            for x in cyc:
-                if x not in fwd:
-                    raise ValueError(f"cycle point {x!r} not in domain")
-                if x in seen:
-                    raise ValueError(f"point {x!r} in two cycles")
-                seen.add(x)
-            for i, x in enumerate(cyc):
-                fwd[x] = cyc[(i + 1) % len(cyc)]
-        return cls(fwd)
+        return cls._on_cycles(*numbering(points), cycles)
+
+    @classmethod
+    def _on_cycles(cls, labels: tuple, index: Dict[Point, int],
+                   cycles: Iterable[Tuple[Point, ...]]) -> "Perm":
+        """from_cycles over a given numbering of the points."""
+        moved: Dict[Point, Point] = {}
+        count = 0
+        for cyc in map(tuple, cycles):
+            moved.update(zip(cyc, cyc[1:] + cyc[:1]))
+            count += len(cyc)
+        if not moved.keys() <= index.keys():
+            x = next(iter(moved.keys() - index.keys()))
+            raise ValueError(f"cycle point {x!r} not in domain")
+        if len(moved) < count:
+            raise ValueError("a point in two cycles")
+        get = moved.get
+        return cls._of(labels, index, tuple([index[get(x, x)] for x in labels]))
+
+    @property
+    def pre(self) -> Tuple[int, ...]:
+        if self._pre is None:
+            pre = [0] * len(self.img)
+            for i, j in enumerate(self.img):
+                pre[j] = i
+            self._pre = tuple(pre)
+        return self._pre
 
     def __call__(self, x: Point) -> Point:
-        return self._fwd[x]
+        return self.labels[self.img[self.index[x]]]
 
     def inv(self, x: Point) -> Point:
         """Preimage of x."""
-        return self._bwd[x]
+        return self.labels[self.pre[self.index[x]]]
 
     def inverse(self) -> "Perm":
-        return Perm(self._bwd)
-
-    @property
-    def domain(self) -> frozenset:
-        return frozenset(self._fwd)
+        return Perm._of(self.labels, self.index, self.pre, self.img)
 
     def mapping(self) -> Dict[Point, Point]:
-        return dict(self._fwd)
-
-    def after(self, other: "Perm") -> "Perm":
-        """Composite self∘other (apply other first)."""
-        return Perm({x: self._fwd[y] for x, y in other._fwd.items()})
+        return dict(zip(self.labels, map(self.labels.__getitem__, self.img)))
 
     def cycles(self) -> List[Tuple[Point, ...]]:
         """Disjoint cycles (including fixed points), each starting at its
         smallest point, listed in sorted order of those starting points."""
         try:
-            start_points = sorted(self._fwd)
+            starts = map(self.index.__getitem__, sorted(self.labels))
         except TypeError:
-            start_points = sorted(self._fwd, key=repr)
-        seen = set()
+            starts = range(len(self.labels))
+        labels, img = self.labels, self.img
+        seen = [False] * len(img)
         out: List[Tuple[Point, ...]] = []
-        for x0 in start_points:
-            if x0 in seen:
+        for i in starts:
+            if seen[i]:
                 continue
-            cyc = [x0]
-            seen.add(x0)
-            x = self._fwd[x0]
-            while x != x0:
-                cyc.append(x)
-                seen.add(x)
-                x = self._fwd[x]
+            cyc = [labels[i]]
+            j = img[i]
+            while j != i:
+                seen[j] = True
+                cyc.append(labels[j])
+                j = img[j]
             out.append(tuple(cyc))
         return out
 
     def cycle_of(self, x: Point) -> Tuple[Point, ...]:
-        cyc = [x]
-        y = self._fwd[x]
-        while y != x:
-            cyc.append(y)
-            y = self._fwd[y]
-        return tuple(cyc)
+        i = self.index[x]
+        cyc, j = [i], self.img[i]
+        while j != i:
+            cyc.append(j)
+            j = self.img[j]
+        return tuple(map(self.labels.__getitem__, cyc))
 
     def restricted(self, points: Iterable[Point]) -> "Perm":
         """Restriction to a union of whole cycles (raises otherwise)."""
         pts = set(points)
-        sub = {}
-        for x in pts:
-            y = self._fwd[x]
-            if y not in pts:
-                raise ValueError("restriction does not respect cycles")
-            sub[x] = y
+        sub = {x: self(x) for x in pts}
+        if not pts.issuperset(sub.values()):
+            raise ValueError("restriction does not respect cycles")
         return Perm(sub)
-
-    def spliced(self, x: Point) -> "Perm":
-        """The permutation with x removed: predecessor of x maps to the
-        image of x (a fixed point is simply dropped)."""
-        fwd = dict(self._fwd)
-        y = fwd.pop(x)
-        if y != x:
-            fwd[self._bwd[x]] = y
-        return Perm(fwd)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Perm):
             return NotImplemented
-        return self._fwd == other._fwd
+        return self.img == other.img and self.labels == other.labels
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._fwd.items()))
+        return hash((self.labels, self.img))
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self._fwd)
+        return iter(self.labels)
 
     def __len__(self) -> int:
-        return len(self._fwd)
+        return len(self.labels)
 
     def __repr__(self) -> str:
         cyc = "".join(

@@ -36,7 +36,12 @@ def triangle_file(tmp_path):
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    """Exit code (a usage error's SystemExit read as its code), stdout and
+    stderr of one command."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
     out = capsys.readouterr()
     return rc, out.out, out.err
 
@@ -217,6 +222,62 @@ def test_stats_exit_codes_on_any_text(capsys, tmp_path, text):
     assert rc in (0, 1)
     assert "Traceback" not in err
     assert (rc == 0) == out.startswith("V=")
+
+
+MAP_COMMANDS = [("trial", "--power", "2"), ("trial", "--power", "x"),
+                ("reduce", "--edge", "a", "--mu", "w"),
+                ("reduce", "--edge", "1", "--mu", "1"),
+                ("reduce", "--edge", "a", "--mu", "2"), ("classify",),
+                ("commute", "--e", "a", "--mu", "1", "--f", "b", "--nu", "w"),
+                ("commute", "--e", "a", "--mu", "w", "--f", "a", "--nu", "w2"),
+                ("genus-test", "--k", "1"), ("genus-test", "--k", "-1"),
+                ("export", "--format", "dot"), ("export", "--format", "json")]
+# plane-graph documents: the format's directives with random dart words
+DART_WORDS = st.lists(st.sampled_from(["a0", "a1", "b0", "b1", "u:", "a:",
+                                       "b:", ":", "a0:", "#", "é"]),
+                      max_size=4).map(" ".join)
+PG_DOCS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["planegraph", "vertex", "edge", "x"]),
+                       DART_WORDS).map(" ".join), max_size=6).map("\n".join),
+    st.text())
+
+
+def assert_exit_contract(rc, err):
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", MAP_COMMANDS, ids=" ".join)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          max_examples=40)
+@given(text=DOCS)
+def test_map_commands_exit_codes_on_any_text(capsys, tmp_path, command, text):
+    path = tmp_path / "fuzz.map"
+    path.write_text(text, encoding="utf-8")
+    op, *opts = command
+    assert_exit_contract(*run(capsys, op, str(path), *opts)[::2])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=PG_DOCS, variant=st.sampled_from(["c", "a", "i"]),
+       order=st.lists(st.sampled_from(["a", "b", "c"]), max_size=3))
+def test_tutte_exit_codes_on_any_text(capsys, tmp_path, text, variant, order):
+    path = tmp_path / "fuzz.pg"
+    path.write_text(text, encoding="utf-8")
+    opts = ["--order", *order] if order else []
+    assert_exit_contract(*run(capsys, "tutte", str(path), "--variant",
+                                  variant, *opts)[::2])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edges=st.one_of(st.integers(-2, 4).map(str),
+                      st.text(st.characters(blacklist_categories=["Nd"]),
+                              max_size=3)),
+       opts=st.sampled_from([[], ["--filter", "posy"],
+                             ["--filter", "self-trial"], ["--filter", "x"]]))
+def test_enumerate_exit_codes_on_any_count(capsys, edges, opts):
+    assert_exit_contract(*run(capsys, "enumerate", "--edges", edges,
+                                  *opts)[::2])
 
 
 # binary-function documents: well-formed ones with random labels and

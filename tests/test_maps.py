@@ -105,6 +105,12 @@ def test_map_from_rotations_roundtrip():
 
 # -- classification ----------------------------------------------------------
 
+def test_classify_unknown_edge():
+    for g in (ultraloop(), posy(1)):
+        with pytest.raises(ValueError):
+            classify_edge(g, 99)
+
+
 def test_classify_ultraloop():
     g = ultraloop()
     c = classify_edge(g, next(iter(g.edges)))

@@ -31,6 +31,24 @@ def test_reduce_unknown_edge():
         reduce_map(ultraloop(), "nope", 0)
 
 
+def test_reduce_rejects_unknown_type():
+    # a triloop used to be deleted before its type was looked at
+    for g, e in ((loop_star_omega(2), 0), (loop_star_1(3), 1)):
+        for mu in (7, -1, "1", None):
+            with pytest.raises(ValueError):
+                reduce_map(g, e, mu)
+
+
+def test_predict_commute_rejects_unknown_types_and_edges():
+    g = loop_star_1(3)
+    for args in ((0, 5, 1, 1), (0, 1, 1, 5), (99, 0, 1, 1), (0, 0, 99, 1),
+                 (0, 1, 0, 2)):
+        with pytest.raises(ValueError):
+            predict_commute(g, *args)
+    with pytest.raises(ValueError):
+        commute_check(g, 0, 0, 99, 1)
+
+
 def test_reduction_effects_on_counts():
     # a proper mu-loop's mu-reduction removes the corresponding cell
     g = loop_star_1(2)
