@@ -125,7 +125,7 @@ def _cmd_commute(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from .core import trial
-    maps = enumerate_maps(args.edges, max_edges=max(args.edges, 6))
+    maps = enumerate_maps(args.edges)
     if args.filter == "posy":
         maps = [m for m in maps if is_posy(m) is not None]
     elif args.filter == "self-trial":

@@ -74,6 +74,12 @@ class AltDimap:
         return f"AltDimap(sw={self.sw!r}, sw2={self.sw2!r})"
 
     @property
+    def arrays(self) -> Tuple[Tuple[int, ...], ...]:
+        """The image tuples of σ_ω, σ_ω⁻¹, σ_ω² and σ_ω²⁻¹ over the edge
+        numbers: the form the classification and reduction kernels read."""
+        return self.sw.img, self.sw.pre, self.sw2.img, self.sw2.pre
+
+    @property
     def edges(self):
         """The edge set, as a set-like view in numbering order."""
         return self.sw.index.keys()
@@ -92,7 +98,8 @@ class AltDimap:
 
     def vertex_of(self, e: Hashable) -> frozenset:
         """The in-star (s1-cycle) containing e, as a frozenset of edges."""
-        return frozenset(self.s1.cycle_of(e))
+        s1 = self.s1
+        return frozenset(map(s1.labels.__getitem__, _cycle(s1.img, s1.index[e])))
 
     def head(self, e: Hashable) -> frozenset:
         return self.vertex_of(e)
@@ -106,7 +113,7 @@ class AltDimap:
     def orbits(self) -> List[List[int]]:
         """Edge numbers of the connected components (orbits of <sw, sw2>),
         each in breadth-first order under sw, sw⁻¹, sw2, sw2⁻¹."""
-        gens = (self.sw.img, self.sw.pre, self.sw2.img, self.sw2.pre)
+        gens = self.arrays
         seen = [False] * len(gens[0])
         comps = []
         for root in range(len(seen)):
@@ -274,37 +281,76 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str
 
 
 # -- edge classification ------------------------------------------------------
+#
+# The kernels below read a map as the image and preimage tuples of σ_ω
+# (a, ai) and σ_ω² (b, bi) over its edge numbers; σ₁(x) is bi[ai[x]].  A
+# number fixed by all four tuples is a one-edge component, so a kernel
+# reads the same map whether or not such numbers are left in.
 
 
-@dataclass(frozen=True)
+def _cycle(img: Sequence[int], i: int) -> List[int]:
+    """The numbers on the cycle of img through i, from i on."""
+    cyc, j = [i], img[i]
+    while j != i:
+        cyc.append(j)
+        j = img[j]
+    return cyc
+
+
 class EdgeClass:
-    """Loop/semiloop classification of a single edge."""
+    """Loop/semiloop classification of edge number e of the map (a, ai,
+    b, bi).  The loop bits are computed at once, each semiloop bit on
+    first read."""
 
-    is_1_loop: bool
-    is_omega_loop: bool
-    is_omega2_loop: bool
-    is_ultraloop: bool
-    is_standard_loop: bool
-    is_1_semiloop: bool
-    is_omega_semiloop: bool
-    is_omega2_semiloop: bool
+    __slots__ = ("is_1_loop", "is_omega_loop", "is_omega2_loop",
+                 "is_ultraloop", "is_triloop", "_map", "_e", "_semi")
 
-    @property
-    def is_triloop(self) -> bool:
-        return self.is_1_loop or self.is_omega_loop or self.is_omega2_loop
+    def __init__(self, a: Sequence[int], ai: Sequence[int],
+                 b: Sequence[int], bi: Sequence[int], e: int):
+        l1, lw, lw2 = bi[ai[e]] == e, a[e] == e, b[e] == e
+        if l1 + lw + lw2 == 2:  # any two force the third
+            raise InvariantError("triple identity violated")
+        self.is_1_loop, self.is_omega_loop, self.is_omega2_loop = l1, lw, lw2
+        self.is_ultraloop = l1 and lw and lw2
+        self.is_triloop = l1 or lw or lw2
+        self._map, self._e, self._semi = (a, ai, b, bi), e, [None] * 3
 
     def is_loop(self, mu: int) -> bool:
         return (self.is_1_loop, self.is_omega_loop, self.is_omega2_loop)[mu]
 
     def is_semiloop(self, mu: int) -> bool:
-        return (self.is_1_semiloop, self.is_omega_semiloop,
-                self.is_omega2_semiloop)[mu]
+        bit = self._semi[mu]
+        if bit is None:
+            a, ai, b, bi = self._map
+            e = self._e
+            if mu == MU1:
+                # a standard loop, head(e) == tail(e): sw(e) is on the
+                # in-star of e, walked along σ₁⁻¹ = σ_ω∘σ_ω²
+                t, x = a[e], e
+                while True:
+                    x = a[b[x]]
+                    if x == t or x == e:
+                        break
+                bit = x == t
+            else:
+                # ω-semiloop: e with its right successor sw2(e); ω²-semiloop:
+                # e with its left successor sw⁻¹(e).  Degenerate pairs count
+                # as semiloops.
+                f = b[e] if mu == MUW else ai[e]
+                bit = f == e or _pair_separates(a, ai, b, bi, e, f)
+            self._semi[mu] = bit
+        return bit
+
+    is_1_semiloop = property(lambda self: self.is_semiloop(MU1))
+    is_standard_loop = is_1_semiloop
+    is_omega_semiloop = property(lambda self: self.is_semiloop(MUW))
+    is_omega2_semiloop = property(lambda self: self.is_semiloop(MUW2))
 
     def is_proper_loop(self, mu: int) -> bool:
         return self.is_loop(mu) and not self.is_ultraloop
 
     def is_proper_semiloop(self, mu: int) -> bool:
-        return self.is_semiloop(mu) and not self.is_triloop
+        return not self.is_triloop and self.is_semiloop(mu)
 
 
 def is_triloop(g: AltDimap, e: Hashable) -> bool:
@@ -317,9 +363,11 @@ def is_ultraloop(g: AltDimap, e: Hashable) -> bool:
     return g.s1(e) == e and g.sw(e) == e and g.sw2(e) == e
 
 
-def _pair_separates(g: AltDimap, e: Hashable, f: Hashable) -> bool:
-    """Whether deleting the distinct edges e and f from the underlying
-    embedded graph (see rotation_system) increases k - γ.
+def _pair_separates(a: Sequence[int], ai: Sequence[int], b: Sequence[int],
+                    bi: Sequence[int], e: int, f: int) -> bool:
+    """Whether deleting the distinct edges numbered e and f from the
+    underlying embedded graph (see rotation_system) of the map (a, ai, b,
+    bi) increases k - γ.
 
     The deletion keeps every vertex and removes two edges, so by Euler's
     relation V - E + F = 2(k - γ) the value k - γ rises exactly when the
@@ -330,21 +378,19 @@ def _pair_separates(g: AltDimap, e: Hashable, f: Hashable) -> bool:
     darts of e and f into stretches, and the stretches are joined again as
     the embedding without e and f joins them, from the permutations alone.
     """
-    e, f = g.number(e), g.number(f)
     drop = (e, f)
     old_faces = 4
     stretch = {}  # first dart of a surviving stretch of a face -> its last dart
-    for end, perm in ((0, g.sw2), (1, g.sw)):
-        img, pre = perm.img, perm.pre
+    for end, img, pre in ((0, b, bi), (1, a, ai)):
         # along the face of (x, end) the next dart is (pre[x], end)
-        shared = pre[e] == f or perm.labels[f] in perm.cycle_of(perm.labels[e])
+        shared = pre[e] == f or f in _cycle(img, e)
         old_faces -= shared
         # the stretch after x ends just before y, the next dart of e or f
         for x, y in ((e, f), (f, e)) if shared else ((e, e), (f, f)):
             first = pre[x]
             if first not in drop:
                 stretch[(first, end)] = (img[y], end)
-    back = (g.sw2.pre, g.sw.pre)
+    back = (bi, ai)
 
     def new_next(first):
         # from the last dart of a stretch go on around its mate's vertex,
@@ -366,35 +412,14 @@ def _pair_separates(g: AltDimap, e: Hashable, f: Hashable) -> bool:
             unseen.remove(d)
             d = new_next(d)
     # in-stars whose in and out darts all belong to e and f
-    s1, swi = g.s1.img, g.sw.pre
-    emptied = {frozenset((x, s1[x])) for x in drop
-               if s1[x] in drop and s1[s1[x]] == x
-               and swi[x] in drop and swi[s1[x]] in drop}
+    emptied = set()
+    for x in drop:
+        y = bi[ai[x]]  # σ₁(x)
+        if y in drop and bi[ai[y]] == x and ai[x] in drop and ai[y] in drop:
+            emptied.add(frozenset((x, y)))
     return new_faces + len(emptied) >= old_faces
 
 
 def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:
-    g.number(e)  # an unknown edge is a ValueError
-    l1 = g.s1(e) == e
-    lw = g.sw(e) == e
-    lw2 = g.sw2(e) == e
-    ultra = (l1 + lw + lw2) >= 2  # any two force the third
-    if ultra and not (l1 and lw and lw2):
-        raise InvariantError("triple identity violated")
-    standard = g.sw(e) in g.s1.cycle_of(e)  # head(e) == tail(e)
-    # ω-semiloop: e with its right successor sw2(e); ω²-semiloop: e with
-    # its left successor sw⁻¹(e).  Degenerate pairs count as semiloops.
-    right = g.sw2(e)
-    left = g.sw.inv(e)
-    semi_w = (e == right) or _pair_separates(g, e, right)
-    semi_w2 = (e == left) or _pair_separates(g, e, left)
-    return EdgeClass(
-        is_1_loop=l1,
-        is_omega_loop=lw,
-        is_omega2_loop=lw2,
-        is_ultraloop=l1 and lw and lw2,
-        is_standard_loop=standard,
-        is_1_semiloop=standard,
-        is_omega_semiloop=semi_w,
-        is_omega2_semiloop=semi_w2,
-    )
+    """The EdgeClass of edge e of G (ValueError for an unknown edge)."""
+    return EdgeClass(*g.arrays, g.number(e))

@@ -15,10 +15,9 @@ from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
-                   InvariantError, classify_edge, map_from_rotations,
-                   map_stats, reflect)
+                   InvariantError, map_from_rotations, map_stats, reflect)
 from .embedded import EmbeddedGraph
-from .minors import reduce_map
+from .minors import _reduce
 from .multigraph import Multigraph, tutte_poly
 from .poly import Poly1, Poly2
 
@@ -133,45 +132,48 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
     map is worth `one`; a row whose terms are all dropped is worth `zero`;
     an edge that no row accepts raises ValueError.
 
-    Sub-results are memoised for the duration of the call.  A state met
-    after i reductions has exactly the edges order[i:], so one numbering
-    for each i: the images of σ_ω and σ_ω² over that numbering fix both
-    the map and i, and the memo is exact for the given order.  The walk
-    runs depth first on an explicit stack, in the order of the rows'
-    terms, so it needs no Python recursion and the first error met is the
-    one raised."""
-    rem = _resolve_order(g, order)
+    A state is the four tuples (σ_ω, σ_ω⁻¹, σ_ω², σ_ω²⁻¹) over G's edge
+    numbers, reduced by minors._reduce, which leaves a reduced edge fixed
+    by all four.  Sub-results are memoised for the duration of the call,
+    keyed by the depth i and the images of σ_ω and σ_ω²: a state met after
+    i reductions has exactly the edges order[i:], so the key fixes the map,
+    and the depth tells a reduced edge from a live ultraloop, which the
+    tuples alone cannot.  The walk runs depth first on an explicit stack,
+    in the order of the rows' terms, so it needs no Python recursion and
+    the first error met is the one raised."""
+    rem = list(map(g.number, _resolve_order(g, order)))
     memo: Dict[Tuple, Any] = {}
 
-    def row(m: AltDimap, i: int):
-        # yields each reduced map with its position, receives its value
+    def row(s: Tuple[tuple, ...], i: int):
+        # yields each reduced state with its depth, receives its value
         e = rem[i]
-        c = classify_edge(m, e)
+        c = EdgeClass(*s, e)
         terms = next((terms for test, terms in cases if test(c)), None)
         if terms is None:
-            raise ValueError(f"edge {e!r} fits no case of the {name} recursion")
+            raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of the "
+                             f"{name} recursion")
         total = None
         for coeff, mu in terms:
             if coeff is not None and not coeff:
                 continue
-            sub = yield reduce_map(m, e, mu), i + 1
+            sub = yield tuple(map(tuple, _reduce(*s, e, mu))), i + 1
             term = sub if coeff is None else coeff * sub
             total = term if total is None else total + term
         return zero if total is None else total
 
-    # frames (memo key, suspended row); `state` is the map a row asked for
+    # frames (memo key, suspended row); `state` is the state a row asked for
     stack: List[Tuple[Tuple, Any]] = []
-    state, value = (g, 0), None
+    state, value = (g.arrays, 0), None
     while True:
         if state is not None:
-            m, i = state
+            s, i = state
             if i == len(rem):
                 value = one
             else:
-                key = (m.sw.img, m.sw2.img)
+                key = (i, s[0], s[2])
                 value = memo.get(key)
                 if value is None:
-                    stack.append((key, row(m, i)))
+                    stack.append((key, row(s, i)))
         if not stack:
             return value
         key, gen = stack[-1]

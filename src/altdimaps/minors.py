@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator, Optional, Sequence, Set, Tuple
+from typing import (Callable, Hashable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .core import (ALL_MU, MU1, MUW, AltDimap, InvariantError,
                    is_triloop, is_ultraloop, map_stats)
@@ -10,26 +11,26 @@ from .multigraph import Multigraph
 from .perm import Perm
 
 
-def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
-    """The minor G[mu]e.
+def _reduce(a: Sequence[int], ai: Sequence[int], b: Sequence[int],
+            bi: Sequence[int], i: int, mu: int) -> Tuple[List[int], ...]:
+    """The minor G[mu]i of the map whose σ_ω and σ_ω² have the image and
+    preimage arrays (a, ai) and (b, bi), as four new lists over the same
+    numbering: edge i becomes a fixed point of all four, so the numbers
+    of the other edges are kept.
 
     For a triloop all three reductions coincide: the edge is simply
     deleted by the splice of the 1-reduction (an ultraloop's whole one-edge
     component disappears).  Otherwise the appropriate rewiring is applied
-    around e.  The minor keeps the numbering of the other edges.
+    around i.
     """
-    i = g.number(e)
-    if mu not in ALL_MU:
-        raise ValueError(f"unknown reduction type {mu!r}")
-    a, ai = list(g.sw.img), list(g.sw.pre)
-    b, bi = list(g.sw2.img), list(g.sw2.pre)
-    # σ_ω⁻¹(e), σ_ω(e), σ_ω²⁻¹(e), σ_ω²(e), σ₁(e) and σ₁⁻¹(e)
+    a, ai, b, bi = list(a), list(ai), list(b), list(bi)
+    # σ_ω⁻¹(i), σ_ω(i), σ_ω²⁻¹(i), σ_ω²(i), σ₁(i) and σ₁⁻¹(i)
     p, s, q, t = ai[i], a[i], bi[i], b[i]
     r, u = bi[p], a[t]
     triloop = s == i or t == i or r == i
     # the rewired pairs x -> y of σ_ω and of σ_ω²
     if triloop or mu == MU1:
-        # splice e out of both its a-face and its c-face
+        # splice i out of both its a-face and its c-face
         wa, wb = ((p, s),), ((q, t),)
     elif mu == MUW:
         wa, wb = ((p, s),), ((q, p), (r, t))
@@ -43,17 +44,29 @@ def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     # cross-check the in-star: the minor's s1(x) == y iff sw⁻¹(x) == sw2(y)
     checks = ((u, q), (s, r)) if mu == MU1 else ((u, r),)
     if not triloop and any(ai[x] != b[y] for x, y in checks):
-        raise InvariantError(f"reducing {e!r} by type {mu} broke its in-star")
+        raise InvariantError(f"reducing edge number {i} by type {mu} "
+                             "broke its in-star")
+    a[i] = ai[i] = b[i] = bi[i] = i
+    return a, ai, b, bi
 
+
+def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
+    """The minor G[mu]e (see _reduce), numbered as G without e."""
+    i = g.number(e)
+    if mu not in ALL_MU:
+        raise ValueError(f"unknown reduction type {mu!r}")
+    reduced = _reduce(*g.arrays, i, mu)
     # drop number i: the numbers above it move down by one
-    n = len(a)
+    n = len(reduced[0])
     renumber = [*range(i), None, *range(i, n - 1)].__getitem__
-    a, ai, b, bi = (tuple(map(renumber, x[:i] + x[i + 1:]))
-                    for x in (a, ai, b, bi))
+    for x in reduced:
+        del x[i]
+    a, ai, b, bi = [tuple(map(renumber, x)) for x in reduced]
     labels = g.sw.labels[:i] + g.sw.labels[i + 1:]
     index = dict(zip(labels, range(n - 1)))
     return AltDimap(Perm._of(labels, index, a, ai),
                     Perm._of(labels, index, b, bi))
+
 
 def reduce_seq(g: AltDimap,
                steps: Sequence[Tuple[Hashable, int]]) -> AltDimap:

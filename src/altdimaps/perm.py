@@ -139,14 +139,6 @@ class Perm:
             out.append(tuple(cyc))
         return out
 
-    def cycle_of(self, x: Point) -> Tuple[Point, ...]:
-        i = self.index[x]
-        cyc, j = [i], self.img[i]
-        while j != i:
-            cyc.append(j)
-            j = self.img[j]
-        return tuple(map(self.labels.__getitem__, cyc))
-
     def restricted(self, points: Iterable[Point]) -> "Perm":
         """Restriction to a union of whole cycles (raises otherwise)."""
         pts = set(points)

@@ -83,6 +83,12 @@ def test_enumerate_two_edges(capsys):
     assert out.strip().splitlines()[-1] == "count 4"
 
 
+def test_enumerate_above_the_cap(capsys):
+    rc, _, err = run(capsys, "enumerate", "--edges", "9")
+    assert rc == 1
+    assert "capped at 6 edges" in err
+
+
 def test_enumerate_self_trial(capsys):
     rc, out, _ = run(capsys, "enumerate", "--edges", "2",
                      "--filter", "self-trial")
@@ -269,8 +275,11 @@ def test_tutte_exit_codes_on_any_text(capsys, tmp_path, text, variant, order):
                                   variant, *opts)[::2])
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(edges=st.one_of(st.integers(-2, 4).map(str),
+# any count: up to the library's cap of 6 edges it enumerates (6 edges take
+# longer than hypothesis' default deadline), above it exits 1 at once
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          deadline=None)
+@given(edges=st.one_of(st.integers().map(str),
                       st.text(st.characters(blacklist_categories=["Nd"]),
                               max_size=3)),
        opts=st.sampled_from([[], ["--filter", "posy"],

@@ -157,7 +157,8 @@ def test_local_semiloop_test_matches_global():
                     continue
                 cases += 1
                 after = eg.delete_edges({e, f}).k_minus_gamma()
-                assert _pair_separates(g, e, f) == (after > before), (g, e, f)
+                assert _pair_separates(*g.arrays, g.number(e), g.number(f)) \
+                    == (after > before), (g, e, f)
     assert cases == 10288
 
 
