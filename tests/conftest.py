@@ -14,6 +14,12 @@ def maps_up_to(n_max, n_min=0):
     return out
 
 
+@pytest.fixture(scope="session")
+def six_edge_maps():
+    """The 901 maps with exactly six edges, up to isomorphism."""
+    return maps_up_to(6, n_min=6)
+
+
 def random_maps(max_n=5):
     """Strategy: any pair of permutations of {0..n-1} is a valid map."""
     def build(n, rng1, rng2):

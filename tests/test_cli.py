@@ -103,6 +103,20 @@ def test_genus_test_witness(capsys, posy_file):
     assert "witness: " in out and "witness: none" not in out
 
 
+def test_genus_test_rejects_negative_k(capsys, posy_file):
+    rc, out, err = run(capsys, "genus-test", posy_file, "--k", "-1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_genus_test_k0_has_an_ultraloop_witness(capsys, posy_file):
+    rc, out, _ = run(capsys, "genus-test", posy_file, "--k", "0")
+    assert rc == 0
+    assert "genus_below_k: false" in out
+    assert "witness: none" not in out
+
+
 def test_tutte_triangle(capsys, triangle_file):
     rc, out, _ = run(capsys, "tutte", triangle_file, "--variant", "c")
     assert rc == 0

@@ -4,6 +4,9 @@ The reference walk gives every child a canonical code and reduces a
 triloop by all three types; the library walk skips labelled minors it has
 already met and reduces a triloop once.  Both must yield the same
 representatives in the same order, so the genus witness is the same too.
+The genus-k witness search must also key no minor too small to be a
+witness, and the candidate-pair 2-commutativity test must agree with a
+copy of the all-pairs loop it replaced.
 """
 
 import random
@@ -11,9 +14,11 @@ import random
 import pytest
 
 import altdimaps.catalog
-from altdimaps import (AltDimap, Perm, canonical_code, is_posy_union,
+from altdimaps import (AltDimap, Perm, canonical_code,
+                       is_2_reduction_commutative, is_posy_union,
                        is_totally_reduction_commutative, minor_closure,
-                       reduce_map)
+                       predict_commute, reduce_map)
+from altdimaps.catalog import digon_with_omega2_loop, tricircuit, witness_a
 from altdimaps.core import ALL_MU
 from altdimaps.minors import excluded_minor_witness
 
@@ -87,3 +92,38 @@ def test_closure_and_witness_match_the_full_walk(labelled_maps, monkeypatch):
 def test_totally_commutative_count(labelled_maps):
     assert sum(is_totally_reduction_commutative(g)
                for g in labelled_maps if g.edges) == 80
+
+
+def test_witness_search_keys_nothing_below_its_floor(labelled_maps,
+                                                     monkeypatch):
+    """A posy union of total genus k has at least 2k + 1 edges, so the
+    genus-k witness search keys no smaller minor."""
+    keyed = []
+
+    def counted(m):
+        keyed.append(m.n_edges)
+        return canonical_code(m)
+
+    monkeypatch.setattr(altdimaps.catalog, "canonical_code", counted)
+    for g in labelled_maps:
+        for k in (1, 2):
+            keyed.clear()
+            excluded_minor_witness(g, k)
+            assert all(n >= 2 * k + 1 for n in keyed)
+
+
+def all_pairs_2_commutative(g):
+    """is_2_reduction_commutative as it was: predict_commute on every pair
+    of distinct edges and every pair of reduction types."""
+    edges = sorted(g.edges, key=repr)
+    return all(predict_commute(g, e, mu, f, nu)
+               for i, e in enumerate(edges) for f in edges[i + 1:]
+               for mu in ALL_MU for nu in ALL_MU)
+
+
+def test_candidate_pairs_match_all_pairs(six_edge_maps):
+    rng = random.Random(8)
+    maps = MAPS + six_edge_maps
+    named = [witness_a(), digon_with_omega2_loop(), tricircuit(2, 3, 1)]
+    for g in maps + [string_named(g, rng) for g in maps] + named:
+        assert is_2_reduction_commutative(g) == all_pairs_2_commutative(g)
