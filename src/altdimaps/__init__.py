@@ -24,9 +24,9 @@ from .catalog import (canonical_code, enumerate_maps, isomorphic,
                       posies, posy, tricircuit, ultraloop)
 from .invariants import (ExtendedParams, PlaneGraph, SimpleParams,
                          SIMPLE_FAMILIES, T_a, T_c, T_i, alt_a, alt_c, alt_i,
-                         basic_extended_params, extended_eval, medial,
-                         plane_multigraph, simple_family_value,
-                         simple_tutte_eval)
+                         basic_extended_params, extended_eval,
+                         frontier_order, medial, plane_multigraph,
+                         simple_family_value, simple_tutte_eval)
 from .multigraph import Multigraph, tutte_poly
 from .poly import Poly1, Poly2
 from .binfn import (BinFn, OMEGA, bf_minor, indicator_from_gf2, lambda_of,

@@ -18,7 +18,7 @@ from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
                    InvariantError, map_from_rotations, map_stats, reflect)
 from .embedded import EmbeddedGraph
 from .minors import _reduce
-from .multigraph import Multigraph, tutte_poly
+from .multigraph import Multigraph, frontier, tutte_poly
 from .poly import Poly1, Poly2
 
 Q = Fraction
@@ -34,7 +34,7 @@ __all__ = [
     "SimpleParams", "ExtendedParams", "PlaneGraph",
     "simple_tutte_eval", "SIMPLE_FAMILIES", "simple_family_value",
     "extended_eval", "basic_extended_params",
-    "T_c", "T_a", "T_i",
+    "T_c", "T_a", "T_i", "frontier_order",
     "alt_c", "alt_a", "alt_i", "medial",
     "tutte_poly", "plane_multigraph",
 ]
@@ -112,6 +112,22 @@ def _resolve_order(g: AltDimap, order: Optional[Sequence[Hashable]]) -> List[Has
     if len(order) != g.n_edges or set(order) != set(g.edges):
         raise ValueError("order must be a permutation of the edge set")
     return order
+
+
+def frontier_order(g: AltDimap) -> List[Hashable]:
+    """The edges of G in a frontier order: next the edge with the most
+    trimedial neighbours already taken (its neighbours under σ₁, σ_ω and
+    σ_ω², one for each edge of the trimedial graph); ties as in
+    multigraph.frontier, the edges numbered in repr order.  The reduced
+    part then meets the rest in few edges, which keeps the recursion
+    states few.  On the alt images of plane graphs T_c, T_a and T_i take
+    the same value in every order; on other maps the order can change
+    it, which is why order=None stays the repr order."""
+    perms = (g.s1, g.sw, g.sw2)
+    n = g.n_edges
+    keys = [[k * n + x for k, p in enumerate(perms) for x in (e, p.pre[e])]
+            for e in range(n)]
+    return [g.sw.labels[i] for i in frontier(keys)]
 
 
 # -- the recursion engine -------------------------------------------------------

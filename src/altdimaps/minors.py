@@ -85,8 +85,9 @@ def _exceptional_pair_commutes(s1: Sequence[int], sw: Sequence[int],
     the same map: e a 1-loop, f an ω²-loop, a 1-loop f on a two-edge
     a-face or c-face {e, f}, an ω²-loop e on a two-edge a-face or in-star
     {e, f}, or e followed by f in all three of its cycles.  (Verified
-    exhaustively against both reduction orders on every map with at most
-    five edges.)
+    exhaustively against both reduction orders, through predict_commute,
+    for every pair of edges and reduction types on every map with at most
+    six edges.)
     """
     aface2 = sw[f] == e
     cface2 = sw2[e] == f and sw2[f] == e
@@ -256,8 +257,9 @@ def is_totally_reduction_commutative(g: AltDimap, brute: bool = False) -> bool:
     structural mode tests each minor with is_2_reduction_commutative, so
     no pair of composite minors is ever compared; the brute mode compares
     the two composite minors of every pair directly (only for maps with
-    at most five edges).  The two modes agree on every map with at most
-    five edges, where the pair prediction has been verified exhaustively.
+    at most five edges).  The pair prediction has been verified
+    exhaustively on every map with at most six edges, so the structural
+    mode is exact there, and the two modes agree wherever both run.
 
     Up to five edges the connected maps with this property are exactly
     the ultraloop, the pure 1-, ω- and ω²-circuits, the genus-one posy,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .poly import Poly2
 
@@ -24,53 +25,95 @@ class Multigraph:
     def degree(self, v: Hashable) -> int:
         return sum((u == v) + (w == v) for _, u, w in self.edges)
 
-    def n_components(self) -> int:
-        parent = {v: v for v in self.vertices}
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+def frontier(keys: Sequence[Sequence[Hashable]]) -> List[int]:
+    """A greedy order of the items 0..n-1, item i touching the keys
+    keys[i]: taking an item meets all its keys, and next comes the item
+    with the most keys already met.  Ties go to the item whose first key
+    was met earliest, then to the lowest number, so the taken part grows
+    breadth first: on a long grid it sweeps across the width, not along
+    the length."""
+    touching: Dict[Hashable, List[int]] = {}
+    for i, ks in enumerate(keys):
+        for k in set(ks):
+            touching.setdefault(k, []).append(i)
+    score: List = [0] * len(keys)  # None once taken
+    first = [0] * len(keys)  # when the item's first key was met
+    heap = [(0, 0, i) for i in range(len(keys))]
+    met, order = set(), []
+    while heap:
+        s, _, i = heappop(heap)
+        if score[i] is None or -s != score[i]:  # taken, or a stale entry
+            continue
+        order.append(i)
+        score[i] = None
+        for k in keys[i]:
+            if k not in met:
+                met.add(k)
+                for j in touching[k]:
+                    if score[j] is not None:
+                        score[j] += 1
+                        first[j] = first[j] or len(met)
+                        heappush(heap, (-score[j], first[j], j))
+    return order
 
-        for _, u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in self.vertices})
 
-    def rank(self) -> int:
-        return len(self.vertices) - self.n_components()
+def _renumber(s: Sequence[int], old: int = -1, new: int = -1) -> Tuple[int, ...]:
+    """s with old read as new, the vertices renumbered by first appearance."""
+    ids: Dict[int, int] = {}
+    return tuple(ids.setdefault(new if w == old else w, len(ids)) for w in s)
 
-    def delete(self, eid: Hashable) -> "Multigraph":
-        return Multigraph(self.vertices,
-                          [e for e in self.edges if e[0] != eid])
 
-    def contract(self, eid: Hashable) -> "Multigraph":
-        (u, v), = [(a, b) for i, a, b in self.edges if i == eid]
-        if u == v:
-            return self.delete(eid)
-        merged = min(u, v, key=repr)
+def _joined(s: Sequence[int], u: int, v: int) -> bool:
+    """Whether the edges (s[0], s[1]), (s[2], s[3]), … join u to v, all
+    numbered below len(s) + 2."""
+    root = list(range(len(s) + 2))
 
-        def m(x):
-            return merged if x in (u, v) else x
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
 
-        return Multigraph(
-            (self.vertices - {u, v}) | {merged},
-            [(i, m(a), m(b)) for i, a, b in self.edges if i != eid])
+    for a, b in zip(s[::2], s[1::2]):
+        root[find(a)] = find(b)
+    return find(u) == find(v)
 
 
 def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
-    """Tutte polynomial by deletion/contraction (loops -> y, bridges -> x)."""
+    """Tutte polynomial by deletion/contraction: a loop is worth y times
+    the rest, a bridge x times its contraction, and any other edge the sum
+    of its deletion and its contraction.
+
+    The recursion runs on the endpoints of the surviving edges, flattened
+    to (u0, v0, u1, v1, …) with the vertices renumbered by first
+    appearance, and memoises each sub-result on that tuple.  The tuple
+    fixes the remaining multigraph up to its vertices without edges, which
+    do not change the polynomial, so the memo is exact.  The edge order is
+    free: T(G) is its subset expansion, which names no order.  So the
+    edges go in the frontier order of their endpoints (the edge with the
+    most endpoints met so far next; ties as in frontier, the edge ids
+    numbered in repr order): the reduced edges then meet the rest in few
+    vertices, and the states that differ only in how the reduced part was
+    cut coincide in the memo."""
     if len(g.edges) > max_edges:
         raise ValueError(f"Tutte recursion capped at {max_edges} edges")
+    ends = [e[1:] for e in sorted(g.edges, key=lambda e: repr(e[0]))]
+    x, y = Poly2.var(0), Poly2.var(1)
+    memo: Dict[Tuple[int, ...], Poly2] = {}
 
-    def rec(m: Multigraph) -> Poly2:
-        if not m.edges:
+    def rec(s: Tuple[int, ...]) -> Poly2:
+        if not s:
             return Poly2.one()
-        eid, u, v = m.edges[0]
-        if u == v:
-            return rec(m.delete(eid)) * Poly2.var(1)
-        if m.delete(eid).n_components() > m.n_components():  # bridge
-            return rec(m.contract(eid)) * Poly2.var(0)
-        return rec(m.delete(eid)) + rec(m.contract(eid))
+        t = memo.get(s)
+        if t is None:
+            u, v, rest = s[0], s[1], s[2:]
+            if u == v:
+                t = y * rec(_renumber(rest))
+            elif _joined(rest, u, v):
+                t = rec(_renumber(rest)) + rec(_renumber(rest, v, u))
+            else:
+                t = x * rec(_renumber(rest, v, u))
+            memo[s] = t
+        return t
 
-    return rec(g)
+    return rec(_renumber([w for i in frontier(ends) for w in ends[i]]))

@@ -68,10 +68,10 @@ def wheel(k):
     return PlaneGraph.from_rotations(rotations)
 
 
-def grid(rows, cols):
-    """The rows × cols grid of vertices (i, j): edge h<i>_<j> joins (i, j)
-    to (i, j+1) and v<i>_<j> joins (i, j) to (i+1, j), the row index
-    growing upwards."""
+def grid_rotations(rows, cols):
+    """Rotations of the rows × cols grid of vertices p<i>_<j> at (i, j):
+    edge h<i>_<j> joins (i, j) to (i, j+1) and v<i>_<j> joins (i, j) to
+    (i+1, j), the row index growing upwards."""
     rotations = {}
     for i in range(rows):
         for j in range(cols):
@@ -79,8 +79,30 @@ def grid(rows, cols):
             east = [(f"h{i}_{j}", 0)] if j + 1 < cols else []
             south = [(f"v{i - 1}_{j}", 1)] if i else []
             west = [(f"h{i}_{j - 1}", 1)] if j else []
-            rotations[(i, j)] = north + east + south + west
-    return PlaneGraph.from_rotations(rotations)
+            rotations[f"p{i}_{j}"] = north + east + south + west
+    return rotations
+
+
+def grid(rows, cols):
+    """The rows × cols grid (see grid_rotations)."""
+    return PlaneGraph.from_rotations(grid_rotations(rows, cols))
+
+
+def plane_document(name, rotations):
+    """The plane-graph document of a rotation system whose vertex names
+    and edge labels are strings without whitespace or ':'; dart (e, end)
+    is written e.end."""
+    lines = [f"planegraph {name}"]
+    lines += [f"vertex {v}: " + " ".join(f"{e}.{end}" for e, end in rot)
+              for v, rot in rotations.items()]
+    edges = sorted({e for rot in rotations.values() for e, _ in rot})
+    lines += [f"edge {e}: {e}.0 {e}.1" for e in edges]
+    return "\n".join(lines) + "\n"
+
+
+def grid_document(rows, cols):
+    """The plane-graph document of grid(rows, cols)."""
+    return plane_document(f"grid{rows}x{cols}", grid_rotations(rows, cols))
 
 
 def theta(k):

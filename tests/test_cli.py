@@ -8,8 +8,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import altdimaps.cli
 from altdimaps import InvariantError, build_map
 from altdimaps.catalog import posy, ultraloop
-from altdimaps.cli import main
+from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
+
+from conftest import grid_document, plane_document
 
 TRIANGLE_DOC = """planegraph triangle
 vertex u: a0 c1
@@ -141,6 +143,36 @@ def test_tutte_isolated_vertex(capsys, tmp_path):
         rc, out, _ = run(capsys, "tutte", str(doc), "--variant", variant)
         assert rc == 0
         assert out.strip().splitlines() == ["x", "x", "equal: true"]
+
+
+def test_tutte_full_order_every_variant(capsys, triangle_file):
+    # each plane edge expands to the two image edges of its variant
+    for variant in ("c", "a", "i"):
+        for order in (["a", "b", "c"], ["c", "a", "b"]):
+            rc, out, err = run(capsys, "tutte", triangle_file, "--variant",
+                               variant, "--order", *order)
+            assert rc == 0, err
+            assert out.strip().endswith("equal: true")
+
+
+def test_tutte_grid_5x5(capsys, tmp_path):
+    # 40 edges: above the oracle's default cap, within the command's
+    doc = tmp_path / "grid5x5.pg"
+    doc.write_text(grid_document(5, 5))
+    for variant in ("c", "a", "i"):
+        rc, out, err = run(capsys, "tutte", str(doc), "--variant", variant)
+        assert rc == 0, err
+        assert out.strip().splitlines()[-1] == "equal: true"
+
+
+def test_tutte_above_the_cap_exits_1(capsys, tmp_path):
+    names = [f"e{i:03d}" for i in range(TUTTE_MAX_EDGES + 1)]
+    doc = tmp_path / "theta.pg"
+    doc.write_text(plane_document("theta", {
+        "u": [(e, 0) for e in names], "v": [(e, 1) for e in names[::-1]]}))
+    rc, out, err = run(capsys, "tutte", str(doc))
+    assert rc == 1 and out == ""
+    assert err == f"error: Tutte recursion capped at {TUTTE_MAX_EDGES} edges\n"
 
 
 def test_export_json(capsys, posy_file):

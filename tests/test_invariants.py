@@ -8,9 +8,9 @@ import sympy as sp
 
 from altdimaps import (ExtendedParams, PlaneGraph, SimpleParams,
                        SIMPLE_FAMILIES, T_a, T_c, T_i, alt_a, alt_c, alt_i,
-                       basic_extended_params, extended_eval, map_stats,
-                       medial, plane_multigraph, simple_family_value,
-                       simple_tutte_eval, tutte_poly)
+                       basic_extended_params, canonical_code, extended_eval,
+                       frontier_order, map_stats, medial, plane_multigraph,
+                       simple_family_value, simple_tutte_eval, tutte_poly)
 from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
                                loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
@@ -199,6 +199,59 @@ def test_tutte_correspondence_larger(p):
     assert T_c(alt_c(p)) == want
     assert T_a(alt_a(p)) == want
     assert T_i(alt_i(p)) == want.diagonal()
+
+
+@pytest.mark.parametrize("p", [wheel(12), wheel(16), grid(5, 5)],
+                         ids=["W12", "W16", "grid5x5"])
+def test_tutte_correspondence_frontier_order(p):
+    want = tutte_poly(plane_multigraph(p), max_edges=40)
+    for alt, T in ((alt_c, T_c), (alt_a, T_a)):
+        g = alt(p)
+        assert T(g, order=frontier_order(g)) == want
+    for choice in (0, 1):
+        g = alt_i(p, orientation_choice=choice)
+        assert T_i(g, order=frontier_order(g)) == want.diagonal()
+
+
+def small_plane_graphs(max_edges):
+    """Every plane graph without isolated vertices on the edges 0, 1, …
+    (at most max_edges of them), one for each rotation system."""
+    for m in range(max_edges + 1):
+        darts = [(e, end) for e in range(m) for end in (0, 1)]
+        for images in permutations(darts):
+            succ = dict(zip(darts, images))
+            rotations, seen = {}, set()
+            for d in darts:
+                cycle = []
+                while d not in seen:
+                    seen.add(d)
+                    cycle.append(d)
+                    d = succ[d]
+                if cycle:
+                    rotations[cycle[0]] = cycle
+            try:
+                yield PlaneGraph.from_rotations(rotations)
+            except ValueError:  # positive genus
+                pass
+
+
+def test_frontier_order_on_alt_images(six_edge_maps):
+    # The alt images with at most six edges are the maps of genus 0 whose
+    # every c-face (alt_c), a-face (alt_a) or in-star (alt_i) has length 2:
+    # both sides are computed as sets of canonical codes.  On each of them
+    # the frontier order gives the value of the sorted order.
+    maps = maps_up_to(5) + six_edge_maps
+    planes = list(small_plane_graphs(3))
+    for T, cycles, images in (
+            (T_c, lambda g: g.sw2, [alt_c(p) for p in planes]),
+            (T_a, lambda g: g.sw, [alt_a(p) for p in planes]),
+            (T_i, lambda g: g.s1, [alt_i(p, c) for p in planes for c in (0, 1)])):
+        selected = [g for g in maps if map_stats(g).genus == 0
+                    and all(len(c) == 2 for c in cycles(g).cycles())]
+        assert {canonical_code(g) for g in selected} == \
+            {canonical_code(g) for g in images}
+        for g in selected:
+            assert T(g, order=frontier_order(g)) == T(g)
 
 
 def test_recursions_deeper_than_the_recursion_limit():
