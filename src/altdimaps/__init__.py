@@ -25,7 +25,7 @@ from .catalog import (canonical_code, enumerate_maps, isomorphic,
 from .invariants import (ExtendedParams, PlaneGraph, SimpleParams,
                          SIMPLE_FAMILIES, T_a, T_c, T_i, alt_a, alt_c, alt_i,
                          basic_extended_params, extended_eval,
-                         frontier_order, medial, plane_multigraph,
+                         frontier_order, plane_multigraph,
                          simple_family_value, simple_tutte_eval)
 from .multigraph import Multigraph, tutte_poly
 from .poly import Poly1, Poly2

@@ -99,6 +99,8 @@ def enumerate_maps(n: int, connected_only: bool = False,
     acts by simultaneous conjugation, sw may be fixed to one representative
     per cycle type.
     """
+    if n < 0:
+        raise ValueError(f"edge count must be nonnegative, not {n}")
     if n > max_edges:
         raise ValueError(f"enumeration capped at {max_edges} edges")
     if n == 0:
@@ -166,6 +168,8 @@ def ultraloop() -> AltDimap:
 
 def free_loops(k: int) -> AltDimap:
     """U_k: k disjoint ultraloops."""
+    if k < 0:
+        raise ValueError(f"loop count must be nonnegative, not {k}")
     return build_map(range(k), [], [])
 
 
@@ -196,6 +200,8 @@ def posies(k: int) -> List[AltDimap]:
     """The posies of genus k (one vertex, 2k+1 edges, one a-face, one
     c-face), up to isomorphism and mirror image.  Mirror pairs are
     represented by the member with the smaller canonical code."""
+    if k < 0:
+        raise ValueError(f"genus must be nonnegative, not {k}")
     if k == 0:
         return [ultraloop()]
     n = 2 * k + 1

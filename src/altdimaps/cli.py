@@ -164,8 +164,8 @@ def _cmd_tutte(args) -> int:
         order = frontier_order(image)
     else:
         # each plane edge stands for its two edges in the image: the
-        # directed copies (lab, "+")/(lab, "-") of alt_c and alt_a, or the
-        # medial corners (lab, 0)/(lab, 1) of alt_i
+        # directed copies (lab, "+")/(lab, "-") of alt_c and alt_a, which
+        # alt_i renames (lab, 1)/(lab, 0)
         ends = (0, 1) if args.variant == "i" else ("+", "-")
         order = [(lab, end) for lab in args.order for end in ends]
     poly = recursion(image, order=order)

@@ -15,10 +15,12 @@ from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
-                   InvariantError, map_from_rotations, map_stats, reflect)
+                   InvariantError, map_from_rotations, map_stats, reflect,
+                   trial)
 from .embedded import EmbeddedGraph
 from .minors import _reduce
-from .multigraph import Multigraph, frontier, tutte_poly
+from .multigraph import Multigraph, evaluate, frontier, tutte_poly
+from .perm import Perm, numbering
 from .poly import Poly1, Poly2
 
 Q = Fraction
@@ -35,7 +37,7 @@ __all__ = [
     "simple_tutte_eval", "SIMPLE_FAMILIES", "simple_family_value",
     "extended_eval", "basic_extended_params",
     "T_c", "T_a", "T_i", "frontier_order",
-    "alt_c", "alt_a", "alt_i", "medial",
+    "alt_c", "alt_a", "alt_i",
     "tutte_poly", "plane_multigraph",
 ]
 
@@ -150,18 +152,18 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
 
     A state is the four tuples (σ_ω, σ_ω⁻¹, σ_ω², σ_ω²⁻¹) over G's edge
     numbers, reduced by minors._reduce, which leaves a reduced edge fixed
-    by all four.  Sub-results are memoised for the duration of the call,
-    keyed by the depth i and the images of σ_ω and σ_ω²: a state met after
-    i reductions has exactly the edges order[i:], so the key fixes the map,
-    and the depth tells a reduced edge from a live ultraloop, which the
-    tuples alone cannot.  The walk runs depth first on an explicit stack,
-    in the order of the rows' terms, so it needs no Python recursion and
-    the first error met is the one raised."""
+    by all four.  The walk is multigraph.evaluate, in the order of the
+    rows' terms.  Sub-results are memoised keyed by the depth i and the
+    images of σ_ω and σ_ω²: a state met after i reductions has exactly
+    the edges order[i:], so the key fixes the map, and the depth tells a
+    reduced edge from a live ultraloop, which the tuples alone cannot."""
     rem = list(map(g.number, _resolve_order(g, order)))
-    memo: Dict[Tuple, Any] = {}
 
-    def row(s: Tuple[tuple, ...], i: int):
+    def row(state: Tuple[Tuple[tuple, ...], int]):
         # yields each reduced state with its depth, receives its value
+        s, i = state
+        if i == len(rem):
+            return one
         e = rem[i]
         c = EdgeClass(*s, e)
         terms = next((terms for test, terms in cases if test(c)), None)
@@ -177,28 +179,7 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
             total = term if total is None else total + term
         return zero if total is None else total
 
-    # frames (memo key, suspended row); `state` is the state a row asked for
-    stack: List[Tuple[Tuple, Any]] = []
-    state, value = (g.arrays, 0), None
-    while True:
-        if state is not None:
-            s, i = state
-            if i == len(rem):
-                value = one
-            else:
-                key = (i, s[0], s[2])
-                value = memo.get(key)
-                if value is None:
-                    stack.append((key, row(s, i)))
-        if not stack:
-            return value
-        key, gen = stack[-1]
-        try:
-            state = gen.send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = memo[key] = done.value
-            state = None
+    return evaluate((g.arrays, 0), lambda st: (st[1], st[0][0], st[0][2]), row)
 
 
 def _no_semiloop(c: EdgeClass) -> bool:
@@ -367,86 +348,28 @@ def alt_a(p: PlaneGraph) -> AltDimap:
     return _alt_doubled(p, clockwise=False)
 
 
-def medial(p: PlaneGraph) -> EmbeddedGraph:
-    """The medial embedded graph: one vertex per edge, one edge per face
-    corner (a dart together with its rotation successor).  Around the
-    medial vertex of edge e with darts d1, d2 the four corners appear
-    clockwise as [corner entering d1, corner leaving d1, corner entering
-    d2, corner leaving d2]."""
-    eg = p.graph
-    succ_inv: Dict[Tuple[Hashable, int], Tuple[Hashable, int]] = {}
-    for rot in eg.rotations.values():
-        n = len(rot)
-        for i, d in enumerate(rot):
-            succ_inv[rot[(i + 1) % n]] = d
-    # corner id = its first dart; the corner (d, succ(d)) joins the medial
-    # vertices of edge(d) and edge(succ(d)).
-    rotations: Dict[Hashable, List[Tuple[Hashable, int]]] = {}
-    side: Dict[Hashable, int] = {}
-
-    def dart_of(corner: Tuple[Hashable, int]) -> Tuple[Hashable, int]:
-        k = side.get(corner, 0)
-        side[corner] = k + 1
-        if k > 1:
-            raise InvariantError(f"corner {corner!r} used more than twice")
-        return (corner, k)
-
-    for e in sorted(eg.edges, key=repr):
-        rot: List[Tuple[Hashable, int]] = []
-        for d in ((e, 0), (e, 1)):
-            rot.append(dart_of(succ_inv[d]))  # corner entering d
-            rot.append(dart_of(d))            # corner leaving d
-        rotations[("m", e)] = rot
-    med = EmbeddedGraph(rotations.keys(), rotations)
-    if any(len(r) != 4 for r in med.rotations.values()):
-        raise InvariantError("medial graph is not 4-regular")
-    if med.genus() != eg.genus():
-        raise InvariantError("medial construction changed the genus")
-    return med
-
-
 def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
-    """Orient the medial graph so in- and out-darts alternate around every
-    vertex.  Each component admits exactly two such orientations; the bit
-    selects which one (applied to every component)."""
+    """The in-star image: the medial graph of P with one of its two
+    orientations in which in- and out-edges alternate around every
+    vertex.  It is derived from alt_c: orientation 1 is
+    reflect(trial(alt_c(P))), the map (σ_ω⁻¹, σ₁⁻¹) of alt_c(P), and
+    orientation 0 is the same pair swapped, (σ₁⁻¹, σ_ω⁻¹).  Edge (e, '+')
+    of alt_c(P) is named (e, 1) and (e, '-') is named (e, 0).  The
+    in-stars are the 2-faces of alt_c(P), one for each edge e of P, which
+    are the medial vertices; under orientation 1 the in-star of e is the
+    2-face {(e, 0), (e, 1)} itself."""
     if orientation_choice not in (0, 1):
         raise ValueError("orientation_choice must be 0 or 1")
-    med = medial(p)
-    # Choose a parity bit per medial vertex: the dart at position i of the
-    # rotation is incoming iff (i + parity) is even.  The two darts of a
-    # medial edge must get opposite kinds, which ties the parities of its
-    # endpoints together; propagate by depth-first search.
-    pos: Dict[Tuple[Hashable, int], Tuple[Hashable, int]] = {}
-    for v, rot in med.rotations.items():
-        for i, d in enumerate(rot):
-            pos[d] = (v, i)
-    parity: Dict[Hashable, int] = {}
-    for root in sorted(med.vertices, key=repr):
-        if root in parity:
-            continue
-        parity[root] = orientation_choice
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for d in med.rotations[v]:
-                w, j = pos[med.mate(d)]
-                i = pos[d][1]
-                need = (i + j + 1) % 2  # parity[v] + parity[w] must equal this
-                want = (need - parity[v]) % 2
-                if w in parity:
-                    if parity[w] != want:
-                        raise InvariantError("medial graph is not "
-                                             "alternately orientable")
-                else:
-                    parity[w] = want
-                    stack.append(w)
-    rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
-    for v, rot in med.rotations.items():
-        rotations[v] = [
-            (d[0], "in" if (i + parity[v]) % 2 == 0 else "out")
-            for i, d in enumerate(rot)
-        ]
-    g = map_from_rotations(rotations)
-    if map_stats(g).genus != med.genus():
-        raise InvariantError("orientation changed the genus")
-    return g
+    h = reflect(trial(alt_c(p)))
+    names = [(e, int(s == "+")) for e, s in h.sw.labels]
+    labels, index = numbering(names)
+    new = list(map(index.__getitem__, names))  # old edge number -> new
+
+    def renamed(q: Perm) -> Perm:
+        img = [0] * len(new)
+        for i, j in zip(new, q.img):
+            img[i] = new[j]
+        return Perm._of(labels, index, tuple(img))
+
+    pair = (h.sw, h.sw2) if orientation_choice else (h.sw2, h.sw)
+    return AltDimap(*map(renamed, pair))

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import (Any, Callable, Dict, Generator, Hashable, Iterable, List,
+                    Sequence, Tuple)
 
 from .poly import Poly2
 
@@ -58,6 +59,34 @@ def frontier(keys: Sequence[Sequence[Hashable]]) -> List[int]:
     return order
 
 
+def evaluate(root: Any, key: Callable[[Any], Hashable],
+             expand: Callable[[Any], Generator]) -> Any:
+    """The value of the state root, where expand(state) is a generator
+    that yields the states its value needs, receives the value of each
+    and returns its own.  Each value is memoised under key(state) for the
+    duration of the call.  The walk runs depth first on an explicit stack,
+    in the order the states are yielded, so it needs no Python recursion
+    and the first error met is the one raised."""
+    memo: Dict[Hashable, Any] = {}
+    stack: List[Tuple[Hashable, Generator]] = []  # (memo key, expansion)
+    state, value = root, None
+    while True:
+        if state is not None:
+            k = key(state)
+            value = memo.get(k)
+            if value is None:
+                stack.append((k, expand(state)))
+        if not stack:
+            return value
+        k, gen = stack[-1]
+        try:
+            state = gen.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[k] = done.value
+            state = None
+
+
 def _renumber(s: Sequence[int], old: int = -1, new: int = -1) -> Tuple[int, ...]:
     """s with old read as new, the vertices renumbered by first appearance."""
     ids: Dict[int, int] = {}
@@ -84,7 +113,7 @@ def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
     the rest, a bridge x times its contraction, and any other edge the sum
     of its deletion and its contraction.
 
-    The recursion runs on the endpoints of the surviving edges, flattened
+    The recursion runs, through evaluate, on the endpoints of the surviving edges, flattened
     to (u0, v0, u1, v1, …) with the vertices renumbered by first
     appearance, and memoises each sub-result on that tuple.  The tuple
     fixes the remaining multigraph up to its vertices without edges, which
@@ -99,21 +128,16 @@ def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
         raise ValueError(f"Tutte recursion capped at {max_edges} edges")
     ends = [e[1:] for e in sorted(g.edges, key=lambda e: repr(e[0]))]
     x, y = Poly2.var(0), Poly2.var(1)
-    memo: Dict[Tuple[int, ...], Poly2] = {}
 
-    def rec(s: Tuple[int, ...]) -> Poly2:
+    def expand(s: Tuple[int, ...]):
         if not s:
             return Poly2.one()
-        t = memo.get(s)
-        if t is None:
-            u, v, rest = s[0], s[1], s[2:]
-            if u == v:
-                t = y * rec(_renumber(rest))
-            elif _joined(rest, u, v):
-                t = rec(_renumber(rest)) + rec(_renumber(rest, v, u))
-            else:
-                t = x * rec(_renumber(rest, v, u))
-            memo[s] = t
-        return t
+        u, v, rest = s[0], s[1], s[2:]
+        if u == v:
+            return y * (yield _renumber(rest))
+        if not _joined(rest, u, v):
+            return x * (yield _renumber(rest, v, u))
+        return (yield _renumber(rest)) + (yield _renumber(rest, v, u))
 
-    return rec(_renumber([w for i in frontier(ends) for w in ends[i]]))
+    root = _renumber([w for i in frontier(ends) for w in ends[i]])
+    return evaluate(root, lambda s: s, expand)

@@ -26,6 +26,11 @@ def test_two_edge_self_trial_count():
     assert isomorphic(sts[0], free_loops(2))
 
 
+def test_enumeration_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="-1"):
+        enumerate_maps(-1)
+
+
 def test_enumeration_is_isomorph_free():
     ms = enumerate_maps(3)
     codes = {canonical_code(g) for g in ms}
@@ -96,6 +101,14 @@ def test_tricircuit_grid_recognized():
 def test_tricircuit_rejects_negative():
     with pytest.raises(ValueError):
         tricircuit(-1, 0, 0)
+
+
+def test_families_reject_negative_sizes():
+    with pytest.raises(ValueError, match="-2"):
+        free_loops(-2)
+    for family in (posies, posy):
+        with pytest.raises(ValueError, match="-1"):
+            family(-1)
 
 
 def test_witness_a_has_both_loop_types():

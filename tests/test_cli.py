@@ -91,6 +91,13 @@ def test_enumerate_above_the_cap(capsys):
     assert "capped at 6 edges" in err
 
 
+def test_enumerate_rejects_a_negative_count(capsys):
+    rc, out, err = run(capsys, "enumerate", "--edges", "-1")
+    assert rc == 1
+    assert out == ""
+    assert "-1" in err
+
+
 def test_enumerate_self_trial(capsys):
     rc, out, _ = run(capsys, "enumerate", "--edges", "2",
                      "--filter", "self-trial")

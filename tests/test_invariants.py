@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Dict, Hashable, List, Tuple
 
 import pytest
 import sympy as sp
 
-from altdimaps import (ExtendedParams, PlaneGraph, SimpleParams,
+from altdimaps import (AltDimap, EmbeddedGraph, ExtendedParams,
+                       InvariantError, PlaneGraph, SimpleParams,
                        SIMPLE_FAMILIES, T_a, T_c, T_i, alt_a, alt_c, alt_i,
                        basic_extended_params, canonical_code, extended_eval,
-                       frontier_order, map_stats, medial, plane_multigraph,
-                       simple_family_value, simple_tutte_eval, tutte_poly)
+                       frontier_order, map_from_rotations, map_stats,
+                       plane_multigraph, simple_family_value,
+                       simple_tutte_eval, tutte_poly)
 from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
                                loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
@@ -272,6 +275,128 @@ def test_alt_images_shape(suite):
             assert st_.genus == 0
             faces = st_.n_c_faces if two_cell == "c" else st_.n_a_faces
             assert faces == len(eg.edges), name
+
+
+# -- the hand-built medial orientation: the reference for alt_i -----------------
+#
+# The library derives alt_i from alt_c by trial and reflection; these are
+# the medial graph and the parity walk that built it before, unchanged.
+
+def medial(p: PlaneGraph) -> EmbeddedGraph:
+    """The medial embedded graph: one vertex per edge, one edge per face
+    corner (a dart together with its rotation successor).  Around the
+    medial vertex of edge e with darts d1, d2 the four corners appear
+    clockwise as [corner entering d1, corner leaving d1, corner entering
+    d2, corner leaving d2]."""
+    eg = p.graph
+    succ_inv: Dict[Tuple[Hashable, int], Tuple[Hashable, int]] = {}
+    for rot in eg.rotations.values():
+        n = len(rot)
+        for i, d in enumerate(rot):
+            succ_inv[rot[(i + 1) % n]] = d
+    # corner id = its first dart; the corner (d, succ(d)) joins the medial
+    # vertices of edge(d) and edge(succ(d)).
+    rotations: Dict[Hashable, List[Tuple[Hashable, int]]] = {}
+    side: Dict[Hashable, int] = {}
+
+    def dart_of(corner: Tuple[Hashable, int]) -> Tuple[Hashable, int]:
+        k = side.get(corner, 0)
+        side[corner] = k + 1
+        if k > 1:
+            raise InvariantError(f"corner {corner!r} used more than twice")
+        return (corner, k)
+
+    for e in sorted(eg.edges, key=repr):
+        rot: List[Tuple[Hashable, int]] = []
+        for d in ((e, 0), (e, 1)):
+            rot.append(dart_of(succ_inv[d]))  # corner entering d
+            rot.append(dart_of(d))            # corner leaving d
+        rotations[("m", e)] = rot
+    med = EmbeddedGraph(rotations.keys(), rotations)
+    if any(len(r) != 4 for r in med.rotations.values()):
+        raise InvariantError("medial graph is not 4-regular")
+    if med.genus() != eg.genus():
+        raise InvariantError("medial construction changed the genus")
+    return med
+
+
+def medial_alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
+    """Orient the medial graph so in- and out-darts alternate around every
+    vertex.  Each component admits exactly two such orientations; the bit
+    selects which one (applied to every component)."""
+    if orientation_choice not in (0, 1):
+        raise ValueError("orientation_choice must be 0 or 1")
+    med = medial(p)
+    # Choose a parity bit per medial vertex: the dart at position i of the
+    # rotation is incoming iff (i + parity) is even.  The two darts of a
+    # medial edge must get opposite kinds, which ties the parities of its
+    # endpoints together; propagate by depth-first search.
+    pos: Dict[Tuple[Hashable, int], Tuple[Hashable, int]] = {}
+    for v, rot in med.rotations.items():
+        for i, d in enumerate(rot):
+            pos[d] = (v, i)
+    parity: Dict[Hashable, int] = {}
+    for root in sorted(med.vertices, key=repr):
+        if root in parity:
+            continue
+        parity[root] = orientation_choice
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for d in med.rotations[v]:
+                w, j = pos[med.mate(d)]
+                i = pos[d][1]
+                need = (i + j + 1) % 2  # parity[v] + parity[w] must equal this
+                want = (need - parity[v]) % 2
+                if w in parity:
+                    if parity[w] != want:
+                        raise InvariantError("medial graph is not "
+                                             "alternately orientable")
+                else:
+                    parity[w] = want
+                    stack.append(w)
+    rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
+    for v, rot in med.rotations.items():
+        rotations[v] = [
+            (d[0], "in" if (i + parity[v]) % 2 == 0 else "out")
+            for i, d in enumerate(rot)
+        ]
+    g = map_from_rotations(rotations)
+    if map_stats(g).genus != med.genus():
+        raise InvariantError("orientation changed the genus")
+    return g
+
+
+def _alt_i_graphs():
+    """The plane graphs alt_i is checked on against the reference."""
+    graphs = list(small_plane_graphs(3)) + list(plane_suite().values())
+    graphs += [wheel(k) for k in range(3, 13)]
+    graphs += [grid(3, 3), grid(4, 5), grid(5, 5)]
+    graphs += [theta(k) for k in range(1, 12)]
+    graphs.append(PlaneGraph.from_rotations({}))
+    graphs.append(PlaneGraph.from_rotations({
+        "u": [], "v": [("a", 0), ("b", 1)], "w": [("b", 0), ("a", 1)]}))
+    return graphs
+
+
+def test_alt_i_equals_the_medial_orientation():
+    for p in _alt_i_graphs():
+        for choice in (0, 1):
+            g, want = alt_i(p, choice), medial_alt_i(p, choice)
+            assert g == want
+
+
+def test_alt_i_in_stars_are_the_2_faces():
+    for p in _alt_i_graphs():
+        g = alt_i(p, 1)
+        assert {frozenset(v) for v in g.vertices()} == \
+            {frozenset({(e, 0), (e, 1)}) for e in p.graph.edges}
+
+
+def test_alt_i_rejects_other_orientations(suite):
+    for choice in (2, -1):
+        with pytest.raises(ValueError, match="orientation_choice"):
+            alt_i(suite["theta"], choice)
 
 
 def test_medial_is_4_regular(suite):

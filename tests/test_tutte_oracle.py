@@ -102,3 +102,10 @@ def test_grid_5x5_spanning_trees():
 def test_theta_300():
     want = Poly2({(1, 0): 1, **{(0, j): 1 for j in range(1, 300)}})
     assert tutte_poly(plane_multigraph(theta(300)), max_edges=300) == want
+
+
+def test_theta_1000_deeper_than_the_recursion_limit():
+    # the deletion chain is 1000 edges deep; the walk keeps no Python frame
+    # per edge
+    want = Poly2({(1, 0): 1, **{(0, j): 1 for j in range(1, 1000)}})
+    assert tutte_poly(plane_multigraph(theta(1000)), max_edges=1000) == want
