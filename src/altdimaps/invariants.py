@@ -19,7 +19,7 @@ from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
                    trial)
 from .embedded import EmbeddedGraph
 from .minors import _reduce
-from .multigraph import Multigraph, evaluate, frontier, tutte_poly
+from .multigraph import Multigraph, frontier, sweep, tutte_poly
 from .perm import Perm, numbering
 from .poly import Poly1, Poly2
 
@@ -152,34 +152,27 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
 
     A state is the four tuples (σ_ω, σ_ω⁻¹, σ_ω², σ_ω²⁻¹) over G's edge
     numbers, reduced by minors._reduce, which leaves a reduced edge fixed
-    by all four.  The walk is multigraph.evaluate, in the order of the
-    rows' terms.  Sub-results are memoised keyed by the depth i and the
-    images of σ_ω and σ_ω²: a state met after i reductions has exactly
-    the edges order[i:], so the key fixes the map, and the depth tells a
-    reduced edge from a live ultraloop, which the tuples alone cannot."""
+    by all four.  The recursion is swept level by level
+    (multigraph.sweep), level i holding the states met after i
+    reductions, which have exactly the edges order[i:]; so within a level
+    the images of σ_ω and σ_ω² fix the map, and states are merged on
+    them."""
     rem = list(map(g.number, _resolve_order(g, order)))
 
     def row(state: Tuple[Tuple[tuple, ...], int]):
-        # yields each reduced state with its depth, receives its value
         s, i = state
         if i == len(rem):
-            return one
+            return None
         e = rem[i]
         c = EdgeClass(*s, e)
         terms = next((terms for test, terms in cases if test(c)), None)
         if terms is None:
             raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of the "
                              f"{name} recursion")
-        total = None
-        for coeff, mu in terms:
-            if coeff is not None and not coeff:
-                continue
-            sub = yield tuple(map(tuple, _reduce(*s, e, mu))), i + 1
-            term = sub if coeff is None else coeff * sub
-            total = term if total is None else total + term
-        return zero if total is None else total
+        return [(coeff, (tuple(map(tuple, _reduce(*s, e, mu))), i + 1))
+                for coeff, mu in terms if coeff is None or coeff]
 
-    return evaluate((g.arrays, 0), lambda st: (st[1], st[0][0], st[0][2]), row)
+    return sweep((g.arrays, 0), lambda st: (st[0][0], st[0][2]), row, one, zero)
 
 
 def _no_semiloop(c: EdgeClass) -> bool:
@@ -304,13 +297,14 @@ def plane_multigraph(p: PlaneGraph) -> Multigraph:
                       [(e,) + eg.endpoints(e) for e in sorted(eg.edges, key=repr)])
 
 
-def _alt_doubled(p: PlaneGraph, clockwise: bool) -> AltDimap:
-    """Replace every undirected edge by an antiparallel directed pair.
+def alt_c(p: PlaneGraph) -> AltDimap:
+    """Each edge becomes a clockwise directed 2-face; the original faces
+    become the anticlockwise faces (cf = |E|, af = |F|).
 
-    Edge e gains directed edges (e, '+') (away from dart (e, 0)) and
+    Every undirected edge is replaced by an antiparallel directed pair:
+    edge e gains directed edges (e, '+') (away from dart (e, 0)) and
     (e, '-') (the reverse).  At a vertex, each dart expands clockwise to
-    [outgoing, incoming] for the clockwise construction and [incoming,
-    outgoing] for the anticlockwise one."""
+    [outgoing, incoming]."""
     eg = p.graph
     rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
     for v, rot in eg.rotations.items():
@@ -318,34 +312,43 @@ def _alt_doubled(p: PlaneGraph, clockwise: bool) -> AltDimap:
         for (e, end) in rot:
             leave = (e, "+") if end == 0 else (e, "-")
             enter = (e, "-") if end == 0 else (e, "+")
-            if clockwise:
-                out += [(leave, "out"), (enter, "in")]
-            else:
-                out += [(enter, "in"), (leave, "out")]
+            out += [(leave, "out"), (enter, "in")]
         rotations[v] = out
     g = map_from_rotations(rotations)
     st = map_stats(g)
     # a vertex without darts bounds a face of its own but gives the map
     # no vertex, so it is left out of the face identity
     n_e, n_f = len(eg.edges), sum(1 for f in eg.trace_faces() if f)
-    two_faces = st.n_c_faces if clockwise else st.n_a_faces
-    old_faces = st.n_a_faces if clockwise else st.n_c_faces
-    if two_faces != n_e or old_faces != n_f:
+    if st.n_c_faces != n_e or st.n_a_faces != n_f:
         raise InvariantError("doubled map fails the face-count identities")
     if st.genus != eg.genus():
         raise InvariantError("doubled map changed the genus")
     return g
 
 
-def alt_c(p: PlaneGraph) -> AltDimap:
-    """Each edge becomes a clockwise directed 2-face; the original faces
-    become the anticlockwise faces (cf = |E|, af = |F|)."""
-    return _alt_doubled(p, clockwise=True)
+def _renamed(sw: Perm, sw2: Perm, name: Callable[[Hashable], Hashable]) -> AltDimap:
+    """The map (sw, sw2), two permutations of one edge numbering, with
+    each edge label l renamed name(l)."""
+    names = [name(l) for l in sw.labels]
+    labels, index = numbering(names)
+    new = list(map(index.__getitem__, names))  # old edge number -> new
+
+    def renamed(q: Perm) -> Perm:
+        img = [0] * len(new)
+        for i, j in zip(new, q.img):
+            img[i] = new[j]
+        return Perm._of(labels, index, tuple(img))
+
+    return AltDimap(renamed(sw), renamed(sw2))
 
 
 def alt_a(p: PlaneGraph) -> AltDimap:
-    """Mirror of alt_c: anticlockwise 2-faces (af = |E|, cf = |F|)."""
-    return _alt_doubled(p, clockwise=False)
+    """Mirror of alt_c: anticlockwise 2-faces (af = |E|, cf = |F|).  It is
+    alt_c(P) with σ_ω and σ_ω² exchanged and the labels (e, '+') and
+    (e, '-') swapped: each dart then expands clockwise to [incoming,
+    outgoing]."""
+    g = alt_c(p)
+    return _renamed(g.sw2, g.sw, lambda l: (l[0], "-" if l[1] == "+" else "+"))
 
 
 def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
@@ -361,15 +364,5 @@ def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
     if orientation_choice not in (0, 1):
         raise ValueError("orientation_choice must be 0 or 1")
     h = reflect(trial(alt_c(p)))
-    names = [(e, int(s == "+")) for e, s in h.sw.labels]
-    labels, index = numbering(names)
-    new = list(map(index.__getitem__, names))  # old edge number -> new
-
-    def renamed(q: Perm) -> Perm:
-        img = [0] * len(new)
-        for i, j in zip(new, q.img):
-            img[i] = new[j]
-        return Perm._of(labels, index, tuple(img))
-
     pair = (h.sw, h.sw2) if orientation_choice else (h.sw2, h.sw)
-    return AltDimap(*map(renamed, pair))
+    return _renamed(*pair, lambda l: (l[0], int(l[1] == "+")))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import (Any, Callable, Dict, Generator, Hashable, Iterable, List,
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from .poly import Poly2
@@ -59,32 +59,43 @@ def frontier(keys: Sequence[Sequence[Hashable]]) -> List[int]:
     return order
 
 
-def evaluate(root: Any, key: Callable[[Any], Hashable],
-             expand: Callable[[Any], Generator]) -> Any:
-    """The value of the state root, where expand(state) is a generator
-    that yields the states its value needs, receives the value of each
-    and returns its own.  Each value is memoised under key(state) for the
-    duration of the call.  The walk runs depth first on an explicit stack,
-    in the order the states are yielded, so it needs no Python recursion
-    and the first error met is the one raised."""
-    memo: Dict[Hashable, Any] = {}
-    stack: List[Tuple[Hashable, Generator]] = []  # (memo key, expansion)
-    state, value = root, None
-    while True:
-        if state is not None:
-            k = key(state)
-            value = memo.get(k)
-            if value is None:
-                stack.append((k, expand(state)))
-        if not stack:
-            return value
-        k, gen = stack[-1]
-        try:
-            state = gen.send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = memo[k] = done.value
-            state = None
+def sweep(root: Any, key: Callable[[Any], Hashable],
+          step: Callable[[Any], Optional[List[Tuple[Any, Any]]]],
+          one: Any, zero: Any) -> Any:
+    """The value of the state root under a linear recursion.  step(state)
+    returns None for a leaf, which is worth one, and otherwise the list of
+    (coefficient, substate) pairs whose coefficient × value sum to the
+    state's value; a coefficient None takes the substate's value as it is.
+    No leaf reached means the value zero.
+
+    This is the top-down frontier method of Sekine, Imai and Tani (ISAAC
+    1995).  The states are swept level by level, the substates of level i
+    making level i + 1, and each carries the sum, over its paths from the
+    root, of the products of their coefficients.  States of a level with
+    equal key(state) are merged by adding these sums, so the key must fix
+    the state's value.  A level is emptied as it is expanded, so at most
+    two are held at once.  A state is expanded even when its sum is 0, so
+    an error its expansion raises is still met."""
+    level: Dict[Hashable, List[Any]] = {key(root): [root, one]}
+    value = None
+    while level:
+        below: Dict[Hashable, List[Any]] = {}
+        while level:
+            state, acc = level.popitem()[1]
+            terms = step(state)
+            if terms is None:
+                value = acc if value is None else value + acc
+                continue
+            for coeff, sub in terms:
+                term = acc if coeff is None else coeff * acc
+                k = key(sub)
+                met = below.get(k)
+                if met is None:
+                    below[k] = [sub, term]
+                else:  # keep the state met first, so the new one dies young
+                    met[1] = met[1] + term
+        level = below
+    return zero if value is None else value
 
 
 def _renumber(s: Sequence[int], old: int = -1, new: int = -1) -> Tuple[int, ...]:
@@ -113,31 +124,31 @@ def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
     the rest, a bridge x times its contraction, and any other edge the sum
     of its deletion and its contraction.
 
-    The recursion runs, through evaluate, on the endpoints of the surviving edges, flattened
-    to (u0, v0, u1, v1, …) with the vertices renumbered by first
-    appearance, and memoises each sub-result on that tuple.  The tuple
+    The recursion is swept level by level (multigraph.sweep), the state
+    being the endpoints of the surviving edges, flattened to (u0, v0, u1,
+    v1, …) with the vertices renumbered by first appearance.  The tuple
     fixes the remaining multigraph up to its vertices without edges, which
-    do not change the polynomial, so the memo is exact.  The edge order is
-    free: T(G) is its subset expansion, which names no order.  So the
-    edges go in the frontier order of their endpoints (the edge with the
-    most endpoints met so far next; ties as in frontier, the edge ids
-    numbered in repr order): the reduced edges then meet the rest in few
-    vertices, and the states that differ only in how the reduced part was
-    cut coincide in the memo."""
+    do not change the polynomial, so states with equal tuples are merged
+    exactly.  The edge order is free: T(G) is its subset expansion, which
+    names no order.  So the edges go in the frontier order of their
+    endpoints (the edge with the most endpoints met so far next; ties as
+    in frontier, the edge ids numbered in repr order): the reduced edges
+    then meet the rest in few vertices, and the states that differ only
+    in how the reduced part was cut coincide."""
     if len(g.edges) > max_edges:
         raise ValueError(f"Tutte recursion capped at {max_edges} edges")
     ends = [e[1:] for e in sorted(g.edges, key=lambda e: repr(e[0]))]
     x, y = Poly2.var(0), Poly2.var(1)
 
-    def expand(s: Tuple[int, ...]):
+    def step(s: Tuple[int, ...]):
         if not s:
-            return Poly2.one()
+            return None
         u, v, rest = s[0], s[1], s[2:]
         if u == v:
-            return y * (yield _renumber(rest))
+            return [(y, _renumber(rest))]
         if not _joined(rest, u, v):
-            return x * (yield _renumber(rest, v, u))
-        return (yield _renumber(rest)) + (yield _renumber(rest, v, u))
+            return [(x, _renumber(rest, v, u))]
+        return [(None, _renumber(rest)), (None, _renumber(rest, v, u))]
 
     root = _renumber([w for i in frontier(ends) for w in ends[i]])
-    return evaluate(root, lambda s: s, expand)
+    return sweep(root, lambda s: s, step, Poly2.one(), Poly2.zero())

@@ -250,6 +250,11 @@ def _vertex_ids(g: AltDimap) -> Dict[frozenset, str]:
     return {c: f"v{i}" for i, c in enumerate(cycles)}
 
 
+def _dot_string(text: str) -> str:
+    """text as a quoted DOT string, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: AltDimap) -> str:
     """DOT digraph: one node per in-star, one arc per edge (tail to
     head), labelled with the edge and its classification."""
@@ -257,10 +262,11 @@ def export_dot(g: AltDimap) -> str:
     lines = ["digraph altdimap {"]
     for c in sorted(vid, key=lambda c: vid[c]):
         members = ",".join(sorted(map(str, c)))
-        lines.append(f'  {vid[c]} [label="{{{members}}}"];')
+        lines.append(f'  {vid[c]} [label={_dot_string(f"{{{members}}}")}];')
     for e in sorted(g.edges, key=str):
         t, h = vid[g.tail(e)], vid[g.head(e)]
-        lines.append(f'  {t} -> {h} [label="{e} ({edge_class_summary(g, e)})"];')
+        label = _dot_string(f"{e} ({edge_class_summary(g, e)})")
+        lines.append(f"  {t} -> {h} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -68,10 +68,12 @@ def wheel(k):
     return PlaneGraph.from_rotations(rotations)
 
 
-def grid_rotations(rows, cols):
+def grid_rotations(rows, cols, diagonals=False):
     """Rotations of the rows × cols grid of vertices p<i>_<j> at (i, j):
     edge h<i>_<j> joins (i, j) to (i, j+1) and v<i>_<j> joins (i, j) to
-    (i+1, j), the row index growing upwards."""
+    (i+1, j), the row index growing upwards.  With diagonals, every square
+    gains the diagonal d<i>_<j> from (i, j) to (i+1, j+1), and the
+    clockwise rotation at p<i>_<j> is N, NE, E, S, SW, W."""
     rotations = {}
     for i in range(rows):
         for j in range(cols):
@@ -79,13 +81,21 @@ def grid_rotations(rows, cols):
             east = [(f"h{i}_{j}", 0)] if j + 1 < cols else []
             south = [(f"v{i - 1}_{j}", 1)] if i else []
             west = [(f"h{i}_{j - 1}", 1)] if j else []
-            rotations[f"p{i}_{j}"] = north + east + south + west
+            ne = [(f"d{i}_{j}", 0)] if diagonals and north and east else []
+            sw = [(f"d{i - 1}_{j - 1}", 1)] if diagonals and south and west else []
+            rotations[f"p{i}_{j}"] = north + ne + east + south + sw + west
     return rotations
 
 
 def grid(rows, cols):
     """The rows × cols grid (see grid_rotations)."""
     return PlaneGraph.from_rotations(grid_rotations(rows, cols))
+
+
+def triangulated_grid(rows, cols):
+    """The rows × cols grid with a diagonal in every square (see
+    grid_rotations): 53 edges for 4 × 6, 56 for 5 × 5, 69 for 5 × 6."""
+    return PlaneGraph.from_rotations(grid_rotations(rows, cols, diagonals=True))
 
 
 def plane_document(name, rotations):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import altdimaps.cli
-from altdimaps import InvariantError, build_map
+from altdimaps import InvariantError, PlaneGraph, alt_c, build_map
 from altdimaps.catalog import posy, ultraloop
 from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
 
-from conftest import grid_document, plane_document
+from conftest import grid_document, grid_rotations, plane_document
 
 TRIANGLE_DOC = """planegraph triangle
 vertex u: a0 c1
@@ -170,6 +170,22 @@ def test_tutte_grid_5x5(capsys, tmp_path):
         rc, out, err = run(capsys, "tutte", str(doc), "--variant", variant)
         assert rc == 0, err
         assert out.strip().splitlines()[-1] == "equal: true"
+
+
+def test_tutte_variant_a_takes_the_order_of_alt_c(capsys, tmp_path, monkeypatch):
+    # the triangulated 4×5 grid, 43 edges: alt_c(P) and alt_a(P) have the
+    # same labels, and T_a meets about 4× fewer states in alt_c's order
+    rotations = grid_rotations(4, 5, diagonals=True)
+    doc = tmp_path / "tri4x5.pg"
+    doc.write_text(plane_document("tri4x5", rotations))
+    ordered = []
+    frontier_order = altdimaps.cli.frontier_order
+    monkeypatch.setattr(altdimaps.cli, "frontier_order",
+                        lambda g: ordered.append(g) or frontier_order(g))
+    rc, out, err = run(capsys, "tutte", str(doc), "--variant", "a")
+    assert rc == 0, err
+    assert out.strip().splitlines()[-1] == "equal: true"
+    assert ordered == [alt_c(PlaneGraph.from_rotations(rotations))]
 
 
 def test_tutte_above_the_cap_exits_1(capsys, tmp_path):

@@ -367,6 +367,37 @@ def medial_alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
     return g
 
 
+# -- the hand-built anticlockwise doubling: the reference for alt_a -------------
+#
+# The library derives alt_a from alt_c by exchanging σ_ω and σ_ω² and
+# swapping the labels of each directed pair; this is the anticlockwise
+# branch of the doubling that built it before, unchanged.
+
+def doubled_alt_a(p: PlaneGraph) -> AltDimap:
+    """Replace every undirected edge by an antiparallel directed pair.
+
+    Edge e gains directed edges (e, '+') (away from dart (e, 0)) and
+    (e, '-') (the reverse).  At a vertex, each dart expands clockwise to
+    [incoming, outgoing]."""
+    eg = p.graph
+    rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
+    for v, rot in eg.rotations.items():
+        out: List[Tuple[Hashable, str]] = []
+        for (e, end) in rot:
+            leave = (e, "+") if end == 0 else (e, "-")
+            enter = (e, "-") if end == 0 else (e, "+")
+            out += [(enter, "in"), (leave, "out")]
+        rotations[v] = out
+    g = map_from_rotations(rotations)
+    st = map_stats(g)
+    n_e, n_f = len(eg.edges), sum(1 for f in eg.trace_faces() if f)
+    if st.n_a_faces != n_e or st.n_c_faces != n_f:
+        raise InvariantError("doubled map fails the face-count identities")
+    if st.genus != eg.genus():
+        raise InvariantError("doubled map changed the genus")
+    return g
+
+
 def _alt_i_graphs():
     """The plane graphs alt_i is checked on against the reference."""
     graphs = list(small_plane_graphs(3)) + list(plane_suite().values())
@@ -384,6 +415,13 @@ def test_alt_i_equals_the_medial_orientation():
         for choice in (0, 1):
             g, want = alt_i(p, choice), medial_alt_i(p, choice)
             assert g == want
+
+
+def test_alt_a_equals_the_anticlockwise_doubling():
+    graphs = _alt_i_graphs()
+    assert len(graphs) == 606
+    for p in graphs:
+        assert alt_a(p) == doubled_alt_a(p)
 
 
 def test_alt_i_in_stars_are_the_2_faces():

@@ -1,14 +1,15 @@
 """Map and plane-graph documents, DOT and JSON exports."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from altdimaps import (AltDimap, DocumentError, Perm, alt_a, alt_c, alt_i,
-                       build_map, export_dot, export_json, isomorphic,
-                       map_stats, parse_map, parse_plane_graph,
-                       plane_multigraph, serialize_map)
+                       build_map, edge_class_summary, export_dot,
+                       export_json, isomorphic, map_stats, parse_map,
+                       parse_plane_graph, plane_multigraph, serialize_map)
 from altdimaps.catalog import (add_omega_loop, loop_star_1, posy, tricircuit,
                                ultraloop)
 
@@ -154,6 +155,21 @@ def test_export_dot_two_cycle():
     dot = export_dot(loop_star_1(2))
     assert dot.count("->") == 2
     assert dot.count("[label=\"{") == 2
+
+
+def test_export_dot_strings_read_back():
+    # every quoted DOT string unescapes to its node or edge label, also
+    # for labels with a quote or a backslash
+    g = parse_map('map m\nedges a"b c\\d\nsigma_omega (a"b c\\d)\n'
+                  'sigma_omega2\n')
+    for m in (g, posy(2), alt_c(plane_suite()["theta"])):
+        dot = export_dot(m)
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        assert '"' not in re.sub(quoted, "", dot)  # every quote is paired
+        strings = [re.sub(r"\\(.)", r"\1", q) for q in re.findall(quoted, dot)]
+        nodes = ["{" + ",".join(sorted(map(str, v))) + "}" for v in m.vertices()]
+        edges = [f"{e} ({edge_class_summary(m, e)})" for e in m.edges]
+        assert sorted(strings) == sorted(nodes + edges)
 
 
 def test_export_json_posy():
