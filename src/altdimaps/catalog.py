@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .core import (MUW, MUW2, AltDimap, EMPTY_MAP, build_map, closing,
                    map_from_rotations, reflect)
@@ -90,8 +90,7 @@ def _perm_of_cycle_type(parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_maps(n: int, connected_only: bool = False,
-                   max_edges: int = 6) -> List[AltDimap]:
+def enumerate_maps(n: int, max_edges: int = 6) -> List[AltDimap]:
     """All alternating dimaps with exactly n edges, up to isomorphism.
 
     Every pair (sw, sw2) of permutations of n points is an alternating
@@ -113,8 +112,6 @@ def enumerate_maps(n: int, connected_only: bool = False,
         swp = Perm._of(labels, index, _perm_of_cycle_type(parts))
         for sw2 in permutations(pts):
             g = AltDimap(swp, Perm._of(labels, index, sw2))
-            if connected_only and len(g.orbits()) != 1:
-                continue
             code = canonical_code(g)
             if code not in out:
                 out[code] = g
@@ -273,27 +270,3 @@ def witness_a() -> AltDimap:
     g = add_omega2_loop(loop_star_1(2), 1, "e")
     return add_omega_loop(g, "e", "f")
 
-
-NAMED = {
-    "ultraloop": ultraloop,
-    "U3": lambda: free_loops(3),
-    "L21": lambda: loop_star_1(2),
-    "L2w": lambda: loop_star_omega(2),
-    "L2w2": lambda: loop_star_omega2(2),
-    "L31": lambda: loop_star_1(3),
-    "posy1": lambda: posy(1),
-    "posy2a": lambda: posy(2, 0),
-    "posy2b": lambda: posy(2, 1),
-    "posy2c": lambda: posy(2, 2),
-    "digon_loop": digon_with_omega2_loop,
-    "witness_a": witness_a,
-    "tricircuit231": lambda: tricircuit(2, 3, 1),
-}
-
-
-def make_named(name: str) -> AltDimap:
-    try:
-        return NAMED[name]()
-    except KeyError:
-        raise KeyError(f"unknown named map {name!r}; "
-                       f"known: {', '.join(sorted(NAMED))}") from None

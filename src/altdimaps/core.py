@@ -10,7 +10,7 @@ Only (sw, sw2) is stored; s1 is derived from the triple identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .embedded import EmbeddedGraph
 from .perm import Perm, numbering
@@ -19,7 +19,6 @@ from .perm import Perm, numbering
 # 0 ↔ 1, 1 ↔ ω, 2 ↔ ω².
 MU1, MUW, MUW2 = 0, 1, 2
 ALL_MU = (MU1, MUW, MUW2)
-MU_NAMES = {MU1: "1", MUW: "omega", MUW2: "omega2"}
 MU_BY_NAME = {"1": MU1, "omega": MUW, "omega2": MUW2, "w": MUW, "w2": MUW2}
 
 
@@ -300,7 +299,16 @@ def _cycle(img: Sequence[int], i: int) -> List[int]:
 class EdgeClass:
     """Loop/semiloop classification of edge number e of the map (a, ai,
     b, bi).  The loop bits are computed at once, each semiloop bit on
-    first read."""
+    first read.
+
+    With (p, q, r) the triple (σ₁, σ_ω, σ_ω²) rotated by μ, e is a μ-loop
+    when p(e) = e and a μ-semiloop when q(e) lies on the p-cycle of e.
+    For μ = 1 that is a standard loop, head(e) = tail(e).  Rotating the
+    triple is taking a trial map, so the rule obeys the trial law (the
+    μ-semiloops of G are the μω-semiloops of G^ω) by construction: e is
+    an ω-semiloop when σ_ω²(e) lies on its a-face and an ω²-semiloop when
+    σ₁(e) lies on its c-face.
+    """
 
     __slots__ = ("is_1_loop", "is_omega_loop", "is_omega2_loop",
                  "is_ultraloop", "is_triloop", "_map", "_e", "_semi")
@@ -323,21 +331,18 @@ class EdgeClass:
         if bit is None:
             a, ai, b, bi = self._map
             e = self._e
+            # look for t = q(e) along p⁻¹ = q∘r from e; σ₁ is not stored,
+            # so for μ = 1 a step reads two tuples
             if mu == MU1:
-                # a standard loop, head(e) == tail(e): sw(e) is on the
-                # in-star of e, walked along σ₁⁻¹ = σ_ω∘σ_ω²
-                t, x = a[e], e
-                while True:
-                    x = a[b[x]]
-                    if x == t or x == e:
-                        break
-                bit = x == t
+                t, step = a[e], lambda x: a[b[x]]
+            elif mu == MUW:
+                t, step = b[e], ai.__getitem__
             else:
-                # ω-semiloop: e with its right successor sw2(e); ω²-semiloop:
-                # e with its left successor sw⁻¹(e).  Degenerate pairs count
-                # as semiloops.
-                f = b[e] if mu == MUW else ai[e]
-                bit = f == e or _pair_separates(a, ai, b, bi, e, f)
+                t, step = bi[ai[e]], bi.__getitem__
+            x = step(e)
+            while x != t and x != e:
+                x = step(x)
+            bit = x == t
             self._semi[mu] = bit
         return bit
 
@@ -361,63 +366,6 @@ def is_triloop(g: AltDimap, e: Hashable) -> bool:
 def is_ultraloop(g: AltDimap, e: Hashable) -> bool:
     """Whether e is fixed by all three permutations (a one-edge component)."""
     return g.s1(e) == e and g.sw(e) == e and g.sw2(e) == e
-
-
-def _pair_separates(a: Sequence[int], ai: Sequence[int], b: Sequence[int],
-                    bi: Sequence[int], e: int, f: int) -> bool:
-    """Whether deleting the distinct edges numbered e and f from the
-    underlying embedded graph (see rotation_system) of the map (a, ai, b,
-    bi) increases k - γ.
-
-    The deletion keeps every vertex and removes two edges, so by Euler's
-    relation V - E + F = 2(k - γ) the value k - γ rises exactly when the
-    face count does not fall, a vertex left with no darts counting as one
-    face.  Only the faces through the darts of e and f change: the c-faces
-    (σ_ω² cycles, bounded by in darts (x, 0)) and a-faces (σ_ω cycles,
-    bounded by out darts (x, 1)) of e and f.  Those faces are cut at the
-    darts of e and f into stretches, and the stretches are joined again as
-    the embedding without e and f joins them, from the permutations alone.
-    """
-    drop = (e, f)
-    old_faces = 4
-    stretch = {}  # first dart of a surviving stretch of a face -> its last dart
-    for end, img, pre in ((0, b, bi), (1, a, ai)):
-        # along the face of (x, end) the next dart is (pre[x], end)
-        shared = pre[e] == f or f in _cycle(img, e)
-        old_faces -= shared
-        # the stretch after x ends just before y, the next dart of e or f
-        for x, y in ((e, f), (f, e)) if shared else ((e, e), (f, f)):
-            first = pre[x]
-            if first not in drop:
-                stretch[(first, end)] = (img[y], end)
-    back = (bi, ai)
-
-    def new_next(first):
-        # from the last dart of a stretch go on around its mate's vertex,
-        # where (x, end) is followed by (back[1 - end][x], 1 - end), to the
-        # first dart not of e or f: the first dart of the next stretch
-        x, end = stretch[first]
-        while True:
-            x = back[end][x]
-            if x not in drop:
-                return x, end
-            end = 1 - end
-
-    new_faces = 0
-    unseen = set(stretch)
-    while unseen:
-        d = new_next(unseen.pop())
-        new_faces += 1
-        while d in unseen:
-            unseen.remove(d)
-            d = new_next(d)
-    # in-stars whose in and out darts all belong to e and f
-    emptied = set()
-    for x in drop:
-        y = bi[ai[x]]  # σ₁(x)
-        if y in drop and bi[ai[y]] == x and ai[x] in drop and ai[y] in drop:
-            emptied.add(frozenset((x, y)))
-    return new_faces + len(emptied) >= old_faces
 
 
 def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:

@@ -167,16 +167,6 @@ def triloops_cover_trimedial(g: AltDimap) -> bool:
     return all(u in triloops or v in triloops for _, u, v in tri.edges)
 
 
-def _all_pairs_commute(g: AltDimap) -> bool:
-    """Whether the two composite minors of commute_check agree for every
-    pair of distinct edges (sorted by repr) and every pair of reduction
-    types."""
-    edges = g.sw.labels
-    return all(commute_check(g, e, mu, f, nu)[0]
-               for i, e in enumerate(edges) for f in edges[i + 1:]
-               for mu in ALL_MU for nu in ALL_MU)
-
-
 def is_2_reduction_commutative(g: AltDimap) -> bool:
     """Whether every pair of single reductions on G commutes.
 
@@ -245,33 +235,24 @@ def _minors(g: AltDimap, key: Callable[[AltDimap], Hashable],
             stack += (reduce_map(m, e, mu) for mu in types)
 
 
-_BRUTE_MAX_EDGES = 5
-
-
-def is_totally_reduction_commutative(g: AltDimap, brute: bool = False) -> bool:
+def is_totally_reduction_commutative(g: AltDimap) -> bool:
     """Whether reductions commute at every depth (the result of a sequence
     of reductions never depends on their order).
 
     Equivalently: in every minor of G (G included), all pairs of
-    reductions commute.  Both modes walk the labelled minor closure: the
-    structural mode tests each minor with is_2_reduction_commutative, so
-    no pair of composite minors is ever compared; the brute mode compares
-    the two composite minors of every pair directly (only for maps with
-    at most five edges).  The pair prediction has been verified
-    exhaustively on every map with at most six edges, so the structural
-    mode is exact there, and the two modes agree wherever both run.
+    reductions commute.  The labelled minor closure is walked and each
+    minor tested with is_2_reduction_commutative, so no pair of composite
+    minors is ever compared.  The pair prediction has been verified
+    exhaustively on every map with at most six edges, so the test is
+    exact there.
 
     Up to five edges the connected maps with this property are exactly
     the ultraloop, the pure 1-, ω- and ω²-circuits, the genus-one posy,
     and the three mixed one- and two-vertex tricircuits with edge counts
     (circuit, ω-loops, ω²-loops) in {(1,1,1), (2,1,0), (2,0,1)}.  At six
-    edges (structural mode only) 94 of the 901 maps have it, and the
-    connected ones are exactly the pure 1-, ω- and ω²-circuits.
+    edges 94 of the 901 maps have it, and the connected ones are exactly
+    the pure 1-, ω- and ω²-circuits.
     """
-    if brute:
-        if g.n_edges > _BRUTE_MAX_EDGES:
-            raise ValueError(f"brute force capped at {_BRUTE_MAX_EDGES} edges")
-        return all(_all_pairs_commute(m) for _, m in _minors(g, lambda m: m))
     return all(is_2_reduction_commutative(m) for _, m in _minors(g, lambda m: m))
 
 

@@ -257,7 +257,9 @@ def _dot_string(text: str) -> str:
 
 def export_dot(g: AltDimap) -> str:
     """DOT digraph: one node per in-star, one arc per edge (tail to
-    head), labelled with the edge and its classification."""
+    head), labelled with the edge and its classification.  Raises
+    ValueError if two edge labels have the same str."""
+    _tokens(g)
     vid = _vertex_ids(g)
     lines = ["digraph altdimap {"]
     for c in sorted(vid, key=lambda c: vid[c]):
@@ -273,7 +275,9 @@ def export_dot(g: AltDimap) -> str:
 
 def export_json(g: AltDimap) -> str:
     """Deterministic JSON: the permutation triple, the basic counts,
-    and the per-edge classification table."""
+    and the per-edge classification table.  Raises ValueError if two
+    edge labels have the same str."""
+    _tokens(g)
     st = map_stats(g)
 
     def cyc(perm):

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import strategies as st
 
-from altdimaps import AltDimap, Perm, PlaneGraph, enumerate_maps
+from altdimaps import (AltDimap, Perm, PlaneGraph, commute_check, enumerate_maps,
+                       rotation_system)
+from altdimaps.core import ALL_MU
+from altdimaps.minors import _minors
 
 
 def maps_up_to(n_max, n_min=0):
@@ -20,13 +23,40 @@ def six_edge_maps():
     return maps_up_to(6, n_min=6)
 
 
-def random_maps(max_n=5):
+def semiloop_pair(g, e, f):
+    """The global definition of a semiloop pair: f is e, or deleting e and
+    f from the underlying embedded graph raises k - γ.  The reference for
+    the ω-semiloop bit (f = σ_ω²(e)) and the ω²-semiloop bit (f =
+    σ_ω⁻¹(e))."""
+    if f == e:
+        return True
+    eg = rotation_system(g)
+    return eg.delete_edges({e, f}).k_minus_gamma() > eg.k_minus_gamma()
+
+
+def all_pairs_commute(g):
+    """Whether the two composite minors of commute_check agree for every
+    pair of distinct edges and every pair of reduction types."""
+    edges = g.sw.labels
+    return all(commute_check(g, e, mu, f, nu)[0]
+               for i, e in enumerate(edges) for f in edges[i + 1:]
+               for mu in ALL_MU for nu in ALL_MU)
+
+
+def totally_commutative_brute(g):
+    """The reference for is_totally_reduction_commutative: every labelled
+    minor of G (G included) passes all_pairs_commute, which compares the
+    composite minors of every pair directly."""
+    return all(all_pairs_commute(m) for _, m in _minors(g, lambda m: m))
+
+
+def random_maps(max_n=5, min_n=1):
     """Strategy: any pair of permutations of {0..n-1} is a valid map."""
     def build(n, rng1, rng2):
         sw = Perm(dict(zip(range(n), rng1)))
         sw2 = Perm(dict(zip(range(n), rng2)))
         return AltDimap(sw, sw2)
-    return st.integers(1, max_n).flatmap(
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.tuples(st.permutations(range(n)),
                             st.permutations(range(n))).map(
             lambda p: build(n, *p)))

@@ -31,7 +31,7 @@ from altdimaps.minors import (is_2_reduction_commutative, is_posy_union,
                               is_totally_reduction_commutative,
                               predict_commute)
 
-from conftest import maps_up_to, plane_suite
+from conftest import maps_up_to, plane_suite, totally_commutative_brute
 
 
 def report(label):
@@ -102,7 +102,7 @@ def test_criterion_3_commutativity():
         assert is_2_reduction_commutative(g) == pair_ok
         if g.edges:
             assert is_totally_reduction_commutative(g) == \
-                is_totally_reduction_commutative(g, brute=True)
+                totally_commutative_brute(g)
 
 
 @report("4 (genus)")

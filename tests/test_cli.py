@@ -72,6 +72,18 @@ def test_classify(capsys, posy_file):
     assert out.count("1+w+w2-semiloop") == 3
 
 
+def test_classify_single_kinds(capsys, tmp_path):
+    # one edge of each of the 1-loop, ω-loop, 1-semiloop and ω-semiloop
+    # kinds, none of them more than one kind
+    p = tmp_path / "m.map"
+    p.write_text("map m\nedges 0 1 2 3\nsigma_omega (0 1 2)\n"
+                 "sigma_omega2 (0 1)(2 3)\n")
+    rc, out, _ = run(capsys, "classify", str(p))
+    assert rc == 0
+    assert out.splitlines() == ["0\tw-semiloop", "1\t1-loop",
+                                "2\t1-semiloop", "3\tw-loop"]
+
+
 def test_commute(capsys, posy_file):
     rc, out, _ = run(capsys, "commute", posy_file, "--e", "0", "--mu", "1",
                      "--f", "1", "--nu", "w")

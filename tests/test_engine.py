@@ -2,7 +2,8 @@
 
 The engine classifies edges with the lazy EdgeClass and reduces with the
 kernel minors._reduce, which keeps the input numbering.  These tests hold
-it against eager copies of the map-level classification and engine that
+it against an eager map-level classification, its semiloop bits from the
+global definition (conftest.semiloop_pair), and the map-level engine that
 it replaced: the eight bits on every edge of every map with 1-6 edges, and
 T_c, T_i and extended_eval on every six-edge map in the default order.
 """
@@ -16,9 +17,9 @@ from altdimaps import (ExtendedParams, SIMPLE_FAMILIES, T_c, T_i,
                        classify_edge, extended_eval, invariants, reduce_map,
                        simple_tutte_eval)
 from altdimaps.catalog import free_loops
-from altdimaps.core import InvariantError, _pair_separates
+from altdimaps.core import InvariantError
 
-from conftest import maps_up_to
+from conftest import maps_up_to, semiloop_pair
 
 BITS = ("is_1_loop", "is_omega_loop", "is_omega2_loop", "is_ultraloop",
         "is_standard_loop", "is_1_semiloop", "is_omega_semiloop",
@@ -64,11 +65,9 @@ def eager_classify(g, e) -> EagerClass:
     star = next(c for c in g.s1.cycles() if e in c)
     standard = g.sw(e) in star  # head(e) == tail(e)
 
-    def semi(f):
-        return f == e or _pair_separates(*g.arrays, g.number(e), g.number(f))
-
     return EagerClass(l1, lw, lw2, l1 and lw and lw2, standard, standard,
-                      semi(g.sw2(e)), semi(g.sw.inv(e)))
+                      semiloop_pair(g, e, g.sw2(e)),
+                      semiloop_pair(g, e, g.sw.inv(e)))
 
 
 def map_level_recurse(g, order, cases, one, zero, name):

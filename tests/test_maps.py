@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 from altdimaps import (AltDimap, EMPTY_MAP, Perm, build_map, classify_edge,
                        map_from_rotations, map_stats, reflect,
                        rotation_system, trial, trial_power)
-from altdimaps.core import ALL_MU, _pair_separates, is_triloop, is_ultraloop
+from altdimaps.core import ALL_MU, MUW, MUW2, is_triloop, is_ultraloop
 from altdimaps.minors import reduce_map
 from altdimaps.catalog import (loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
 
-from conftest import maps_up_to, random_maps
+from conftest import maps_up_to, random_maps, semiloop_pair
 
 
 # -- the defining identity ---------------------------------------------------
@@ -144,22 +144,28 @@ def test_loop_bits_match_classify_edge():
 
 
 def test_local_semiloop_test_matches_global():
-    # the face count local to {e, f} against k - γ of the whole underlying
-    # embedded graph before and after deleting e and f, for both pairs the
-    # semiloop bits use
+    # the ω- and ω²-semiloop bits against k - γ of the whole underlying
+    # embedded graph before and after deleting e with its right successor
+    # σ_ω²(e) or its left successor σ_ω⁻¹(e)
     cases = 0
     for g in maps_up_to(6, n_min=1):
-        eg = rotation_system(g)
-        before = eg.k_minus_gamma()
         for e in g.edges:
-            for f in (g.sw2(e), g.sw.inv(e)):
-                if f == e:
-                    continue
-                cases += 1
-                after = eg.delete_edges({e, f}).k_minus_gamma()
-                assert _pair_separates(*g.arrays, g.number(e), g.number(f)) \
-                    == (after > before), (g, e, f)
+            c = classify_edge(g, e)
+            for mu, f in ((MUW, g.sw2(e)), (MUW2, g.sw.inv(e))):
+                cases += f != e
+                assert c.is_semiloop(mu) == semiloop_pair(g, e, f), (g, e, mu)
     assert cases == 10288
+
+
+@given(random_maps(max_n=12, min_n=7))
+def test_semiloop_bits_match_global_definition(g):
+    # larger maps than the exhaustive test: the 1-bit is head == tail, the
+    # others the rise of k - γ after deleting the pair
+    for e in g.edges:
+        c = classify_edge(g, e)
+        assert c.is_1_semiloop == (g.head(e) == g.tail(e))
+        for mu, f in ((MUW, g.sw2(e)), (MUW2, g.sw.inv(e))):
+            assert c.is_semiloop(mu) == semiloop_pair(g, e, f)
 
 
 def test_mismatched_domains_rejected():

@@ -12,7 +12,7 @@ from altdimaps.catalog import (digon_with_omega2_loop, free_loops, isomorphic,
                                posy, tricircuit, ultraloop, witness_a)
 from altdimaps.core import mu_inv, mu_mul
 
-from conftest import maps_up_to
+from conftest import all_pairs_commute, maps_up_to, totally_commutative_brute
 
 
 # -- single reductions -------------------------------------------------------
@@ -164,17 +164,13 @@ def test_2_commutative_matches_brute_pairs():
     # the named maps mix integer and string edge labels
     extra = [witness_a(), digon_with_omega2_loop(), tricircuit(2, 3, 1)]
     for g in maps_up_to(3, n_min=0) + extra:
-        edges = sorted(g.edges, key=repr)
-        brute = all(commute_check(g, e, mu, f, nu)[0]
-                    for i, e in enumerate(edges) for f in edges[i + 1:]
-                    for mu in range(3) for nu in range(3))
-        assert is_2_reduction_commutative(g) == brute
+        assert is_2_reduction_commutative(g) == all_pairs_commute(g)
 
 
 def test_totally_commutative_structural_matches_brute():
     for g in maps_up_to(3, n_min=1):
         assert is_totally_reduction_commutative(g) == \
-            is_totally_reduction_commutative(g, brute=True)
+            totally_commutative_brute(g)
 
 
 def test_totally_commutative_examples():
