@@ -10,15 +10,15 @@ of plane graphs, and the binary-function transform calculus.
 """
 
 from .core import (AltDimap, EMPTY_MAP, EdgeClass, InvariantError, MapStats,
-                   build_map, classify_edge, disjoint_union, map_from_rotations,
-                   map_stats, reflect, rotation_system, trial, trial_power)
+                   build_map, classify_edge, map_from_rotations, map_stats,
+                   reflect, rotation_system, trial, trial_power)
 from .perm import Perm
 from .embedded import EmbeddedGraph
 from .minors import (commute_check, genus_excluded_minor_test,
                      is_2_reduction_commutative, is_posy, is_posy_union,
                      is_totally_reduction_commutative, is_tricircuit,
                      minor_closure, predict_commute, reduce_map, reduce_seq,
-                     trimedial, triloops_cover_trimedial)
+                     trimedial)
 from .catalog import (canonical_code, enumerate_maps, isomorphic,
                       loop_star_1, loop_star_omega, loop_star_omega2,
                       posies, posy, tricircuit, ultraloop)

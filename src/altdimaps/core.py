@@ -4,7 +4,9 @@ An alternating dimap on an edge set E is a triple of permutations
 (s1, sw, sw2) of E satisfying s1(sw(sw2(e))) = e for every edge e.
 Cycles of s1 are in-stars (vertices), cycles of sw are anticlockwise
 faces (a-faces) and cycles of sw2 are clockwise faces (c-faces).
-Only (sw, sw2) is stored; s1 is derived from the triple identity.
+A map is built from (sw, sw2); s1 is derived from the triple identity.
+The kernels read the image triple (s1, sw, sw2), in which a trial map is
+a rotation (see rotate).
 """
 
 from __future__ import annotations
@@ -41,9 +43,16 @@ def closing(x: Perm, y: Perm) -> Perm:
                     tuple(map(x.img.__getitem__, y.img)))
 
 
+def rotate(t: Sequence, j: int) -> tuple:
+    """The triple of trial^j(G) from the triple t = (σ₁, σ_ω, σ_ω²) of G:
+    (t[−j], t[1−j], t[2−j]), indices mod 3."""
+    return t[-j % 3], t[(1 - j) % 3], t[(2 - j) % 3]
+
+
 class AltDimap:
     """An alternating dimap, stored as (sw, sw2) over one edge numbering;
-    s1 is derived lazily."""
+    s1 is derived on first use, unless the trial power or reduction that
+    made the map wrote it."""
 
     __slots__ = ("sw", "sw2", "_s1")
 
@@ -53,6 +62,14 @@ class AltDimap:
         self.sw = sigma_omega
         self.sw2 = sigma_omega2
         self._s1 = None
+
+    @classmethod
+    def _of(cls, s1: Perm, sw: Perm, sw2: Perm) -> "AltDimap":
+        """The map with the triple (s1, sw, sw2), unchecked: s1 must close
+        it."""
+        g = cls(sw, sw2)
+        g._s1 = s1
+        return g
 
     @property
     def s1(self) -> Perm:
@@ -73,10 +90,11 @@ class AltDimap:
         return f"AltDimap(sw={self.sw!r}, sw2={self.sw2!r})"
 
     @property
-    def arrays(self) -> Tuple[Tuple[int, ...], ...]:
-        """The image tuples of σ_ω, σ_ω⁻¹, σ_ω² and σ_ω²⁻¹ over the edge
-        numbers: the form the classification and reduction kernels read."""
-        return self.sw.img, self.sw.pre, self.sw2.img, self.sw2.pre
+    def triple(self) -> Tuple[Tuple[int, ...], ...]:
+        """The image tuples of σ₁, σ_ω and σ_ω² over the edge numbers: the
+        form the classification and reduction kernels read.  Each inverse
+        is a product of the other two: σ_ω⁻¹ = σ_ω²∘σ₁, and so on."""
+        return self.s1.img, self.sw.img, self.sw2.img
 
     @property
     def edges(self):
@@ -111,8 +129,9 @@ class AltDimap:
 
     def orbits(self) -> List[List[int]]:
         """Edge numbers of the connected components (orbits of <sw, sw2>),
-        each in breadth-first order under sw, sw⁻¹, sw2, sw2⁻¹."""
-        gens = self.arrays
+        each in breadth-first order under sw and sw2 (a finite orbit is
+        closed under the images alone)."""
+        gens = self.sw.img, self.sw2.img
         seen = [False] * len(gens[0])
         comps = []
         for root in range(len(seen)):
@@ -186,33 +205,18 @@ def trial(g: AltDimap) -> AltDimap:
 
     Edge ids are preserved; applying it three times is the identity.
     """
-    return AltDimap(g.s1, g.sw)
+    return trial_power(g, 1)
 
 
 def trial_power(g: AltDimap, j: int) -> AltDimap:
-    for _ in range(j % 3):
-        g = trial(g)
-    return g
+    """G^(ω^j): the triple of G rotated by j."""
+    return AltDimap._of(*rotate((g.s1, g.sw, g.sw2), j))
 
 
 def reflect(g: AltDimap) -> AltDimap:
     """Mirror image: reversing the surface orientation swaps clockwise and
     anticlockwise faces, giving the triple (s1⁻¹, sw2⁻¹, sw⁻¹)."""
     return AltDimap(g.sw2.inverse(), g.sw.inverse())
-
-
-def disjoint_union(a: AltDimap, b: AltDimap,
-                   relabel: bool = False) -> AltDimap:
-    """Disjoint union; edge sets must already be disjoint unless relabel is
-    set, in which case edges are renumbered 0..n-1 (a's edges first)."""
-    pairs = ((a.sw, b.sw), (a.sw2, b.sw2))
-    if relabel:
-        n = a.n_edges
-        joined = (p.img + tuple(n + j for j in q.img) for p, q in pairs)
-        return AltDimap(*(Perm(dict(enumerate(img))) for img in joined))
-    if a.edges & b.edges:
-        raise ValueError("edge sets overlap; pass relabel=True")
-    return AltDimap(*(Perm({**p.mapping(), **q.mapping()}) for p, q in pairs))
 
 
 # -- the underlying embedded graph -------------------------------------------
@@ -254,8 +258,9 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str
         if len(rot) % 2:
             raise ValueError(f"odd dart count at vertex {v!r}")
         kinds = [k for _, k in rot]
-        if len(set(kinds[0::2])) > 1 or len(set(kinds[1::2])) > 1 or kinds[0] == kinds[1]:
-            raise ValueError(f"darts do not alternate in/out at vertex {v!r}")
+        if kinds not in (["in", "out"] * (len(rot) // 2),
+                         ["out", "in"] * (len(rot) // 2)):
+            raise ValueError(f"darts do not alternate 'in'/'out' at vertex {v!r}")
         # rotate so the list starts with an incoming dart
         if kinds[0] == "out":
             rot = list(rot[1:]) + [rot[0]]
@@ -281,10 +286,9 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str
 
 # -- edge classification ------------------------------------------------------
 #
-# The kernels below read a map as the image and preimage tuples of σ_ω
-# (a, ai) and σ_ω² (b, bi) over its edge numbers; σ₁(x) is bi[ai[x]].  A
-# number fixed by all four tuples is a one-edge component, so a kernel
-# reads the same map whether or not such numbers are left in.
+# The kernels below read a map as the image triple t = (σ₁, σ_ω, σ_ω²) over
+# its edge numbers.  A number fixed by all three is a one-edge component,
+# so a kernel reads the same map whether or not such numbers are left in.
 
 
 def _cycle(img: Sequence[int], i: int) -> List[int]:
@@ -297,31 +301,31 @@ def _cycle(img: Sequence[int], i: int) -> List[int]:
 
 
 class EdgeClass:
-    """Loop/semiloop classification of edge number e of the map (a, ai,
-    b, bi).  The loop bits are computed at once, each semiloop bit on
+    """Loop/semiloop classification of edge number e of the map with image
+    triple t.  The loop bits are computed at once, each semiloop bit on
     first read.
 
-    With (p, q, r) the triple (σ₁, σ_ω, σ_ω²) rotated by μ, e is a μ-loop
-    when p(e) = e and a μ-semiloop when q(e) lies on the p-cycle of e.
-    For μ = 1 that is a standard loop, head(e) = tail(e).  Rotating the
-    triple is taking a trial map, so the rule obeys the trial law (the
-    μ-semiloops of G are the μω-semiloops of G^ω) by construction: e is
-    an ω-semiloop when σ_ω²(e) lies on its a-face and an ω²-semiloop when
-    σ₁(e) lies on its c-face.
+    e is a μ-loop when t[μ] fixes it.  A 1-semiloop is a standard loop,
+    head(e) = tail(e): σ_ω(e) lies on the σ₁-cycle of e.  The μ-semiloops
+    of G are the 1-semiloops of the trial map G^(ω^−μ), so the bit is that
+    one walk in its triple (p, q, r) = rotate(t, −μ): q(e) on the p-cycle
+    of e.  The trial law (the μ-semiloops of G are the μω-semiloops of
+    G^ω) thus holds by construction: e is an ω-semiloop when σ_ω²(e) lies
+    on its a-face and an ω²-semiloop when σ₁(e) lies on its c-face.
     """
 
     __slots__ = ("is_1_loop", "is_omega_loop", "is_omega2_loop",
-                 "is_ultraloop", "is_triloop", "_map", "_e", "_semi")
+                 "is_ultraloop", "is_triloop", "_t", "_e", "_semi")
 
-    def __init__(self, a: Sequence[int], ai: Sequence[int],
-                 b: Sequence[int], bi: Sequence[int], e: int):
-        l1, lw, lw2 = bi[ai[e]] == e, a[e] == e, b[e] == e
+    def __init__(self, t: Sequence[Sequence[int]], e: int):
+        s1, sw, sw2 = t
+        l1, lw, lw2 = s1[e] == e, sw[e] == e, sw2[e] == e
         if l1 + lw + lw2 == 2:  # any two force the third
             raise InvariantError("triple identity violated")
         self.is_1_loop, self.is_omega_loop, self.is_omega2_loop = l1, lw, lw2
         self.is_ultraloop = l1 and lw and lw2
         self.is_triloop = l1 or lw or lw2
-        self._map, self._e, self._semi = (a, ai, b, bi), e, [None] * 3
+        self._t, self._e, self._semi = t, e, [None] * 3
 
     def is_loop(self, mu: int) -> bool:
         return (self.is_1_loop, self.is_omega_loop, self.is_omega2_loop)[mu]
@@ -329,21 +333,12 @@ class EdgeClass:
     def is_semiloop(self, mu: int) -> bool:
         bit = self._semi[mu]
         if bit is None:
-            a, ai, b, bi = self._map
             e = self._e
-            # look for t = q(e) along p⁻¹ = q∘r from e; σ₁ is not stored,
-            # so for μ = 1 a step reads two tuples
-            if mu == MU1:
-                t, step = a[e], lambda x: a[b[x]]
-            elif mu == MUW:
-                t, step = b[e], ai.__getitem__
-            else:
-                t, step = bi[ai[e]], bi.__getitem__
-            x = step(e)
-            while x != t and x != e:
-                x = step(x)
-            bit = x == t
-            self._semi[mu] = bit
+            p, q, _ = rotate(self._t, -mu)
+            x, target = p[e], q[e]
+            while x != target and x != e:
+                x = p[x]
+            bit = self._semi[mu] = x == target
         return bit
 
     is_1_semiloop = property(lambda self: self.is_semiloop(MU1))
@@ -358,16 +353,6 @@ class EdgeClass:
         return not self.is_triloop and self.is_semiloop(mu)
 
 
-def is_triloop(g: AltDimap, e: Hashable) -> bool:
-    """Whether e is a 1-, ω- or ω²-loop: a fixed point of σ₁, σ_ω or σ_ω²."""
-    return g.s1(e) == e or g.sw(e) == e or g.sw2(e) == e
-
-
-def is_ultraloop(g: AltDimap, e: Hashable) -> bool:
-    """Whether e is fixed by all three permutations (a one-edge component)."""
-    return g.s1(e) == e and g.sw(e) == e and g.sw2(e) == e
-
-
 def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:
     """The EdgeClass of edge e of G (ValueError for an unknown edge)."""
-    return EdgeClass(*g.arrays, g.number(e))
+    return EdgeClass(g.triple, g.number(e))

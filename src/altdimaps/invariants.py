@@ -150,13 +150,14 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
     map is worth `one`; a row whose terms are all dropped is worth `zero`;
     an edge that no row accepts raises ValueError.
 
-    A state is the four tuples (σ_ω, σ_ω⁻¹, σ_ω², σ_ω²⁻¹) over G's edge
-    numbers, reduced by minors._reduce, which leaves a reduced edge fixed
-    by all four.  The recursion is swept level by level
-    (multigraph.sweep), level i holding the states met after i
-    reductions, which have exactly the edges order[i:]; so within a level
-    the images of σ_ω and σ_ω² fix the map, and states are merged on
-    them."""
+    A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers,
+    classified by EdgeClass and reduced by minors._reduce, which leaves a
+    reduced edge fixed by all three; both derive their three types from
+    one rule by rotating the triple (trial).  The recursion is swept
+    level by level (multigraph.sweep), level i holding the states met
+    after i reductions, which have exactly the edges order[i:]; so within
+    a level the images of σ_ω and σ_ω² fix the map, and states are merged
+    on them."""
     rem = list(map(g.number, _resolve_order(g, order)))
 
     def row(state: Tuple[Tuple[tuple, ...], int]):
@@ -164,15 +165,15 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
         if i == len(rem):
             return None
         e = rem[i]
-        c = EdgeClass(*s, e)
+        c = EdgeClass(s, e)
         terms = next((terms for test, terms in cases if test(c)), None)
         if terms is None:
             raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of the "
                              f"{name} recursion")
-        return [(coeff, (tuple(map(tuple, _reduce(*s, e, mu))), i + 1))
+        return [(coeff, (tuple(map(tuple, _reduce(s, e, mu))), i + 1))
                 for coeff, mu in terms if coeff is None or coeff]
 
-    return sweep((g.arrays, 0), lambda st: (st[0][0], st[0][2]), row, one, zero)
+    return sweep((g.triple, 0), lambda st: (st[0][1], st[0][2]), row, one, zero)
 
 
 def _no_semiloop(c: EdgeClass) -> bool:
@@ -326,11 +327,11 @@ def alt_c(p: PlaneGraph) -> AltDimap:
     return g
 
 
-def _renamed(sw: Perm, sw2: Perm, name: Callable[[Hashable], Hashable]) -> AltDimap:
+def _renamed(sw: Perm, sw2: Perm, names: Sequence[Hashable], labels: tuple,
+             index: Dict[Hashable, int]) -> AltDimap:
     """The map (sw, sw2), two permutations of one edge numbering, with
-    each edge label l renamed name(l)."""
-    names = [name(l) for l in sw.labels]
-    labels, index = numbering(names)
+    edge number k renamed names[k], over the numbering (labels, index) of
+    the new names."""
     new = list(map(index.__getitem__, names))  # old edge number -> new
 
     def renamed(q: Perm) -> Perm:
@@ -348,7 +349,9 @@ def alt_a(p: PlaneGraph) -> AltDimap:
     (e, '-') swapped: each dart then expands clockwise to [incoming,
     outgoing]."""
     g = alt_c(p)
-    return _renamed(g.sw2, g.sw, lambda l: (l[0], "-" if l[1] == "+" else "+"))
+    # the new names are alt_c's own labels, so its numbering serves
+    names = [(e, "-" if s == "+" else "+") for e, s in g.sw.labels]
+    return _renamed(g.sw2, g.sw, names, g.sw.labels, g.sw.index)
 
 
 def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
@@ -365,4 +368,5 @@ def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
         raise ValueError("orientation_choice must be 0 or 1")
     h = reflect(trial(alt_c(p)))
     pair = (h.sw, h.sw2) if orientation_choice else (h.sw2, h.sw)
-    return _renamed(*pair, lambda l: (l[0], int(l[1] == "+")))
+    names = [(e, int(s == "+")) for e, s in h.sw.labels]
+    return _renamed(*pair, names, *numbering(names))

@@ -5,49 +5,41 @@ from __future__ import annotations
 from typing import (Callable, Hashable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
-from .core import (ALL_MU, MU1, MUW, AltDimap, InvariantError,
-                   is_triloop, is_ultraloop, map_stats)
+from .core import (ALL_MU, MU1, AltDimap, InvariantError, map_stats,
+                   rotate)
 from .multigraph import Multigraph
 from .perm import Perm
 
 
-def _reduce(a: Sequence[int], ai: Sequence[int], b: Sequence[int],
-            bi: Sequence[int], i: int, mu: int) -> Tuple[List[int], ...]:
-    """The minor G[mu]i of the map whose σ_ω and σ_ω² have the image and
-    preimage arrays (a, ai) and (b, bi), as four new lists over the same
-    numbering: edge i becomes a fixed point of all four, so the numbers
-    of the other edges are kept.
+def _reduce(t: Sequence[Sequence[int]], i: int,
+            mu: int) -> Tuple[List[int], ...]:
+    """The minor G[mu]i of the map with image triple t = (σ₁, σ_ω, σ_ω²),
+    as the triple of new lists over the same numbering: edge i becomes a
+    fixed point of all three, so the numbers of the other edges are kept.
 
-    For a triloop all three reductions coincide: the edge is simply
-    deleted by the splice of the 1-reduction (an ultraloop's whole one-edge
-    component disappears).  Otherwise the appropriate rewiring is applied
-    around i.
+    By triality G[ω^μ]i is trial^−μ(trial^μ(G)[1]i), so every type is
+    the splice of the 1-reduction in the triple (p, q, r) = rotate(t, μ)
+    of trial^μ(G), rotated back: i leaves its q-cycle and its r-cycle,
+    and p, which closes the triple, is rewritten at the points where q∘r
+    changed.  For a triloop the three types give one map: the splice
+    deletes the edge (an ultraloop's whole one-edge component
+    disappears).  The preimages come from the triple identity p∘q∘r =
+    id: q⁻¹ = r∘p and r⁻¹ = p∘q.
     """
-    a, ai, b, bi = list(a), list(ai), list(b), list(bi)
-    # σ_ω⁻¹(i), σ_ω(i), σ_ω²⁻¹(i), σ_ω²(i), σ₁(i) and σ₁⁻¹(i)
-    p, s, q, t = ai[i], a[i], bi[i], b[i]
-    r, u = bi[p], a[t]
-    triloop = s == i or t == i or r == i
-    # the rewired pairs x -> y of σ_ω and of σ_ω²
-    if triloop or mu == MU1:
-        # splice i out of both its a-face and its c-face
-        wa, wb = ((p, s),), ((q, t),)
-    elif mu == MUW:
-        wa, wb = ((p, s),), ((q, p), (r, t))
-    else:
-        wa, wb = ((p, u), (t, s)), ((q, t),)
-    for img, pre, pairs in ((a, ai, wa), (b, bi, wb)):
-        for x, y in pairs:
-            img[x] = y
-            pre[y] = x
-
-    # cross-check the in-star: the minor's s1(x) == y iff sw⁻¹(x) == sw2(y)
-    checks = ((u, q), (s, r)) if mu == MU1 else ((u, r),)
-    if not triloop and any(ai[x] != b[y] for x, y in checks):
-        raise InvariantError(f"reducing edge number {i} by type {mu} "
-                             "broke its in-star")
-    a[i] = ai[i] = b[i] = bi[i] = i
-    return a, ai, b, bi
+    p, q, r = map(list, rotate(t, mu))
+    pi, qpre, rpre = p[i], r[p[i]], p[q[i]]
+    # r⁻¹(i) and p(i) = r⁻¹(q⁻¹(i)) are the numbers x ≠ i whose q(r(x))
+    # the splice can change; the splice trusts p∘q∘r = id there and at i
+    if (p[q[r[i]]], p[q[r[rpre]]], p[q[r[pi]]]) != (i, rpre, pi):
+        raise InvariantError(f"reducing edge number {i} by type {mu}: "
+                             "the triple does not close around it")
+    q[qpre], r[rpre] = q[i], r[i]
+    q[i] = r[i] = i
+    for x in (rpre, pi):
+        if x != i:
+            p[q[r[x]]] = x
+    p[i] = i
+    return rotate((p, q, r), -mu)
 
 
 def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
@@ -55,17 +47,16 @@ def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     i = g.number(e)
     if mu not in ALL_MU:
         raise ValueError(f"unknown reduction type {mu!r}")
-    reduced = _reduce(*g.arrays, i, mu)
+    reduced = _reduce(g.triple, i, mu)
     # drop number i: the numbers above it move down by one
     n = len(reduced[0])
     renumber = [*range(i), None, *range(i, n - 1)].__getitem__
     for x in reduced:
         del x[i]
-    a, ai, b, bi = [tuple(map(renumber, x)) for x in reduced]
     labels = g.sw.labels[:i] + g.sw.labels[i + 1:]
     index = dict(zip(labels, range(n - 1)))
-    return AltDimap(Perm._of(labels, index, a, ai),
-                    Perm._of(labels, index, b, bi))
+    return AltDimap._of(*(Perm._of(labels, index, tuple(map(renumber, x)))
+                          for x in reduced))
 
 
 def reduce_seq(g: AltDimap,
@@ -118,14 +109,13 @@ def predict_commute(g: AltDimap, e: Hashable, mu: int,
         raise ValueError("need two distinct edges")
     if mu == nu:
         return True
-    if is_ultraloop(g, e) or is_ultraloop(g, f):
+    t = g.triple
+    if any(t[1][x] == x == t[2][x] for x in (i, j)):  # an ultraloop
         return True
-    triple = (g.s1.img, g.sw.img, g.sw2.img)
     for (x, mx), (y, my) in (((i, mu), (j, nu)), ((j, nu), (i, mu))):
         if my == (mx + 1) % 3:
-            # the trial power mx turns the pattern into {[1]x, [ω]y}: its
-            # triple (σ₁, σ_ω, σ_ω²) is G's rotated back by mx
-            s1, sw, sw2 = triple[-mx], triple[1 - mx], triple[2 - mx]
+            # the trial power mx turns the pattern into {[1]x, [ω]y}
+            s1, sw, sw2 = rotate(t, mx)
             if sw[x] == y:
                 return _exceptional_pair_commutes(s1, sw, sw2, x, y)
     return True
@@ -155,30 +145,19 @@ def trimedial(g: AltDimap) -> Multigraph:
     return Multigraph(g.edges, [(n, x, y) for n, (x, y) in enumerate(pairs)])
 
 
-def triloops_cover_trimedial(g: AltDimap) -> bool:
-    """Whether the triloops form a vertex cover of the trimedial graph.
-    This is the generic criterion for every pair of reductions to commute,
-    but on degenerate maps it is neither sufficient nor necessary: some
-    covered maps contain a non-commuting pair of loop reductions, and some
-    uncovered maps (e.g. the genus-one posy) are fully commutative.  Use
-    is_2_reduction_commutative for the exact property."""
-    tri = trimedial(g)
-    triloops = {e for e in g.edges if is_triloop(g, e)}
-    return all(u in triloops or v in triloops for _, u, v in tri.edges)
-
-
 def is_2_reduction_commutative(g: AltDimap) -> bool:
     """Whether every pair of single reductions on G commutes.
 
     predict_commute can return False only for a pair {[mx]x, [mx+1]y}
-    with y = σ_ω(x) in G's triple rotated back by the trial power mx, that
-    is y = σ_ω(x), σ₁(x) or σ_ω²(x) for mx = 0, 1, 2.  So only the pairs
-    (x, y) with x not fixed by that permutation are asked: at most 3E
-    calls instead of 9·C(E, 2), with the same answer as asking every pair.
+    with y = σ_ω(x) in the triple of the trial power mx, rotate(t, mx),
+    that is y = σ_ω(x), σ₁(x) or σ_ω²(x) for mx = 0, 1, 2.  So only the
+    pairs (x, y) with x not fixed by that permutation are asked: at most
+    3E calls instead of 9·C(E, 2), with the same answer as asking every
+    pair.
     """
-    triple, labels = (g.s1.img, g.sw.img, g.sw2.img), g.sw.labels
+    t, labels = g.triple, g.sw.labels
     return all(predict_commute(g, labels[x], mx, labels[y], (mx + 1) % 3)
-               for mx in ALL_MU for x, y in enumerate(triple[1 - mx])
+               for mx in ALL_MU for x, y in enumerate(rotate(t, mx)[1])
                if x != y)
 
 
@@ -230,9 +209,11 @@ def _minors(g: AltDimap, key: Callable[[AltDimap], Hashable],
             continue
         seen.add(k)
         yield k, m
-        for e in m.sw.labels if m.n_edges > floor else ():
-            types = (MU1,) if is_triloop(m, e) else ALL_MU
-            stack += (reduce_map(m, e, mu) for mu in types)
+        if m.n_edges > floor:
+            t = m.triple
+            for i, e in enumerate(m.sw.labels):
+                types = (MU1,) if any(p[i] == i for p in t) else ALL_MU
+                stack += (reduce_map(m, e, mu) for mu in types)
 
 
 def is_totally_reduction_commutative(g: AltDimap) -> bool:

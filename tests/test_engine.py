@@ -1,11 +1,12 @@
 """Differential tests of the recursion engine on int-tuple states.
 
-The engine classifies edges with the lazy EdgeClass and reduces with the
-kernel minors._reduce, which keeps the input numbering.  These tests hold
-it against an eager map-level classification, its semiloop bits from the
-global definition (conftest.semiloop_pair), and the map-level engine that
-it replaced: the eight bits on every edge of every map with 1-6 edges, and
-T_c, T_i and extended_eval on every six-edge map in the default order.
+The engine's state is the image triple (σ₁, σ_ω, σ_ω²).  It classifies
+edges with the lazy EdgeClass and reduces with the kernel minors._reduce,
+which keeps the input numbering.  These tests hold it against an eager
+map-level classification, its semiloop bits from the global definition
+(conftest.semiloop_pair), and the map-level engine that it replaced: the
+eight bits on every edge of every map with 1-6 edges, and T_c, T_i and
+extended_eval on every six-edge map in the default order.
 """
 
 from dataclasses import dataclass
@@ -134,7 +135,7 @@ def _value(recursion, g):
 
 
 def test_memo_tells_reduced_edges_from_ultraloops():
-    # a reduced edge and a live ultraloop are both fixed by all four
+    # a reduced edge and a live ultraloop are both fixed by all three
     # tuples; only the depth in the memo key tells them apart.  The states
     # of free_loops(k) form one chain, so its memo is never read at another
     # depth; maps whose rows branch are needed as well (without the depth,

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from altdimaps import (AltDimap, EMPTY_MAP, Perm, build_map, classify_edge,
                        map_from_rotations, map_stats, reflect,
                        rotation_system, trial, trial_power)
-from altdimaps.core import ALL_MU, MUW, MUW2, is_triloop, is_ultraloop
+from altdimaps.core import ALL_MU, MUW, MUW2
 from altdimaps.minors import reduce_map
 from altdimaps.catalog import (loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
@@ -135,14 +135,6 @@ def test_classify_posy_all_semiloops_no_loops():
         assert c.is_1_semiloop and c.is_omega_semiloop and c.is_omega2_semiloop
 
 
-def test_loop_bits_match_classify_edge():
-    for g in maps_up_to(5):
-        for e in g.edges:
-            c = classify_edge(g, e)
-            assert is_triloop(g, e) == c.is_triloop
-            assert is_ultraloop(g, e) == c.is_ultraloop
-
-
 def test_local_semiloop_test_matches_global():
     # the ω- and ω²-semiloop bits against k - γ of the whole underlying
     # embedded graph before and after deleting e with its right successor
@@ -166,6 +158,13 @@ def test_semiloop_bits_match_global_definition(g):
         assert c.is_1_semiloop == (g.head(e) == g.tail(e))
         for mu, f in ((MUW, g.sw2(e)), (MUW2, g.sw.inv(e))):
             assert c.is_semiloop(mu) == semiloop_pair(g, e, f)
+
+
+def test_map_from_rotations_rejects_unknown_dart_kinds():
+    for rot in ([("a", "in"), ("a", "sideways")], [("a", "IN"), ("a", "OUT")],
+                [("a", "out"), ("b", "in"), ("b", "out"), ("a", "out")]):
+        with pytest.raises(ValueError, match="'v'"):
+            map_from_rotations({"v": rot})
 
 
 def test_mismatched_domains_rejected():

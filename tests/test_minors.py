@@ -10,7 +10,8 @@ from altdimaps import (classify_edge, commute_check, is_posy, is_posy_union,
 from altdimaps.catalog import (digon_with_omega2_loop, free_loops, isomorphic,
                                loop_star_1, loop_star_omega, loop_star_omega2,
                                posy, tricircuit, ultraloop, witness_a)
-from altdimaps.core import mu_inv, mu_mul
+from altdimaps.core import InvariantError, mu_inv, mu_mul
+from altdimaps.minors import _reduce
 
 from conftest import all_pairs_commute, maps_up_to, totally_commutative_brute
 
@@ -37,6 +38,19 @@ def test_reduce_rejects_unknown_type():
         for mu in (7, -1, "1", None):
             with pytest.raises(ValueError):
                 reduce_map(g, e, mu)
+
+
+def test_reduce_kernel_checks_the_triple_identity():
+    # the kernel splices in the frame of the trial power mu and trusts
+    # p∘q∘r = id around the edge; a σ₁ that does not close the triple of
+    # the 1-posy (here the identity) is caught for every edge and type
+    s1, sw, sw2 = posy(1).triple
+    assert s1 == sw == sw2 == (1, 2, 0)
+    for i in range(3):
+        for mu in range(3):
+            _reduce((s1, sw, sw2), i, mu)
+            with pytest.raises(InvariantError):
+                _reduce(((0, 1, 2), sw, sw2), i, mu)
 
 
 def test_predict_commute_rejects_unknown_types_and_edges():

@@ -63,7 +63,7 @@ def dfs_recurse(g, order, cases, one, zero, name):
         if i == len(rem):
             return one
         e = rem[i]
-        c = EdgeClass(*s, e)
+        c = EdgeClass(s, e)
         terms = next((terms for test, terms in cases if test(c)), None)
         if terms is None:
             raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of the "
@@ -72,12 +72,12 @@ def dfs_recurse(g, order, cases, one, zero, name):
         for coeff, mu in terms:
             if coeff is not None and not coeff:
                 continue
-            sub = yield tuple(map(tuple, _reduce(*s, e, mu))), i + 1
+            sub = yield tuple(map(tuple, _reduce(s, e, mu))), i + 1
             term = sub if coeff is None else coeff * sub
             total = term if total is None else total + term
         return zero if total is None else total
 
-    return evaluate((g.arrays, 0), lambda st: (st[1], st[0][0], st[0][2]), row)
+    return evaluate((g.triple, 0), lambda st: (st[1], st[0][1], st[0][2]), row)
 
 
 def dfs_tutte_poly(g):
