@@ -5,8 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .core import (MUW, MUW2, AltDimap, EMPTY_MAP, build_map, closing,
-                   map_from_rotations, reflect)
+from .core import MUW, MUW2, AltDimap, EMPTY_MAP, build_map, closing, reflect
 from .perm import Perm, numbering
 
 
@@ -241,21 +240,16 @@ def tricircuit(p: int, q: int, r: int) -> AltDimap:
         if q + r == 1:
             return ultraloop()
         return loop_star_omega(q) if q else loop_star_omega2(r)
-    # Build the rotation at the glue vertex x explicitly: reading
-    # clockwise, the incoming circuit edge, then the ω²-loops (each out
-    # dart immediately before its in dart), then the outgoing circuit
-    # edge, then the ω-loops (each in dart immediately before its out
-    # dart).  Darts alternate in/out throughout.
-    x_rot: List[Tuple[Hashable, str]] = [(p - 1, "in")]
-    for j in range(r):
-        x_rot += [(("c", j), "out"), (("c", j), "in")]
-    x_rot.append((0, "out"))
-    for i in range(q):
-        x_rot += [(("w", i), "in"), (("w", i), "out")]
-    rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {"x": x_rot}
-    for i in range(p - 1):
-        rotations[("v", i)] = [(i, "in"), (i + 1, "out")]
-    return map_from_rotations(rotations)
+    # σ_ω is one a-face: the circuit backwards with the ω²-loops c spliced
+    # in between edges 0 and p - 1; σ_ω² is one c-face: the circuit
+    # forwards with the ω-loops w spliced in between p - 1 and 0.  Each
+    # loop is a 1-face of the other permutation, so the two kinds lie on
+    # opposite sides of the circuit at its glue vertex.
+    circuit = list(range(p))
+    w = [("w", i) for i in range(q)]
+    c = [("c", j) for j in range(r)]
+    return build_map(circuit + w + c, [c[:1] + circuit[::-1] + c[:0:-1]],
+                     [w[:1] + circuit + w[:0:-1]])
 
 
 def digon_with_omega2_loop() -> AltDimap:

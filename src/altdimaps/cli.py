@@ -24,7 +24,7 @@ from .multigraph import tutte_poly
 from .textio import (edge_class_summary, export_dot, export_json, parse_map,
                      parse_plane_graph, serialize_map)
 
-MU_CHOICES = ["1", "w", "w2"]
+MU_CHOICES = list(MU_BY_NAME)
 
 # The tutte command's oracle cap.  With frontier orders the slowest plane
 # graph measured just above it, the triangulated 4×6 grid (53 edges),
@@ -64,7 +64,10 @@ def _json_complex(v) -> complex:
 def _bf_from_json(text: str) -> BinFn:
     """A document {"ground": [label, ...], "values": [value, ...]} whose
     labels are JSON scalars."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("a binary function is a JSON object")
     ground, values = doc["ground"], doc["values"]

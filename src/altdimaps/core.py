@@ -21,7 +21,7 @@ from .perm import Perm, numbering
 # 0 ↔ 1, 1 ↔ ω, 2 ↔ ω².
 MU1, MUW, MUW2 = 0, 1, 2
 ALL_MU = (MU1, MUW, MUW2)
-MU_BY_NAME = {"1": MU1, "omega": MUW, "omega2": MUW2, "w": MUW, "w2": MUW2}
+MU_BY_NAME = {"1": MU1, "w": MUW, "w2": MUW2}
 
 
 def mu_mul(a: int, b: int) -> int:

@@ -17,6 +17,9 @@ class EmbeddedGraph:
     def __init__(self, vertices: Iterable[Hashable],
                  rotations: Mapping[Hashable, Sequence[Dart]]):
         self.vertices = frozenset(vertices)
+        for v in rotations:
+            if v not in self.vertices:
+                raise ValueError(f"rotation given at {v!r}, which is not a vertex")
         self.rotations: Dict[Hashable, Tuple[Dart, ...]] = {
             v: tuple(rotations.get(v, ())) for v in self.vertices
         }
@@ -115,15 +118,8 @@ class EmbeddedGraph:
         return chi // 2
 
     def genus(self) -> int:
+        """The total genus: the sum of the components' genera."""
         g = len(self.components()) - self.k_minus_gamma()
         if g < 0:
             raise ValueError("negative genus; invalid embedding")
         return g
-
-    def component_genus(self) -> Dict[frozenset, int]:
-        """Genus of each connected component."""
-        out = {}
-        for comp in self.components():
-            rot = {v: self.rotations[v] for v in comp}
-            out[comp] = EmbeddedGraph(comp, rot).genus()
-        return out

@@ -15,8 +15,7 @@ from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
-                   InvariantError, map_from_rotations, map_stats, reflect,
-                   trial)
+                   InvariantError, build_map, map_stats, reflect, trial)
 from .embedded import EmbeddedGraph
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
@@ -277,13 +276,13 @@ def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:
 # -- plane graphs and the alt constructions ---------------------------------------
 
 class PlaneGraph:
-    """An embedded undirected graph whose every component has genus 0."""
+    """An embedded undirected graph whose every component has genus 0:
+    its total genus, the sum of the components' genera, is 0."""
 
     def __init__(self, graph: EmbeddedGraph):
-        for comp, gam in graph.component_genus().items():
-            if gam != 0:
-                raise ValueError(f"component {sorted(comp, key=repr)} has "
-                                 f"genus {gam}; not plane")
+        gam = graph.genus()
+        if gam:
+            raise ValueError(f"total genus {gam}; not plane")
         self.graph = graph
 
     @classmethod
@@ -302,28 +301,24 @@ def alt_c(p: PlaneGraph) -> AltDimap:
     """Each edge becomes a clockwise directed 2-face; the original faces
     become the anticlockwise faces (cf = |E|, af = |F|).
 
-    Every undirected edge is replaced by an antiparallel directed pair:
-    edge e gains directed edges (e, '+') (away from dart (e, 0)) and
-    (e, '-') (the reverse).  At a vertex, each dart expands clockwise to
-    [outgoing, incoming]."""
+    Every undirected edge e is replaced by an antiparallel directed pair,
+    (e, '+') leaving through dart (e, 0) and (e, '-') leaving through
+    dart (e, 1); naming each dart by its leaving edge, σ_ω² is the
+    2-cycles {(e, '+'), (e, '-')} and σ_ω is each traced face of P read
+    backwards."""
     eg = p.graph
-    rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
-    for v, rot in eg.rotations.items():
-        out: List[Tuple[Hashable, str]] = []
-        for (e, end) in rot:
-            leave = (e, "+") if end == 0 else (e, "-")
-            enter = (e, "-") if end == 0 else (e, "+")
-            out += [(leave, "out"), (enter, "in")]
-        rotations[v] = out
-    g = map_from_rotations(rotations)
+    faces = eg.trace_faces()
+    g = build_map([(e, s) for e in eg.edges for s in "+-"],
+                  [[(e, "+-"[end]) for e, end in reversed(f)] for f in faces],
+                  [((e, "+"), (e, "-")) for e in eg.edges])
     st = map_stats(g)
     # a vertex without darts bounds a face of its own but gives the map
     # no vertex, so it is left out of the face identity
-    n_e, n_f = len(eg.edges), sum(1 for f in eg.trace_faces() if f)
+    n_e, n_f = len(eg.edges), sum(1 for f in faces if f)
     if st.n_c_faces != n_e or st.n_a_faces != n_f:
         raise InvariantError("doubled map fails the face-count identities")
-    if st.genus != eg.genus():
-        raise InvariantError("doubled map changed the genus")
+    if st.genus != 0:
+        raise InvariantError("doubled map of a plane graph is not plane")
     return g
 
 

@@ -73,15 +73,10 @@ class Perm:
         return p
 
     @classmethod
-    def from_cycles(cls, points: Iterable[Point],
-                    cycles: Iterable[Tuple[Point, ...]]) -> "Perm":
-        """Build from disjoint cycles; points not mentioned are fixed."""
-        return cls._on_cycles(*numbering(points), cycles)
-
-    @classmethod
     def _on_cycles(cls, labels: tuple, index: Dict[Point, int],
                    cycles: Iterable[Tuple[Point, ...]]) -> "Perm":
-        """from_cycles over a given numbering of the points."""
+        """The permutation with the given disjoint cycles over the numbering
+        (labels, index) of its points; points not mentioned are fixed."""
         moved: Dict[Point, Point] = {}
         count = 0
         for cyc in map(tuple, cycles):

@@ -12,7 +12,8 @@ cycles may appear on one line; fixed points are omitted.  A label is
 written as its ``str``, with whitespace, ``(``, ``)``, ``#`` and ``%``
 percent-encoded (``('a', '+')`` becomes ``%28'a',%20'+'%29``), and read
 back decoded, so every label reads back as one string (labels with one
-``str``, such as ``1`` and ``'1'``, cannot be written).  Only the two
+``str``, such as ``1`` and ``'1'``, cannot be written).  The map name
+is written the same way, as one token.  Only the two
 permutations sigma_omega and sigma_omega2 are stored; sigma_1 is always
 derived, so a document can never hold an inconsistent triple.
 
@@ -141,9 +142,14 @@ def _escape(match) -> str:
     return quote(match.group(), safe="")
 
 
+def _token(x) -> str:
+    """str(x) as one document token (see the module docstring)."""
+    return _RESERVED.sub(_escape, str(x))
+
+
 def _tokens(g: AltDimap) -> Dict:
-    """Each edge label as one document token (see the module docstring)."""
-    tokens = {e: _RESERVED.sub(_escape, str(e)) for e in g.edges}
+    """Each edge label as one document token."""
+    tokens = {e: _token(e) for e in g.edges}
     if len(set(tokens.values())) < len(tokens):
         raise ValueError("two edge labels have the same str; cannot write them")
     return tokens
@@ -163,10 +169,11 @@ def _cycles_text(perm, tokens: Dict) -> str:
 
 def serialize_map(g: AltDimap, name: str = "m") -> str:
     """Emit the canonical document: cycles sorted by least element,
-    fixed points omitted, one permutation per line."""
+    fixed points omitted, one permutation per line.  The name is written
+    as one token, escaped as the labels are."""
     edges = sorted(g.edges, key=str)
     tokens = _tokens(g)
-    return (f"map {name}\n"
+    return (f"map {_token(name)}\n"
             f"edges {' '.join(map(tokens.get, edges))}\n"
             f"sigma_omega {_cycles_text(g.sw, tokens)}\n"
             f"sigma_omega2 {_cycles_text(g.sw2, tokens)}\n")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altdimaps import (AltDimap, Perm, canonical_code, enumerate_maps,
-                       isomorphic, map_stats, trial)
+                       isomorphic, map_from_rotations, map_stats, trial)
 from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
                                loop_star_1, loop_star_omega,
                                loop_star_omega2, posies, posy, tricircuit,
@@ -96,6 +96,32 @@ def test_tricircuit_grid_recognized():
                 g = tricircuit(p, q, r)
                 if g.edges:
                     assert is_tricircuit(g), (p, q, r)
+
+
+def rotation_tricircuit(p, q, r):
+    """The tricircuit with p >= 1, built from its rotation system as the
+    library built it before: reading clockwise at the glue vertex x, the
+    incoming circuit edge, then the ω²-loops (each out dart immediately
+    before its in dart), then the outgoing circuit edge, then the ω-loops
+    (each in dart immediately before its out dart)."""
+    x_rot = [(p - 1, "in")]
+    for j in range(r):
+        x_rot += [(("c", j), "out"), (("c", j), "in")]
+    x_rot.append((0, "out"))
+    for i in range(q):
+        x_rot += [(("w", i), "in"), (("w", i), "out")]
+    rotations = {"x": x_rot}
+    for i in range(p - 1):
+        rotations[("v", i)] = [(i, "in"), (i + 1, "out")]
+    return map_from_rotations(rotations)
+
+
+def test_tricircuit_equals_the_rotation_build():
+    for p in range(1, 7):
+        for q in range(6):
+            for r in range(6):
+                g, want = tricircuit(p, q, r), rotation_tricircuit(p, q, r)
+                assert g == want, (p, q, r)
 
 
 def test_tricircuit_rejects_negative():

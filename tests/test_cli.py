@@ -261,6 +261,15 @@ def test_binfn_malformed_json_exit_code(capsys, tmp_path, doc):
     assert rc == 1 and out == "" and err.startswith("error: ")
 
 
+def test_binfn_deeply_nested_json_exit_code(capsys, tmp_path):
+    # json.loads raises RecursionError, not a JSONDecodeError, on deep nesting
+    vec = tmp_path / "deep.json"
+    vec.write_text("[" * 100000 + "]" * 100000)
+    rc, out, err = run(capsys, "binfn", "transform", str(vec), "--mu", "w")
+    assert rc == 1 and out == "" and err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_domain_error_exit_code(capsys, posy_file):
     rc, _, err = run(capsys, "reduce", posy_file, "--edge", "zzz", "--mu", "1")
     assert rc == 1 and "error:" in err

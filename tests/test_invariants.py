@@ -367,6 +367,29 @@ def medial_alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
     return g
 
 
+# -- the hand-built clockwise doubling: the reference for alt_c -----------------
+#
+# The library reads alt_c off the traced faces of P; this is the rotation
+# expansion that built it before, unchanged.
+
+def doubled_alt_c(p: PlaneGraph) -> AltDimap:
+    """Replace every undirected edge by an antiparallel directed pair.
+
+    Edge e gains directed edges (e, '+') (away from dart (e, 0)) and
+    (e, '-') (the reverse).  At a vertex, each dart expands clockwise to
+    [outgoing, incoming]."""
+    eg = p.graph
+    rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
+    for v, rot in eg.rotations.items():
+        out: List[Tuple[Hashable, str]] = []
+        for (e, end) in rot:
+            leave = (e, "+") if end == 0 else (e, "-")
+            enter = (e, "-") if end == 0 else (e, "+")
+            out += [(leave, "out"), (enter, "in")]
+        rotations[v] = out
+    return map_from_rotations(rotations)
+
+
 # -- the hand-built anticlockwise doubling: the reference for alt_a -------------
 #
 # The library derives alt_a from alt_c by exchanging σ_ω and σ_ω² and
@@ -417,6 +440,12 @@ def test_alt_i_equals_the_medial_orientation():
             assert g == want
 
 
+def test_alt_c_equals_the_clockwise_doubling():
+    for p in _alt_i_graphs():
+        g, want = alt_c(p), doubled_alt_c(p)
+        assert g == want
+
+
 def test_alt_a_equals_the_anticlockwise_doubling():
     graphs = _alt_i_graphs()
     assert len(graphs) == 606
@@ -445,15 +474,36 @@ def test_medial_is_4_regular(suite):
         assert all(len(rot) == 4 for rot in m.rotations.values()), name
 
 
-def test_plane_graph_rejects_positive_genus():
-    # K4 drawn with a non-planar rotation system
-    with pytest.raises(ValueError):
-        PlaneGraph.from_rotations({
-            "a": [("e1", 0), ("e2", 0), ("e3", 0)],
-            "b": [("e1", 1), ("e4", 0), ("e5", 0)],
-            "c": [("e2", 1), ("e6", 0), ("e4", 1)],
-            "d": [("e3", 1), ("e6", 1), ("e5", 1)],
-        })
+# K4 drawn with a non-planar rotation system
+K4_TORUS = {
+    "a": [("e1", 0), ("e2", 0), ("e3", 0)],
+    "b": [("e1", 1), ("e4", 0), ("e5", 0)],
+    "c": [("e2", 1), ("e6", 0), ("e4", 1)],
+    "d": [("e3", 1), ("e6", 1), ("e5", 1)],
+}
+
+
+def test_plane_graph_rejects_positive_genus(suite):
+    with pytest.raises(ValueError, match="not plane"):
+        PlaneGraph.from_rotations(K4_TORUS)
+    # one non-plane component makes the whole graph non-plane
+    triangle = suite["triangle"].graph.rotations
+    with pytest.raises(ValueError, match="total genus 1"):
+        PlaneGraph.from_rotations({**K4_TORUS, **triangle})
+
+
+def test_plane_graph_accepts_plane_components(suite):
+    theta = {("t", v): [(("t", e), end) for e, end in rot]
+             for v, rot in suite["theta"].graph.rotations.items()}
+    p = PlaneGraph.from_rotations({**suite["triangle"].graph.rotations, **theta,
+                                   "lone": []})
+    assert len(p.graph.components()) == 3
+    assert map_stats(alt_c(p)).genus == 0
+
+
+def test_embedded_graph_rejects_rotations_off_its_vertices():
+    with pytest.raises(ValueError, match="'w'"):
+        EmbeddedGraph(["u"], {"u": [], "w": [("a", 0), ("a", 1)]})
 
 
 def test_T_i_rejects_pure_proper_1_semiloop():

@@ -27,3 +27,14 @@ def test_internal_checks_raise_invariant_error():
              if isinstance(node, ast.Raise) and node.exc is not None
              and "AssertionError" in ast.unparse(node.exc)]
     assert found == []
+
+
+def test_only_core_parses_rotations():
+    # library maps are built from their cycles (build_map); the dart-kind
+    # rotation format is parsed by core.map_from_rotations alone
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "core.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and "map_from_rotations" in ast.unparse(node.func)]
+    assert found == []

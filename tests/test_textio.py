@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from altdimaps import (AltDimap, DocumentError, Perm, alt_a, alt_c, alt_i,
                        build_map, edge_class_summary, export_dot,
@@ -96,6 +96,18 @@ def test_serialize_parse_is_relabelling(g, data):
     h = parse_map(serialize_map(g))
     assert h == AltDimap(Perm({str(e): str(g.sw(e)) for e in g.edges}),
                          Perm({str(e): str(g.sw2(e)) for e in g.edges}))
+
+
+@given(st.text())
+@example("a\nedges x")
+@example("x\r")
+@example("a\u2028b")
+def test_serialize_writes_any_name_as_one_token(name):
+    # a line break in the name would otherwise split the 'map' line
+    g = tricircuit(2, 1, 1)
+    doc = serialize_map(g, name)
+    assert len(doc.splitlines()) == 4
+    assert parse_map(doc) == parse_map(serialize_map(g))
 
 
 def test_parse_errors():
