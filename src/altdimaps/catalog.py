@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .core import MUW, MUW2, AltDimap, EMPTY_MAP, build_map, closing, reflect
+from .core import AltDimap, EMPTY_MAP, build_map, reflect
 from .perm import Perm, numbering
 
 
@@ -67,9 +67,6 @@ def isomorphic(a: AltDimap, b: AltDimap) -> bool:
 # -- exhaustive enumeration ----------------------------------------------------
 
 def _partitions(n: int):
-    if n == 0:
-        yield ()
-        return
     def rec(remaining, largest):
         if remaining == 0:
             yield ()
@@ -128,34 +125,28 @@ def _fresh(g: AltDimap, label: Hashable) -> Hashable:
     return ("e", i)
 
 
-def _add_loop(g: AltDimap, anchor: Hashable, label: Hashable,
-              mu: int) -> AltDimap:
-    """Attach a new mu-loop (mu = ω or ω²) at the head of anchor, inserted
-    into the in-star directly after anchor."""
-    label = _fresh(g, label)
-    s1m = g.s1.mapping()
-    s1m[label] = s1m[anchor]
-    s1m[anchor] = label
-    s1 = Perm(s1m)
-    loopm = (g.sw if mu == MUW else g.sw2).mapping()
-    loopm[label] = label
-    loop = Perm(loopm)
-    # the other permutation closes the triple (s1, sw, sw2)
-    if mu == MUW:
-        return AltDimap(loop, closing(s1, loop))
-    return AltDimap(closing(loop, s1), loop)
+def _next_in_star(g: AltDimap, e: Hashable) -> Hashable:
+    """σ₁(e), the edge after e in its in-star (ValueError for an unknown
+    edge)."""
+    return g.sw.labels[g.s1.img[g.number(e)]]
 
 
 def add_omega_loop(g: AltDimap, anchor: Hashable, label: Hashable) -> AltDimap:
     """Attach a new ω-loop at the head of anchor, inserted into the in-star
-    directly after anchor."""
-    return _add_loop(g, anchor, label, MUW)
+    directly after anchor: the loop is a 1-cycle of σ_ω, spliced into the
+    c-face of x = σ₁(anchor) right after x."""
+    x = _next_in_star(g, anchor)
+    label = _fresh(g, label)
+    c_faces = [f if x not in f else
+               f[:f.index(x) + 1] + (label,) + f[f.index(x) + 1:]
+               for f in g.sw2.cycles()]
+    return build_map([*g.edges, label], g.sw.cycles(), c_faces)
 
 
 def add_omega2_loop(g: AltDimap, anchor: Hashable, label: Hashable) -> AltDimap:
     """Attach a new ω²-loop at the head of anchor, inserted into the
-    in-star directly after anchor."""
-    return _add_loop(g, anchor, label, MUW2)
+    in-star directly after anchor: the mirror image of an ω-loop."""
+    return reflect(add_omega_loop(reflect(g), _next_in_star(g, anchor), label))
 
 
 def ultraloop() -> AltDimap:

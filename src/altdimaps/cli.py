@@ -169,11 +169,9 @@ def _cmd_tutte(args) -> int:
         # grids than in its own (1.3-1.4x more on 4x4 and 5x5)
         order = frontier_order(alt_c(p) if args.variant == "a" else image)
     else:
-        # each plane edge stands for its two edges in the image: the
-        # directed copies (lab, "+")/(lab, "-") of alt_c and alt_a, which
-        # alt_i renames (lab, 1)/(lab, 0)
-        ends = (0, 1) if args.variant == "i" else ("+", "-")
-        order = [(lab, end) for lab in args.order for end in ends]
+        # each plane edge lab stands for the image edges (lab, end), in
+        # the image's numbering order
+        order = [x for lab in args.order for x in image.edges if x[0] == lab]
     poly = recursion(image, order=order)
     print(poly)
     print(target)

@@ -36,13 +36,6 @@ class InvariantError(AssertionError):
     """A failed internal check: a library bug, not bad input."""
 
 
-def closing(x: Perm, y: Perm) -> Perm:
-    """The z with z(x(y(e))) = e, over the numbering x and y share: the
-    permutation that closes a triple such as (s1, sw, sw2)."""
-    return Perm._of(x.labels, x.index, tuple(map(y.pre.__getitem__, x.pre)),
-                    tuple(map(x.img.__getitem__, y.img)))
-
-
 def rotate(t: Sequence, j: int) -> tuple:
     """The triple of trial^j(G) from the triple t = (σ₁, σ_ω, σ_ω²) of G:
     (t[−j], t[1−j], t[2−j]), indices mod 3."""
@@ -73,9 +66,14 @@ class AltDimap:
 
     @property
     def s1(self) -> Perm:
-        """s1 = (sw ∘ sw2)⁻¹, so that s1(sw(sw2(e))) = e; made on first use."""
+        """s1 = (sw ∘ sw2)⁻¹, so that s1(sw(sw2(e))) = e; made on first use.
+        The one place a map derives a member of its triple from the other
+        two (a reduction rewrites a triple that already closes)."""
         if self._s1 is None:
-            self._s1 = closing(self.sw, self.sw2)
+            sw, sw2 = self.sw, self.sw2
+            self._s1 = Perm._of(sw.labels, sw.index,
+                                tuple(map(sw2.pre.__getitem__, sw.pre)),
+                                tuple(map(sw.img.__getitem__, sw2.img)))
         return self._s1
 
     def __eq__(self, other: object) -> bool:
@@ -163,6 +161,9 @@ def build_map(edge_labels: Sequence[Hashable],
               sigma_omega2_cycles: Iterable[Tuple[Hashable, ...]]) -> AltDimap:
     """Build a map from labelled cycle notation; s1 is always derived."""
     labels, index = numbering(edge_labels)
+    if len(labels) < len(edge_labels):
+        dup = next(e for i, e in enumerate(edge_labels) if e in edge_labels[:i])
+        raise ValueError(f"edge label {dup!r} repeated")
     return AltDimap(Perm._on_cycles(labels, index, sigma_omega_cycles),
                     Perm._on_cycles(labels, index, sigma_omega2_cycles))
 
@@ -248,9 +249,11 @@ def rotation_system(g: AltDimap) -> EmbeddedGraph:
 def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str]]]) -> AltDimap:
     """Inverse of rotation_system: build a map from per-vertex clockwise
     dart orders, where each dart is (edge, 'in') or (edge, 'out') and the
-    two kinds alternate around every vertex."""
-    s1m: Dict[Hashable, Hashable] = {}
+    two kinds alternate around every vertex.  Both face permutations are
+    local: at a vertex with darts [in e0, out f0, in e1, out f1, ...],
+    sw(fi) = ei and sw2(ei) = f(i-1)."""
     swm: Dict[Hashable, Hashable] = {}
+    sw2m: Dict[Hashable, Hashable] = {}
     seen_in, seen_out = set(), set()
     for v, rot in rotations.items():
         if not rot:
@@ -270,18 +273,17 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str
             if e in seen_in:
                 raise ValueError(f"edge {e!r} comes in twice")
             seen_in.add(e)
-            s1m[e] = ins[(i + 1) % len(ins)]
             # out dart following in(e) clockwise carries the left
             # successor sw⁻¹(e)
             swm[outs[i]] = e
+            sw2m[e] = outs[i - 1]
         for e in outs:
             if e in seen_out:
                 raise ValueError(f"edge {e!r} goes out twice")
             seen_out.add(e)
     if seen_in != seen_out:
         raise ValueError("every edge needs one in dart and one out dart")
-    sw = Perm(swm)
-    return AltDimap(sw, closing(Perm(s1m), sw))
+    return AltDimap(Perm(swm), Perm(sw2m))
 
 
 # -- edge classification ------------------------------------------------------

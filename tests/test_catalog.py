@@ -5,11 +5,14 @@ from hypothesis import given, strategies as st
 
 from altdimaps import (AltDimap, Perm, canonical_code, enumerate_maps,
                        isomorphic, map_from_rotations, map_stats, trial)
-from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
+from altdimaps.catalog import (add_omega_loop, add_omega2_loop,
+                               digon_with_omega2_loop, free_loops,
                                loop_star_1, loop_star_omega,
                                loop_star_omega2, posies, posy, tricircuit,
                                ultraloop, witness_a)
 from altdimaps.minors import is_posy, is_tricircuit
+
+from conftest import maps_up_to
 
 
 # -- enumeration --------------------------------------------------------------
@@ -135,6 +138,42 @@ def test_families_reject_negative_sizes():
     for family in (posies, posy):
         with pytest.raises(ValueError, match="-1"):
             family(-1)
+
+
+def closing(x, y):
+    """The z with z(x(y(e))) = e: the permutation that closes a triple."""
+    return Perm({x(y(e)): e for e in x})
+
+
+def edited_loop(g, anchor, label, mu):
+    """The loop attachment as the library first built it: label goes into
+    the in-star right after anchor, is fixed by σ_ω (mu = 1) or σ_ω²
+    (mu = 2), and the other face permutation closes the triple."""
+    s1m = g.s1.mapping()
+    s1m[label], s1m[anchor] = s1m[anchor], label
+    loopm = (g.sw if mu == 1 else g.sw2).mapping()
+    loopm[label] = label
+    s1, loop = Perm(s1m), Perm(loopm)
+    if mu == 1:
+        return AltDimap(loop, closing(s1, loop))
+    return AltDimap(closing(loop, s1), loop)
+
+
+def test_loop_attachment_equals_the_edited_in_star():
+    cases = 0
+    for g in maps_up_to(6):
+        for anchor in g.edges:
+            for mu, add in ((1, add_omega_loop), (2, add_omega2_loop)):
+                want = edited_loop(g, anchor, "new", mu)
+                assert add(g, anchor, "new") == want, (g, anchor, mu)
+                cases += 1
+    assert cases == 12850
+
+
+def test_loop_attachment_rejects_an_unknown_anchor():
+    for add in (add_omega_loop, add_omega2_loop):
+        with pytest.raises(ValueError, match="edge 'nope' not in map"):
+            add(posy(1), "nope", "new")
 
 
 def test_witness_a_has_both_loop_types():

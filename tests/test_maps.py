@@ -48,6 +48,13 @@ def test_build_map_from_cycles():
     assert map_stats(g).genus == 1  # the 1-posy
 
 
+def test_build_map_rejects_a_repeated_label():
+    with pytest.raises(ValueError, match="edge label 0 repeated"):
+        build_map([0, 0], [], [])
+    with pytest.raises(ValueError, match="edge label 'b' repeated"):
+        build_map("abcb", [("a", "b")], [])
+
+
 # -- trial -------------------------------------------------------------------
 
 @given(random_maps())
@@ -95,7 +102,7 @@ def test_known_stats():
 # -- rotation systems --------------------------------------------------------
 
 def test_map_from_rotations_roundtrip():
-    for g in maps_up_to(3, n_min=1):
+    for g in maps_up_to(6, n_min=1):
         eg = rotation_system(g)
         # rebuild from the embedded rotations: vertex -> [(edge, dir)]
         rots = {v: [( e, "in" if end == 0 else "out") for (e, end) in rot]
@@ -165,6 +172,21 @@ def test_map_from_rotations_rejects_unknown_dart_kinds():
                 [("a", "out"), ("b", "in"), ("b", "out"), ("a", "out")]):
         with pytest.raises(ValueError, match="'v'"):
             map_from_rotations({"v": rot})
+
+
+@pytest.mark.parametrize("rotations, message", [
+    ({"v": [("a", "in"), ("a", "out"), ("b", "in")]},
+     "odd dart count at vertex 'v'"),
+    ({"u": [("a", "in"), ("b", "out")], "v": [("a", "in"), ("b", "out")]},
+     "edge 'a' comes in twice"),
+    ({"u": [("a", "in"), ("b", "out")], "v": [("b", "in"), ("b", "out")]},
+     "edge 'b' goes out twice"),
+    ({"v": [("a", "in"), ("b", "out")]},
+     "every edge needs one in dart and one out dart"),
+], ids=["odd", "in_twice", "out_twice", "unpaired"])
+def test_map_from_rotations_rejects_bad_darts(rotations, message):
+    with pytest.raises(ValueError, match=message):
+        map_from_rotations(rotations)
 
 
 def test_mismatched_domains_rejected():
