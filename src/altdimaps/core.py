@@ -24,14 +24,6 @@ ALL_MU = (MU1, MUW, MUW2)
 MU_BY_NAME = {"1": MU1, "w": MUW, "w2": MUW2}
 
 
-def mu_mul(a: int, b: int) -> int:
-    return (a + b) % 3
-
-
-def mu_inv(a: int) -> int:
-    return (-a) % 3
-
-
 class InvariantError(AssertionError):
     """A failed internal check: a library bug, not bad input."""
 

@@ -15,7 +15,8 @@ from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
-                   InvariantError, build_map, map_stats, reflect, trial)
+                   InvariantError, build_map, map_stats, reflect, trial,
+                   trial_power)
 from .embedded import EmbeddedGraph
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
@@ -175,10 +176,6 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
     return sweep((g.triple, 0), lambda st: (st[0][1], st[0][2]), row, one, zero)
 
 
-def _no_semiloop(c: EdgeClass) -> bool:
-    return not (c.is_1_semiloop or c.is_omega_semiloop or c.is_omega2_semiloop)
-
-
 # -- simple and extended invariants ----------------------------------------------
 
 def simple_tutte_eval(g: AltDimap, p: SimpleParams,
@@ -235,19 +232,26 @@ def extended_eval(g: AltDimap, p: ExtendedParams,
 
 # -- the polynomial recursions T_c, T_a, T_i --------------------------------------
 
-def T_c(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
-    """Clockwise Tutte recursion.  Case priority: ω²-loop (including
-    ultraloop) — recurse with factor 1; ω-semiloop — x times the
-    ω²-reduction; proper 1-semiloop or ω-loop — y times the 1-reduction;
-    non-semiloop — sum of the 1- and ω²-reductions.  Edges fitting no
-    case are rejected (the recursion is defined only piecewise)."""
-    x, y = Poly2.var(0), Poly2.var(1)
+def _clockwise(g: AltDimap, order: Optional[Sequence[Hashable]], x, y,
+               name: str):
+    """T_c's case table in the variables x and y, over the ring of x, in
+    priority: ω²-loop (including ultraloop) — factor 1; ω-semiloop — x
+    times the ω²-reduction; proper 1-semiloop or ω-loop — y times the
+    1-reduction; non-semiloop — sum of the 1- and ω²-reductions.  Other
+    edges fit no case (of the `name` recursion) and are rejected."""
     return _recurse(g, order, (
         (lambda c: c.is_omega2_loop, ((None, MUW2),)),
         (lambda c: c.is_omega_semiloop, ((x, MUW2),)),
         (lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop, ((y, MU1),)),
-        (_no_semiloop, ((None, MU1), (None, MUW2))),
-    ), Poly2.one(), Poly2.zero(), "clockwise")
+        (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
+                        or c.is_omega2_semiloop),
+         ((None, MU1), (None, MUW2))),
+    ), type(x).one(), type(x).zero(), name)
+
+
+def T_c(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
+    """Clockwise Tutte recursion: _clockwise's table in x and y."""
+    return _clockwise(g, order, Poly2.var(0), Poly2.var(1), "clockwise")
 
 
 def T_a(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
@@ -259,18 +263,21 @@ def T_a(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
 
 
 def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:
-    """In-star Tutte recursion (univariate).  Case priority: 1-loop
-    (including ultraloop) — factor 1; proper ω-semiloop or ω²-loop — x
-    times the ω²-reduction; proper ω²-semiloop or ω-loop — x times the
-    ω-reduction; non-semiloop — sum of the ω- and ω²-reductions.  A
-    proper 1-semiloop is rejected: the recursion is undefined there."""
+    """In-star Tutte recursion (univariate): T_c's table with y = x on
+    H = trial²(reflect(G)), in the same order; H's triple is (σ_ω²⁻¹,
+    σ_ω⁻¹, σ₁⁻¹).  Reflection negates every type; trial² then adds 2 to a
+    loop or semiloop type (the trial law) but subtracts 2 from a reduction
+    type (G^(ω^j)'s i-reduction is G's (i + j)-reduction, minors._reduce).
+    So G's μ-loops and μ-semiloops are H's π(μ)-ones, π(μ) = 2 − μ, and
+    G's μ-reduction is H's τ(μ)-reduction, τ(μ) = 1 − μ.  Pulled back,
+    T_c's rows read on G, in priority: 1-loop (a triloop is removed alike
+    by all three types) — factor 1; ω-semiloop, that is a proper one or an
+    ω²-loop (a proper μ-loop is a ν-semiloop exactly for ν ≠ μ) — x times
+    the ω²-reduction; proper ω²-semiloop or ω-loop — x times the
+    ω-reduction; non-semiloop — sum of the ω- and ω²-reductions.  A proper
+    1-semiloop, on H a proper ω²-semiloop, is rejected."""
     x = Poly1.var()
-    return _recurse(g, order, (
-        (lambda c: c.is_1_loop, ((None, MU1),)),
-        (lambda c: c.is_proper_semiloop(MUW) or c.is_omega2_loop, ((x, MUW2),)),
-        (lambda c: c.is_proper_semiloop(MUW2) or c.is_omega_loop, ((x, MUW),)),
-        (_no_semiloop, ((None, MUW), (None, MUW2))),
-    ), Poly1.one(), Poly1.zero(), "in-star")
+    return _clockwise(trial_power(reflect(g), 2), order, x, x, "in-star")
 
 
 # -- plane graphs and the alt constructions ---------------------------------------

@@ -511,7 +511,7 @@ def test_T_i_rejects_pure_proper_1_semiloop():
     # omega- or omega2-semiloop: the univariate recursion has no case
     from altdimaps import build_map
     g = build_map(range(3), [(0, 1)], [(1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="in-star"):
         T_i(g, order=[1, 0, 2])
 
 

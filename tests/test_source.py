@@ -38,3 +38,17 @@ def test_only_core_parses_rotations():
              if isinstance(node, ast.Call)
              and "map_from_rotations" in ast.unparse(node.func)]
     assert found == []
+
+
+def test_one_polynomial_case_table():
+    # T_a and T_i are derived from T_c's table by reflection and
+    # triality; the only tables handed to the engine are T_c's and the
+    # sixteen-parameter one
+    path = next(p for p in SOURCES if p.name == "invariants.py")
+    callers = sorted(node.name
+                     for node in ast.parse(path.read_text(), str(path)).body
+                     if isinstance(node, ast.FunctionDef)
+                     for sub in ast.walk(node)
+                     if isinstance(sub, ast.Call)
+                     and ast.unparse(sub.func) == "_recurse")
+    assert callers == ["_clockwise", "extended_eval"]
