@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .embedded import EmbeddedGraph
-from .perm import Perm, numbering
+from .perm import Perm, numbering, orbits
 
 # The three reduction/loop types, as exponents of the rotation ω:
 # 0 ↔ 1, 1 ↔ ω, 2 ↔ ω².
@@ -119,21 +119,8 @@ class AltDimap:
 
     def orbits(self) -> List[List[int]]:
         """Edge numbers of the connected components (orbits of <sw, sw2>),
-        each in breadth-first order under sw and sw2 (a finite orbit is
-        closed under the images alone)."""
-        gens = self.sw.img, self.sw2.img
-        seen = [False] * len(gens[0])
-        comps = []
-        for root in range(len(seen)):
-            if not seen[root]:
-                seen[root] = True
-                comps.append([root])
-                for x in comps[-1]:  # the component grows as the walk goes
-                    for gen in gens:
-                        if not seen[gen[x]]:
-                            seen[gen[x]] = True
-                            comps[-1].append(gen[x])
-        return comps
+        each in breadth-first order under sw and sw2."""
+        return orbits(self.sw.img, self.sw2.img)
 
     def components(self) -> List[frozenset]:
         """Edge sets of connected components (orbits of <sw, sw2>)."""
@@ -227,14 +214,9 @@ def rotation_system(g: AltDimap) -> EmbeddedGraph:
     exactly the a-faces (all-out boundaries) and c-faces (all-in
     boundaries) of the dimap.
     """
-    rotations: Dict[Hashable, List] = {}
-    for cyc in g.s1.cycles():
-        v = ("v", cyc[0])
-        rot = []
-        for e in cyc:
-            rot.append((e, 0))
-            rot.append((g.sw.inv(e), 1))
-        rotations[v] = rot
+    rotations = {("v", cyc[0]): [d for e in cyc
+                                 for d in ((e, 0), (g.sw.inv(e), 1))]
+                 for cyc in g.s1.cycles()}
     return EmbeddedGraph(rotations.keys(), rotations)
 
 

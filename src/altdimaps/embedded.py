@@ -1,7 +1,10 @@
 """Undirected graphs with an orientable embedding (rotation systems).
 
-A dart is one end of an edge; every edge has exactly two darts.  The
-embedding is given by a clockwise cyclic order of darts at each vertex.
+A dart (e, i), i = 0 or 1, is one end of edge e.  The embedding is a
+clockwise cyclic order of darts at each vertex: over the darts numbered
+as first met in the rotations, the combinatorial map (ρ, α) of Lando and
+Zvonkin, with ρ the clockwise successor and α: (e, i) ↦ (e, 1 − i).
+Faces are the cycles of ρ∘α and components the orbits of ⟨ρ, α⟩.
 Vertices are explicit, so deleting edges can leave isolated vertices and
 those vertices still count towards components and face counts.
 """
@@ -9,6 +12,8 @@ those vertices still count towards components and face counts.
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+
+from .perm import orbits
 
 Dart = Tuple[Hashable, int]  # (edge id, end index 0/1)
 
@@ -24,18 +29,27 @@ class EmbeddedGraph:
             v: tuple(rotations.get(v, ())) for v in self.vertices
         }
         at: Dict[Dart, Hashable] = {}
-        ends: Dict[Hashable, List[int]] = {}
+        rho: List[int] = []
         for v, rot in self.rotations.items():
+            first = len(at)
             for d in rot:
+                if not isinstance(d, tuple) or len(d) != 2 or d[1] not in (0, 1):
+                    raise ValueError(f"dart {d!r} is not an (edge, 0 | 1) pair")
                 if d in at:
                     raise ValueError(f"dart {d!r} appears twice")
                 at[d] = v
-                ends.setdefault(d[0], []).append(d[1])
-        for e, idx in ends.items():
-            if sorted(idx) != [0, 1]:
-                raise ValueError(f"edge {e!r} needs exactly darts (e,0),(e,1)")
+            rho += range(first + 1, len(at))
+            rho += [first] * bool(rot)
+        number = {d: k for k, d in enumerate(at)}
+        try:
+            alpha = [number[(e, 1 - i)] for e, i in at]
+        except KeyError as missing:
+            raise ValueError(f"edge {missing.args[0][0]!r} needs exactly "
+                             f"darts (e,0),(e,1)") from None
         self.dart_vertex = at
-        self.edges = frozenset(ends)
+        self.darts: Tuple[Dart, ...] = tuple(at)
+        self.rho, self.alpha = tuple(rho), tuple(alpha)
+        self.edges = frozenset(e for e, _ in self.darts)
 
     # -- basic accessors -------------------------------------------------
 
@@ -56,63 +70,25 @@ class EmbeddedGraph:
     # -- topology --------------------------------------------------------
 
     def components(self) -> List[frozenset]:
-        """Vertex sets of connected components (isolated vertices included)."""
-        adj: Dict[Hashable, set] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = self.endpoints(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = set()
-        comps = []
-        for v0 in self.vertices:
-            if v0 in seen:
-                continue
-            stack, comp = [v0], set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v] - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        """Vertex sets of connected components: the orbits of ⟨ρ, α⟩, and
+        each vertex without darts on its own."""
+        at, darts = self.dart_vertex, self.darts
+        return ([frozenset([at[darts[k]] for k in orbit])
+                 for orbit in orbits(self.rho, self.alpha)]
+                + [frozenset([v]) for v, rot in self.rotations.items() if not rot])
 
     def trace_faces(self) -> List[Tuple[Dart, ...]]:
-        """Face boundary orbits of the embedding (next dart = rotation
+        """Face boundary orbits: the cycles of ρ∘α (next dart = rotation
         successor of the mate).  A vertex with no darts bounds one face,
         reported as an empty orbit."""
-        succ: Dict[Dart, Dart] = {}
-        for rot in self.rotations.values():
-            n = len(rot)
-            for i, d in enumerate(rot):
-                succ[d] = rot[(i + 1) % n]
-        faces: List[Tuple[Dart, ...]] = []
-        seen = set()
-        for d0 in succ:
-            if d0 in seen:
-                continue
-            face = []
-            d = d0
-            while True:
-                face.append(d)
-                seen.add(d)
-                d = succ[self.mate(d)]
-                if d == d0:
-                    break
-            faces.append(tuple(face))
-        for v in self.vertices:
-            if not self.rotations[v]:
-                faces.append(())
-        return faces
-
-    def face_count(self) -> int:
-        return len(self.trace_faces())
+        darts, phi = self.darts, tuple(map(self.rho.__getitem__, self.alpha))
+        return ([tuple(map(darts.__getitem__, cycle)) for cycle in orbits(phi)]
+                + [() for rot in self.rotations.values() if not rot])
 
     def k_minus_gamma(self) -> int:
         """Components minus total genus, via Euler's relation
         V - E + F = 2(k - γ)."""
-        chi = len(self.vertices) - len(self.edges) + self.face_count()
+        chi = len(self.vertices) - len(self.edges) + len(self.trace_faces())
         if chi % 2:
             raise ValueError("odd Euler characteristic; invalid embedding")
         return chi // 2

@@ -15,12 +15,11 @@ from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
-                   InvariantError, build_map, map_stats, reflect, trial,
-                   trial_power)
+                   InvariantError, map_stats, reflect, trial_power)
 from .embedded import EmbeddedGraph
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
-from .perm import Perm, numbering
+from .perm import Perm, inverse, numbering
 from .poly import Poly1, Poly2
 
 Q = Fraction
@@ -304,24 +303,38 @@ def plane_multigraph(p: PlaneGraph) -> Multigraph:
                       [(e,) + eg.endpoints(e) for e in sorted(eg.edges, key=repr)])
 
 
+def _dart_map(sw: Sequence[int], sw2: Sequence[int],
+              names: Sequence[Hashable]) -> AltDimap:
+    """The map (sw, sw2), two image tuples over the dart numbers of a
+    plane graph, with dart number k named names[k]."""
+    labels, index = numbering(names)
+    new = list(map(index.__getitem__, names))  # dart number -> edge number
+
+    def renamed(img: Sequence[int]) -> Perm:
+        out = [0] * len(new)
+        for i, j in zip(new, img):
+            out[i] = new[j]
+        return Perm._of(labels, index, tuple(out))
+
+    return AltDimap(renamed(sw), renamed(sw2))
+
+
 def alt_c(p: PlaneGraph) -> AltDimap:
     """Each edge becomes a clockwise directed 2-face; the original faces
     become the anticlockwise faces (cf = |E|, af = |F|).
 
     Every undirected edge e is replaced by an antiparallel directed pair,
     (e, '+') leaving through dart (e, 0) and (e, '-') leaving through
-    dart (e, 1); naming each dart by its leaving edge, σ_ω² is the
-    2-cycles {(e, '+'), (e, '-')} and σ_ω is each traced face of P read
-    backwards."""
+    dart (e, 1).  Naming each dart by its leaving edge, σ_ω² is α, the
+    2-cycles {(e, '+'), (e, '-')}, and σ_ω is α∘ρ⁻¹, each face of P
+    (a cycle of ρ∘α) read backwards."""
     eg = p.graph
-    faces = eg.trace_faces()
-    g = build_map([(e, s) for e in eg.edges for s in "+-"],
-                  [[(e, "+-"[end]) for e, end in reversed(f)] for f in faces],
-                  [((e, "+"), (e, "-")) for e in eg.edges])
+    g = _dart_map(tuple(map(eg.alpha.__getitem__, inverse(eg.rho))), eg.alpha,
+                  [(e, "+-"[i]) for e, i in eg.darts])
     st = map_stats(g)
     # a vertex without darts bounds a face of its own but gives the map
     # no vertex, so it is left out of the face identity
-    n_e, n_f = len(eg.edges), sum(1 for f in faces if f)
+    n_e, n_f = len(eg.edges), sum(1 for f in eg.trace_faces() if f)
     if st.n_c_faces != n_e or st.n_a_faces != n_f:
         raise InvariantError("doubled map fails the face-count identities")
     if st.genus != 0:
@@ -329,46 +342,25 @@ def alt_c(p: PlaneGraph) -> AltDimap:
     return g
 
 
-def _renamed(sw: Perm, sw2: Perm, names: Sequence[Hashable], labels: tuple,
-             index: Dict[Hashable, int]) -> AltDimap:
-    """The map (sw, sw2), two permutations of one edge numbering, with
-    edge number k renamed names[k], over the numbering (labels, index) of
-    the new names."""
-    new = list(map(index.__getitem__, names))  # old edge number -> new
-
-    def renamed(q: Perm) -> Perm:
-        img = [0] * len(new)
-        for i, j in zip(new, q.img):
-            img[i] = new[j]
-        return Perm._of(labels, index, tuple(img))
-
-    return AltDimap(renamed(sw), renamed(sw2))
-
-
 def alt_a(p: PlaneGraph) -> AltDimap:
-    """Mirror of alt_c: anticlockwise 2-faces (af = |E|, cf = |F|).  It is
-    alt_c(P) with σ_ω and σ_ω² exchanged and the labels (e, '+') and
-    (e, '-') swapped: each dart then expands clockwise to [incoming,
-    outgoing]."""
-    g = alt_c(p)
-    # the new names are alt_c's own labels, so its numbering serves
-    names = [(e, "-" if s == "+" else "+") for e, s in g.sw.labels]
-    return _renamed(g.sw2, g.sw, names, g.sw.labels, g.sw.index)
+    """Mirror of alt_c: anticlockwise 2-faces (af = |E|, cf = |F|).  With
+    the darts named as in alt_c, σ_ω is α and σ_ω² is ρ⁻¹∘α: each dart
+    expands clockwise to [incoming, outgoing]."""
+    eg = p.graph
+    return _dart_map(eg.alpha, tuple(map(inverse(eg.rho).__getitem__, eg.alpha)),
+                     [(e, "+-"[i]) for e, i in eg.darts])
 
 
 def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
     """The in-star image: the medial graph of P with one of its two
     orientations in which in- and out-edges alternate around every
-    vertex.  It is derived from alt_c: orientation 1 is
-    reflect(trial(alt_c(P))), the map (σ_ω⁻¹, σ₁⁻¹) of alt_c(P), and
-    orientation 0 is the same pair swapped, (σ₁⁻¹, σ_ω⁻¹).  Edge (e, '+')
-    of alt_c(P) is named (e, 1) and (e, '-') is named (e, 0).  The
-    in-stars are the 2-faces of alt_c(P), one for each edge e of P, which
-    are the medial vertices; under orientation 1 the in-star of e is the
-    2-face {(e, 0), (e, 1)} itself."""
+    vertex.  Each dart of P names itself; orientation 1 is the map
+    (α∘ρ, ρ⁻¹) and orientation 0 the same pair swapped, (ρ⁻¹, α∘ρ).  So
+    σ₁ is α under orientation 1 and its conjugate ρ⁻¹∘α∘ρ under
+    orientation 0: one in-star for each edge e of P, the medial vertices,
+    and under orientation 1 the in-star of e is {(e, 0), (e, 1)} itself."""
     if orientation_choice not in (0, 1):
         raise ValueError("orientation_choice must be 0 or 1")
-    h = reflect(trial(alt_c(p)))
-    pair = (h.sw, h.sw2) if orientation_choice else (h.sw2, h.sw)
-    names = [(e, int(s == "+")) for e, s in h.sw.labels]
-    return _renamed(*pair, names, *numbering(names))
+    eg = p.graph
+    pair = tuple(map(eg.alpha.__getitem__, eg.rho)), inverse(eg.rho)
+    return _dart_map(*(pair if orientation_choice else pair[::-1]), eg.darts)

@@ -4,7 +4,8 @@ that equality and hashing are tuple operations."""
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
+from typing import (Dict, Hashable, Iterable, Iterator, List, Mapping,
+                    Sequence, Tuple)
 
 Point = Hashable
 
@@ -40,6 +41,32 @@ def numbering(points: Iterable[Point]) -> Tuple[tuple, Dict[Point, int]]:
             raise ValueError("two distinct labels print alike")
         labels = tuple(map(keyed.__getitem__, sorted(keyed)))
     return labels, {x: i for i, x in enumerate(labels)}
+
+
+def inverse(img: Sequence[int]) -> Tuple[int, ...]:
+    """The image tuple of the inverse of the permutation with images img."""
+    pre = [0] * len(img)
+    for i, j in enumerate(img):
+        pre[j] = i
+    return tuple(pre)
+
+
+def orbits(*imgs: Sequence[int]) -> List[List[int]]:
+    """The orbits of ⟨imgs⟩, permutations of 0..n-1 given as image tuples,
+    each in breadth-first order under the images alone (a finite orbit
+    is closed under them); the orbits of one image are its cycles."""
+    seen = [False] * len(imgs[0])
+    out = []
+    for root in range(len(seen)):
+        if not seen[root]:
+            seen[root] = True
+            out.append([root])
+            for x in out[-1]:  # the orbit grows as the walk goes
+                for img in imgs:
+                    if not seen[img[x]]:
+                        seen[img[x]] = True
+                        out[-1].append(img[x])
+    return out
 
 
 class Perm:
@@ -93,10 +120,7 @@ class Perm:
     @property
     def pre(self) -> Tuple[int, ...]:
         if self._pre is None:
-            pre = [0] * len(self.img)
-            for i, j in enumerate(self.img):
-                pre[j] = i
-            self._pre = tuple(pre)
+            self._pre = inverse(self.img)
         return self._pre
 
     def __call__(self, x: Point) -> Point:

@@ -182,8 +182,9 @@ def serialize_map(g: AltDimap, name: str = "m") -> str:
 def parse_plane_graph(text: str) -> PlaneGraph:
     """Parse a plane-graph document into a checked genus-0 embedding."""
     vertex_rot: Dict[str, List[str]] = {}
-    edge_darts: Dict[str, Tuple[str, str]] = {}
+    dart_edge: Dict[str, Tuple[str, int]] = {}
     dart_home: Dict[str, int] = {}
+    edges: set = set()
     for line_no, line in _content_lines(text):
         key, _, body = line.partition(" ")
         if key == "planegraph":
@@ -205,18 +206,20 @@ def parse_plane_graph(text: str) -> PlaneGraph:
                 dart_home[d] = line_no
             vertex_rot[name] = darts
         else:
-            if name in edge_darts:
+            if name in edges:
                 raise DocumentError(line_no, f"duplicate edge {name!r}")
+            edges.add(name)
             if len(darts) != 2:
                 raise DocumentError(line_no, f"edge {name!r} must pair exactly "
                                              f"two darts")
-            edge_darts[name] = (darts[0], darts[1])
-    dart_edge: Dict[str, Tuple[str, int]] = {}
-    for e, (d0, d1) in edge_darts.items():
-        for end, d in enumerate((d0, d1)):
-            if d in dart_edge:
-                raise DocumentError(0, f"dart {d!r} appears in two edges")
-            dart_edge[d] = (e, end)
+            if darts[0] == darts[1]:
+                raise DocumentError(line_no, f"edge {name!r} names dart "
+                                             f"{darts[0]!r} twice")
+            for end, d in enumerate(darts):
+                if d in dart_edge:
+                    raise DocumentError(line_no, f"dart {d!r} appears in two "
+                                                 f"edges")
+                dart_edge[d] = (name, end)
     rotations: Dict[str, List[Tuple[str, int]]] = {}
     for v, darts in vertex_rot.items():
         rot = []

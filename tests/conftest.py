@@ -89,6 +89,15 @@ def plane_suite():
     }
 
 
+# K4 drawn with a non-planar rotation system
+K4_TORUS = {
+    "a": [("e1", 0), ("e2", 0), ("e3", 0)],
+    "b": [("e1", 1), ("e4", 0), ("e5", 0)],
+    "c": [("e2", 1), ("e6", 0), ("e4", 1)],
+    "d": [("e3", 1), ("e6", 1), ("e5", 1)],
+}
+
+
 def wheel(k):
     """The wheel W_k: hub h and rim vertices r0..r(k-1) placed
     anticlockwise, spokes s<i> = h r<i> and rim edges t<i> = r<i> r<i+1>."""

@@ -19,7 +19,7 @@ from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
                                loop_star_omega2, posy, ultraloop)
 from altdimaps.poly import Poly1, Poly2
 
-from conftest import grid, maps_up_to, plane_suite, theta, wheel
+from conftest import K4_TORUS, grid, maps_up_to, plane_suite, theta, wheel
 
 
 # -- the five order-independent parameter families -----------------------------
@@ -472,15 +472,6 @@ def test_medial_is_4_regular(suite):
             continue
         m = medial(p)
         assert all(len(rot) == 4 for rot in m.rotations.values()), name
-
-
-# K4 drawn with a non-planar rotation system
-K4_TORUS = {
-    "a": [("e1", 0), ("e2", 0), ("e3", 0)],
-    "b": [("e1", 1), ("e4", 0), ("e5", 0)],
-    "c": [("e2", 1), ("e6", 0), ("e4", 1)],
-    "d": [("e3", 1), ("e6", 1), ("e5", 1)],
-}
 
 
 def test_plane_graph_rejects_positive_genus(suite):

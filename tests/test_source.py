@@ -52,3 +52,21 @@ def test_one_polynomial_case_table():
                      if isinstance(sub, ast.Call)
                      and ast.unparse(sub.func) == "_recurse")
     assert callers == ["_clockwise", "extended_eval"]
+
+
+def test_alt_images_are_read_off_the_darts():
+    # alt_a and alt_i are pairs of products of ρ⁻¹ and α on the darts of
+    # P, like alt_c; neither is built from alt_c by a symmetry
+    path = next(p for p in SOURCES if p.name == "invariants.py")
+    derived = {"alt_c", "trial", "trial_power", "reflect"}
+    bodies = {node.name: node
+              for node in ast.parse(path.read_text(), str(path)).body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("alt_a", "alt_i")}
+    assert sorted(bodies) == ["alt_a", "alt_i"]
+    found = sorted(f"{name}: {ast.unparse(sub.func)}"
+                   for name, node in bodies.items()
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Call)
+                   and ast.unparse(sub.func) in derived)
+    assert found == []

@@ -158,6 +158,22 @@ def test_plane_graph_errors():
                           "edge a: a0 a1\nedge b: b0 b1")
 
 
+def test_plane_graph_dart_in_two_edges_names_the_second_edge_line():
+    doc = ("planegraph p\n# two edges share the dart a1\n"
+           "vertex u: a0 b0\nvertex v: a1 b1\n"
+           "edge a: a0 a1\n\nedge b: b0 a1\n")
+    with pytest.raises(DocumentError,
+                       match=r"^line 7: dart 'a1' appears in two edges$"):
+        parse_plane_graph(doc)
+
+
+def test_plane_graph_edge_naming_one_dart_twice():
+    doc = "planegraph p\nvertex u: a0 a1\nedge a: a0 a0\n"
+    with pytest.raises(DocumentError,
+                       match=r"^line 3: edge 'a' names dart 'a0' twice$"):
+        parse_plane_graph(doc)
+
+
 # -- exports ---------------------------------------------------------------------
 
 def test_export_dot_ultraloop():
