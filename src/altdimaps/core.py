@@ -223,41 +223,29 @@ def rotation_system(g: AltDimap) -> EmbeddedGraph:
 def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str]]]) -> AltDimap:
     """Inverse of rotation_system: build a map from per-vertex clockwise
     dart orders, where each dart is (edge, 'in') or (edge, 'out') and the
-    two kinds alternate around every vertex.  Both face permutations are
-    local: at a vertex with darts [in e0, out f0, in e1, out f1, ...],
-    sw(fi) = ei and sw2(ei) = f(i-1)."""
-    swm: Dict[Hashable, Hashable] = {}
-    sw2m: Dict[Hashable, Hashable] = {}
-    seen_in, seen_out = set(), set()
+    two kinds alternate around every vertex.  Both face permutations read
+    consecutive darts: an out dart f after an in dart e gives sw(f) = e,
+    and an in dart e after an out dart f gives sw2(e) = f."""
+    before: Dict[str, Dict[Hashable, Hashable]] = {"in": {}, "out": {}}
     for v, rot in rotations.items():
-        if not rot:
-            continue
-        if len(rot) % 2:
+        n = len(rot)
+        if n % 2:
             raise ValueError(f"odd dart count at vertex {v!r}")
-        kinds = [k for _, k in rot]
-        if kinds not in (["in", "out"] * (len(rot) // 2),
-                         ["out", "in"] * (len(rot) // 2)):
+        if [k for _, k in rot] not in (["in", "out"] * (n // 2),
+                                       ["out", "in"] * (n // 2)):
             raise ValueError(f"darts do not alternate 'in'/'out' at vertex {v!r}")
-        # rotate so the list starts with an incoming dart
-        if kinds[0] == "out":
-            rot = list(rot[1:]) + [rot[0]]
-        ins = [e for e, k in rot[0::2]]
-        outs = [e for e, k in rot[1::2]]
-        for i, e in enumerate(ins):
-            if e in seen_in:
-                raise ValueError(f"edge {e!r} comes in twice")
-            seen_in.add(e)
-            # out dart following in(e) clockwise carries the left
-            # successor sw⁻¹(e)
-            swm[outs[i]] = e
-            sw2m[e] = outs[i - 1]
-        for e in outs:
-            if e in seen_out:
-                raise ValueError(f"edge {e!r} goes out twice")
-            seen_out.add(e)
-    if seen_in != seen_out:
+        # every in dart is checked before any out dart; read from the
+        # second dart on, the out darts come in order from the first in dart
+        for kind, first, twice in (("in", 0, "comes in"), ("out", 1, "goes out")):
+            for i in range(first, first + n):
+                e, k = rot[i % n]
+                if k == kind:
+                    if e in before[kind]:
+                        raise ValueError(f"edge {e!r} {twice} twice")
+                    before[kind][e] = rot[i - 1][0]
+    if before["in"].keys() != before["out"].keys():
         raise ValueError("every edge needs one in dart and one out dart")
-    return AltDimap(Perm(swm), Perm(sw2m))
+    return AltDimap(Perm(before["out"]), Perm(before["in"]))
 
 
 # -- edge classification ------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A dart (e, i), i = 0 or 1, is one end of edge e.  The embedding is a
 clockwise cyclic order of darts at each vertex: over the darts numbered
-as first met in the rotations, the combinatorial map (ρ, α) of Lando and
-Zvonkin, with ρ the clockwise successor and α: (e, i) ↦ (e, 1 − i).
+as first met in the rotations, taken in the order of the vertices
+argument, the combinatorial map (ρ, α) of Lando and Zvonkin, with ρ the
+clockwise successor and α: (e, i) ↦ (e, 1 − i).
 Faces are the cycles of ρ∘α and components the orbits of ⟨ρ, α⟩.
 Vertices are explicit, so deleting edges can leave isolated vertices and
 those vertices still count towards components and face counts.
@@ -21,12 +22,13 @@ Dart = Tuple[Hashable, int]  # (edge id, end index 0/1)
 class EmbeddedGraph:
     def __init__(self, vertices: Iterable[Hashable],
                  rotations: Mapping[Hashable, Sequence[Dart]]):
-        self.vertices = frozenset(vertices)
+        order = dict.fromkeys(vertices)
         for v in rotations:
-            if v not in self.vertices:
+            if v not in order:
                 raise ValueError(f"rotation given at {v!r}, which is not a vertex")
+        self.vertices = frozenset(order)
         self.rotations: Dict[Hashable, Tuple[Dart, ...]] = {
-            v: tuple(rotations.get(v, ())) for v in self.vertices
+            v: tuple(rotations.get(v, ())) for v in order
         }
         at: Dict[Dart, Hashable] = {}
         rho: List[int] = []
@@ -65,7 +67,7 @@ class EmbeddedGraph:
         drop = set(drop)
         rot = {v: tuple(d for d in r if d[0] not in drop)
                for v, r in self.rotations.items()}
-        return EmbeddedGraph(self.vertices, rot)
+        return EmbeddedGraph(self.rotations, rot)
 
     # -- topology --------------------------------------------------------
 

@@ -242,15 +242,9 @@ def is_totally_reduction_commutative(g: AltDimap) -> bool:
 
 def is_posy(g: AltDimap) -> Optional[int]:
     """If G is a posy, its genus k (one vertex, 2k+1 edges, one a-face,
-    one c-face); otherwise None.  The empty map is not a posy."""
-    if not g.edges:
-        return None
-    st = map_stats(g)
-    if (st.n_components == 1 and st.n_vertices == 1
-            and st.n_a_faces == 1 and st.n_c_faces == 1
-            and st.n_edges == 2 * st.genus + 1):
-        return st.genus
-    return None
+    one c-face); otherwise None.  The empty map is not a posy.  A posy is
+    a connected posy union (see is_posy_union)."""
+    return is_posy_union(g) if len(g.orbits()) == 1 else None
 
 
 def is_posy_union(g: AltDimap) -> Optional[int]:

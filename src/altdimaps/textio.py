@@ -182,9 +182,9 @@ def serialize_map(g: AltDimap, name: str = "m") -> str:
 def parse_plane_graph(text: str) -> PlaneGraph:
     """Parse a plane-graph document into a checked genus-0 embedding."""
     vertex_rot: Dict[str, List[str]] = {}
-    dart_edge: Dict[str, Tuple[str, int]] = {}
-    dart_home: Dict[str, int] = {}
-    edges: set = set()
+    dart_edge: Dict[str, Tuple[str, int, int]] = {}  # dart -> (edge, end, line)
+    dart_home: Dict[str, int] = {}  # dart -> the line of its rotation
+    names: set = set()  # (key, name)
     for line_no, line in _content_lines(text):
         key, _, body = line.partition(" ")
         if key == "planegraph":
@@ -195,10 +195,11 @@ def parse_plane_graph(text: str) -> PlaneGraph:
         name = name.strip()
         if not colon:
             raise DocumentError(line_no, f"missing ':' after {key} name")
+        if (key, name) in names:
+            raise DocumentError(line_no, f"duplicate {key} {name!r}")
+        names.add((key, name))
         darts = darts_txt.split()
         if key == "vertex":
-            if name in vertex_rot:
-                raise DocumentError(line_no, f"duplicate vertex {name!r}")
             for d in darts:
                 if d in dart_home:
                     raise DocumentError(line_no, f"dart {d!r} appears in two "
@@ -206,9 +207,6 @@ def parse_plane_graph(text: str) -> PlaneGraph:
                 dart_home[d] = line_no
             vertex_rot[name] = darts
         else:
-            if name in edges:
-                raise DocumentError(line_no, f"duplicate edge {name!r}")
-            edges.add(name)
             if len(darts) != 2:
                 raise DocumentError(line_no, f"edge {name!r} must pair exactly "
                                              f"two darts")
@@ -219,21 +217,16 @@ def parse_plane_graph(text: str) -> PlaneGraph:
                 if d in dart_edge:
                     raise DocumentError(line_no, f"dart {d!r} appears in two "
                                                  f"edges")
-                dart_edge[d] = (name, end)
-    rotations: Dict[str, List[Tuple[str, int]]] = {}
-    for v, darts in vertex_rot.items():
-        rot = []
-        for d in darts:
-            if d not in dart_edge:
-                raise DocumentError(dart_home[d], f"dart {d!r} belongs to no "
-                                                  f"edge")
-            rot.append(dart_edge[d])
-        rotations[v] = rot
-    missing = set(dart_edge) - set(dart_home)
+                dart_edge[d] = (name, end, line_no)
+    for d, line_no in dart_home.items():
+        if d not in dart_edge:
+            raise DocumentError(line_no, f"dart {d!r} belongs to no edge")
+    missing = sorted(dart_edge.keys() - dart_home.keys())
     if missing:
-        raise DocumentError(0, f"dart {sorted(missing)[0]!r} belongs to no "
-                               f"rotation")
-    return PlaneGraph.from_rotations(rotations)
+        raise DocumentError(dart_edge[missing[0]][2], f"dart {missing[0]!r} "
+                                                      f"belongs to no rotation")
+    return PlaneGraph.from_rotations(
+        {v: [dart_edge[d][:2] for d in darts] for v, darts in vertex_rot.items()})
 
 
 # -- exports ---------------------------------------------------------------

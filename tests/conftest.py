@@ -98,13 +98,19 @@ K4_TORUS = {
 }
 
 
-def wheel(k):
-    """The wheel W_k: hub h and rim vertices r0..r(k-1) placed
-    anticlockwise, spokes s<i> = h r<i> and rim edges t<i> = r<i> r<i+1>."""
+def wheel_rotations(k):
+    """Rotations of the wheel W_k: hub h and rim vertices r0..r(k-1)
+    placed anticlockwise, spokes s<i> = h r<i> and rim edges t<i> =
+    r<i> r<i+1>."""
     rotations = {"h": [("s0", 0)] + [(f"s{i}", 0) for i in range(k - 1, 0, -1)]}
     for i in range(k):
         rotations[f"r{i}"] = [(f"s{i}", 1), (f"t{i}", 0), (f"t{(i - 1) % k}", 1)]
-    return PlaneGraph.from_rotations(rotations)
+    return rotations
+
+
+def wheel(k):
+    """The wheel W_k (see wheel_rotations)."""
+    return PlaneGraph.from_rotations(wheel_rotations(k))
 
 
 def grid_rotations(rows, cols, diagonals=False):

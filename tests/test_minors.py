@@ -9,8 +9,9 @@ from altdimaps import (classify_edge, commute_check, is_posy, is_posy_union,
                        reduce_seq, trial, trial_power, trimedial)
 from altdimaps.catalog import (digon_with_omega2_loop, free_loops, isomorphic,
                                loop_star_1, loop_star_omega, loop_star_omega2,
-                               posy, tricircuit, ultraloop, witness_a)
-from altdimaps.core import InvariantError
+                               posies, posy, tricircuit, ultraloop,
+                               witness_a)
+from altdimaps.core import EMPTY_MAP, InvariantError
 from altdimaps.minors import _reduce
 
 from conftest import all_pairs_commute, maps_up_to, totally_commutative_brute
@@ -229,6 +230,28 @@ def test_posy_recognition():
     assert is_posy(loop_star_1(3)) is None
     assert is_posy_union(free_loops(2)) == 0
     assert is_posy_union(posy(1)) == 1
+
+
+def is_posy_by_counts(g):
+    """The four-count test that is_posy made before it read
+    is_posy_union."""
+    if not g.edges:
+        return None
+    st = map_stats(g)
+    if (st.n_components == 1 and st.n_vertices == 1
+            and st.n_a_faces == 1 and st.n_c_faces == 1
+            and st.n_edges == 2 * st.genus + 1):
+        return st.genus
+    return None
+
+
+def test_is_posy_against_the_four_counts():
+    maps = maps_up_to(6) + [EMPTY_MAP, free_loops(2)]
+    maps += [m for k in (1, 2, 3) for m in posies(k)]
+    verdicts = [is_posy_by_counts(g) for g in maps]
+    assert [is_posy(g) for g in maps] == verdicts
+    assert {k: verdicts.count(k) for k in (0, 1, 2, 3)} == \
+        {0: 1, 1: 2, 2: 7, 3: 19}
 
 
 def posy_union_per_component(g):

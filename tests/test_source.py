@@ -70,3 +70,19 @@ def test_alt_images_are_read_off_the_darts():
                    if isinstance(sub, ast.Call)
                    and ast.unparse(sub.func) in derived)
     assert found == []
+
+
+def test_plane_graph_errors_name_a_document_line():
+    # every error of parse_plane_graph is raised at a line of the
+    # document; only parse_map's missing-line errors stay at line 0
+    path = next(p for p in SOURCES if p.name == "textio.py")
+    parser = next(node for node in ast.parse(path.read_text(), str(path)).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "parse_plane_graph")
+    errors = [node for node in ast.walk(parser)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "DocumentError"]
+    assert errors
+    found = [f"textio.py:{node.lineno}" for node in errors
+             if isinstance(node.args[0], ast.Constant) and node.args[0].value == 0]
+    assert found == []

@@ -174,6 +174,14 @@ def test_plane_graph_edge_naming_one_dart_twice():
         parse_plane_graph(doc)
 
 
+def test_plane_graph_dart_in_no_rotation_names_its_edge_line():
+    with pytest.raises(DocumentError) as err:
+        parse_plane_graph("vertex u: a0\nvertex v: a1\nedge a: a0 a1\n"
+                          "edge b: b0 b1")
+    assert str(err.value) == "line 4: dart 'b0' belongs to no rotation"
+    assert err.value.line_no == 4
+
+
 # -- exports ---------------------------------------------------------------------
 
 def test_export_dot_ultraloop():
