@@ -16,7 +16,7 @@ import numpy as np
 
 from .binfn import OMEGA, BinFn, bf_minor, solve_uniform_reduction, transform
 from .catalog import canonical_code, enumerate_maps, isomorphic
-from .core import MU_BY_NAME, InvariantError, map_stats, trial_power
+from .core import MU_BY_NAME, InvariantError, map_stats, trial, trial_power
 from .invariants import (T_a, T_c, T_i, alt_a, alt_c, alt_i, frontier_order,
                          plane_multigraph)
 from .minors import commute_check, excluded_minor_witness, is_posy, reduce_map
@@ -133,7 +133,6 @@ def _cmd_commute(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .core import trial
     maps = enumerate_maps(args.edges)
     if args.filter == "posy":
         maps = [m for m in maps if is_posy(m) is not None]

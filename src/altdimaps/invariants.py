@@ -26,8 +26,8 @@ Q = Fraction
 
 
 def _coerce(value):
-    """Coerce exact numeric inputs to Fraction; leave symbolic values alone."""
-    if isinstance(value, (int, str, Fraction)):
+    """Coerce numbers to exact Fractions; leave symbolic values alone."""
+    if isinstance(value, (int, float, str, Fraction)):
         return Fraction(value)
     return value
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import (Callable, Hashable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
+from .catalog import canonical_code, tricircuit
 from .core import (ALL_MU, MU1, AltDimap, InvariantError, map_stats,
                    rotate)
 from .multigraph import Multigraph
@@ -167,7 +168,6 @@ def is_tricircuit(g: AltDimap) -> bool:
     exceptional head carries any number of ω-loops and ω²-loops.  Tested
     by rebuilding the candidate tricircuit from the loop counts and
     comparing up to isomorphism."""
-    from .catalog import canonical_code, tricircuit
     if not g.edges:
         return False
     q = sum(1 for e in g.edges if g.sw(e) == e and g.s1(e) != e)
@@ -263,7 +263,6 @@ def is_posy_union(g: AltDimap) -> Optional[int]:
 
 def _closure_walk(g: AltDimap, max_edges: int, floor: int = 0):
     """_minors keyed by canonical code; refused above max_edges edges."""
-    from .catalog import canonical_code
     if g.n_edges > max_edges:
         raise ValueError(f"minor closure capped at {max_edges} edges")
     return _minors(g, canonical_code, floor)

@@ -138,15 +138,12 @@ class Perm:
 
     def cycles(self) -> List[Tuple[Point, ...]]:
         """Disjoint cycles (including fixed points), each starting at its
-        smallest point, listed in sorted order of those starting points."""
-        try:
-            starts = map(self.index.__getitem__, sorted(self.labels))
-        except TypeError:
-            starts = range(len(self.labels))
+        first point in the numbering, listed in numbering order of those
+        starting points."""
         labels, img = self.labels, self.img
         seen = [False] * len(img)
         out: List[Tuple[Point, ...]] = []
-        for i in starts:
+        for i in range(len(img)):
             if seen[i]:
                 continue
             cyc = [labels[i]]

@@ -7,15 +7,18 @@ Map documents::
     sigma_omega (a c b)
     sigma_omega2 (b a c)
 
+Each directive appears at most once; ``edges``, ``sigma_omega`` and
+``sigma_omega2`` are required, and the two sigma lines follow ``edges``.
 Cycles use whitespace-separated labels inside parentheses; several
 cycles may appear on one line; fixed points are omitted.  A label is
 written as its ``str``, with whitespace, ``(``, ``)``, ``#`` and ``%``
 percent-encoded (``('a', '+')`` becomes ``%28'a',%20'+'%29``), and read
 back decoded, so every label reads back as one string (labels with one
-``str``, such as ``1`` and ``'1'``, cannot be written).  The map name
-is written the same way, as one token.  Only the two
-permutations sigma_omega and sigma_omega2 are stored; sigma_1 is always
-derived, so a document can never hold an inconsistent triple.
+``str``, such as ``1`` and ``'1'``, and a label whose ``str`` is empty
+cannot be written).  The map name is written the same way, as one
+token.  Only the two permutations sigma_omega and sigma_omega2 are
+stored; sigma_1 is always derived, so a document can never hold an
+inconsistent triple.
 
 Plane-graph documents::
 
@@ -37,7 +40,7 @@ import re
 from typing import Dict, List, Tuple
 from urllib.parse import quote, unquote
 
-from .core import AltDimap, build_map, classify_edge, map_stats
+from .core import MU_BY_NAME, AltDimap, build_map, classify_edge, map_stats
 from .invariants import PlaneGraph
 
 
@@ -83,45 +86,32 @@ def _parse_cycles(line_no: int, body: str, known: set,
     return cycles
 
 
+_MAP_DIRECTIVES = ("map", "edges", "sigma_omega", "sigma_omega2")
+
+
 def parse_map(text: str) -> AltDimap:
     """Parse a map document; returns the map (the name is cosmetic)."""
-    edges: List[str] = None
-    sw_cycles = sw2_cycles = None
-    saw_name = False
+    found: Dict[str, object] = {}  # directive -> its body, read
     for line_no, line in _content_lines(text):
         key, _, body = line.partition(" ")
-        if key == "map":
-            if saw_name:
-                raise DocumentError(line_no, "duplicate 'map' line")
-            saw_name = True
-        elif key == "edges":
-            if edges is not None:
-                raise DocumentError(line_no, "duplicate 'edges' line")
-            edges = _untoken(body)
-            if len(set(edges)) != len(edges):
-                dup = next(e for e in edges if edges.count(e) > 1)
-                raise DocumentError(line_no, f"duplicate edge label {dup!r}")
-        elif key in ("sigma_omega", "sigma_omega2"):
-            if edges is None:
-                raise DocumentError(line_no, f"'{key}' before 'edges'")
-            cycles = _parse_cycles(line_no, body, set(edges), key)
-            if key == "sigma_omega":
-                if sw_cycles is not None:
-                    raise DocumentError(line_no, "duplicate 'sigma_omega' line")
-                sw_cycles = cycles
-            else:
-                if sw2_cycles is not None:
-                    raise DocumentError(line_no, "duplicate 'sigma_omega2' line")
-                sw2_cycles = cycles
-        else:
+        if key not in _MAP_DIRECTIVES:
             raise DocumentError(line_no, f"unrecognized directive {key!r}")
-    if edges is None:
-        raise DocumentError(0, "missing 'edges' line")
-    if sw_cycles is None:
-        raise DocumentError(0, "missing 'sigma_omega' line")
-    if sw2_cycles is None:
-        raise DocumentError(0, "missing 'sigma_omega2' line")
-    return build_map(edges, sw_cycles, sw2_cycles)
+        if key.startswith("sigma"):
+            if "edges" not in found:
+                raise DocumentError(line_no, f"'{key}' before 'edges'")
+            body = _parse_cycles(line_no, body, set(found["edges"]), key)
+        if key in found:
+            raise DocumentError(line_no, f"duplicate {key!r} line")
+        if key == "edges":
+            body = _untoken(body)
+            if len(set(body)) != len(body):
+                dup = next(e for e in body if body.count(e) > 1)
+                raise DocumentError(line_no, f"duplicate edge label {dup!r}")
+        found[key] = body
+    for key in _MAP_DIRECTIVES[1:]:
+        if key not in found:
+            raise DocumentError(0, f"missing {key!r} line")
+    return build_map(*map(found.get, _MAP_DIRECTIVES[1:]))
 
 
 def _normal_cycles(perm) -> List[Tuple]:
@@ -150,6 +140,8 @@ def _token(x) -> str:
 def _tokens(g: AltDimap) -> Dict:
     """Each edge label as one document token."""
     tokens = {e: _token(e) for e in g.edges}
+    if "" in tokens.values():
+        raise ValueError("an edge label's str is empty; cannot write it")
     if len(set(tokens.values())) < len(tokens):
         raise ValueError("two edge labels have the same str; cannot write them")
     return tokens
@@ -236,14 +228,10 @@ def edge_class_summary(g: AltDimap, e) -> str:
     c = classify_edge(g, e)
     if c.is_ultraloop:
         return "ultraloop"
-    loops = [n for n, b in (("1", c.is_1_loop), ("w", c.is_omega_loop),
-                            ("w2", c.is_omega2_loop)) if b]
-    if loops:
-        return "+".join(loops) + "-loop"
-    semis = [n for n, b in (("1", c.is_1_semiloop), ("w", c.is_omega_semiloop),
-                            ("w2", c.is_omega2_semiloop)) if b]
-    if semis:
-        return "+".join(semis) + "-semiloop"
+    for kind, test in (("loop", c.is_loop), ("semiloop", c.is_semiloop)):
+        names = [n for n, mu in MU_BY_NAME.items() if test(mu)]
+        if names:
+            return "+".join(names) + "-" + kind
     return "ordinary"
 
 

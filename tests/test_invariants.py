@@ -43,6 +43,14 @@ def test_simple_family_values():
     assert simple_family_value(free_loops(0), "zero") == 1
 
 
+def test_float_parameters_are_read_exactly():
+    # a float is the binary fraction it holds, as in basic_extended_params
+    result = simple_tutte_eval(ultraloop(), SimpleParams(0.1, 1, 1, 1))
+    assert type(result) is Fraction
+    assert result == Fraction(0.1) != Fraction(1, 10)
+    assert ExtendedParams(*[0.5] * 16).l == Fraction(1, 2)
+
+
 # -- symbolic witness identities ------------------------------------------------
 
 W, X, Y, Z = sp.symbols("w x y z")

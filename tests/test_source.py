@@ -29,6 +29,18 @@ def test_internal_checks_raise_invariant_error():
     assert found == []
 
 
+def test_no_function_local_imports():
+    # every import is at module level, where the dependencies between the
+    # modules can be read at a glance
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and node not in tree.body]
+    assert found == []
+
+
 def test_only_core_parses_rotations():
     # library maps are built from their cycles (build_map); the dart-kind
     # rotation format is parsed by core.map_from_rotations alone

@@ -77,6 +77,15 @@ def test_labels_with_one_str_rejected():
             write(g)
 
 
+def test_label_with_empty_str_rejected():
+    # it would be written as an empty token, and the document would read
+    # back as a different map with one edge
+    g = build_map(["", "a"], [("", "a")], [])
+    for write in (serialize_map, export_dot, export_json):
+        with pytest.raises(ValueError, match="str is empty"):
+            write(g)
+
+
 LABELS = st.one_of(st.integers(-20, 20), st.text(min_size=1, max_size=4),
                    st.tuples(st.sampled_from("ab"), st.integers(0, 2)))
 
