@@ -87,10 +87,8 @@ def _bf_to_json(f: BinFn) -> str:
 
 
 def _parse_mu_scalar(text: str) -> complex:
-    if text == "w":
-        return OMEGA
-    if text == "w2":
-        return OMEGA ** 2
+    if text in MU_BY_NAME:
+        return OMEGA ** MU_BY_NAME[text]
     return complex(text)
 
 

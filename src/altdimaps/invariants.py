@@ -26,9 +26,13 @@ Q = Fraction
 
 
 def _coerce(value):
-    """Coerce numbers to exact Fractions; leave symbolic values alone."""
+    """Coerce numbers to exact Fractions; leave symbolic values alone.  A
+    float infinity is refused with ValueError, as a NaN is."""
     if isinstance(value, (int, float, str, Fraction)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except OverflowError as exc:
+            raise ValueError(str(exc)) from None
     return value
 
 __all__ = [
@@ -91,7 +95,7 @@ class ExtendedParams:
 def basic_extended_params(alpha, beta, gamma, delta) -> ExtendedParams:
     """Parameters under which extended_eval returns
     α^|E| · β^|V| · γ^af · δ^cf exactly."""
-    alpha, beta, gamma, delta = Q(alpha), Q(beta), Q(gamma), Q(delta)
+    alpha, beta, gamma, delta = map(_coerce, (alpha, beta, gamma, delta))
     if 0 in (alpha, beta, gamma, delta):
         raise ValueError("basic invariant needs nonzero parameters")
     return ExtendedParams(
@@ -186,29 +190,29 @@ def simple_tutte_eval(g: AltDimap, p: SimpleParams,
     return extended_eval(g, ExtendedParams(p.w, p.x, p.y, p.z, *[1] * 12), order)
 
 
-SIMPLE_FAMILIES: Dict[str, SimpleParams] = {
-    "zero": SimpleParams(0, 0, 0, 0),
-    "three_E": SimpleParams(3, 3, 3, 3),
-    "sign_V": SimpleParams(-1, -1, 1, 1),
-    "sign_af": SimpleParams(-1, 1, -1, 1),
-    "sign_cf": SimpleParams(-1, 1, 1, -1),
+# the basic invariant α^|E|·β^|V|·γ^af·δ^cf at five points (α, β, γ, δ);
+# as simple parameters, w = αβγδ, x = αβ, y = αγ, z = αδ
+_FAMILY_POINTS = {
+    "zero": (0, 1, 1, 1),
+    "three_E": (3, 1, 1, 1),
+    "sign_V": (1, -1, 1, 1),
+    "sign_af": (1, 1, -1, 1),
+    "sign_cf": (1, 1, 1, -1),
 }
+
+SIMPLE_FAMILIES: Dict[str, SimpleParams] = {
+    name: SimpleParams(a * b * c * d, a * b, a * c, a * d)
+    for name, (a, b, c, d) in _FAMILY_POINTS.items()}
 
 
 def simple_family_value(g: AltDimap, family: str) -> Fraction:
     """Closed form of one of the five order-independent families."""
     st = map_stats(g)
-    if family == "zero":
-        return Q(0) if st.n_edges else Q(1)
-    if family == "three_E":
-        return Q(3) ** st.n_edges
-    if family == "sign_V":
-        return Q(-1) ** st.n_vertices
-    if family == "sign_cf":
-        return Q(-1) ** st.n_c_faces
-    if family == "sign_af":
-        return Q(-1) ** st.n_a_faces
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILY_POINTS:
+        raise ValueError(f"unknown family {family!r}")
+    a, b, c, d = map(Q, _FAMILY_POINTS[family])
+    return (a ** st.n_edges * b ** st.n_vertices * c ** st.n_a_faces
+            * d ** st.n_c_faces)
 
 
 def extended_eval(g: AltDimap, p: ExtendedParams,

@@ -67,28 +67,27 @@ def reduce_seq(g: AltDimap,
     return g
 
 
-def _exceptional_pair_commutes(s1: Sequence[int], sw: Sequence[int],
-                               sw2: Sequence[int], e: int, f: int) -> bool:
-    """Whether {·[1]e, ·[ω]f} with f = sw(e) commutes, given that neither
-    edge is a triloop, in a map given by the images of (s1, sw, sw2).
+def _pattern_commutes(t: Sequence[Sequence[int]], mx: int, x: int) -> bool:
+    """Whether {[1]x, [ω]y} commutes in the triple (s1, sw, sw2) =
+    rotate(t, mx) of trial^mx(G), where y = sw(x) ≠ x.
 
-    Generically such a pair does not commute.  It does commute when one of
-    the edges is degenerate enough that both composite minors collapse to
-    the same map: e a 1-loop, f an ω²-loop, a 1-loop f on a two-edge
-    a-face or c-face {e, f}, an ω²-loop e on a two-edge a-face or in-star
-    {e, f}, or e followed by f in all three of its cycles.  (Verified
-    exhaustively against both reduction orders, through predict_commute,
-    for every pair of edges and reduction types on every map with at most
-    six edges.)
+    This is the one pattern that can fail.  It commutes only when both
+    composite minors collapse to the same map: x a 1-loop, y an ω²-loop,
+    y a 1-loop on a two-edge a-face or c-face {x, y}, x an ω²-loop on a
+    two-edge a-face or in-star {x, y}, or x followed by y in all three of
+    its cycles.  All five cases are needed (checked against both
+    reduction orders on every map with at most six edges).
     """
-    aface2 = sw[f] == e
-    cface2 = sw2[e] == f and sw2[f] == e
-    instar2 = s1[e] == f and s1[f] == e
-    return (s1[e] == e
-            or sw2[f] == f
-            or (s1[f] == f and (aface2 or cface2))
-            or (sw2[e] == e and (aface2 or instar2))
-            or (s1[e] == f and sw2[e] == f))
+    s1, sw, sw2 = rotate(t, mx)
+    y = sw[x]
+    aface2 = sw[y] == x
+    cface2 = sw2[x] == y and sw2[y] == x
+    instar2 = s1[x] == y and s1[y] == x
+    return (s1[x] == x
+            or sw2[y] == y
+            or (s1[y] == y and (aface2 or cface2))
+            or (sw2[x] == x and (aface2 or instar2))
+            or (s1[x] == y and sw2[x] == y))
 
 
 def predict_commute(g: AltDimap, e: Hashable, mu: int,
@@ -96,29 +95,20 @@ def predict_commute(g: AltDimap, e: Hashable, mu: int,
     """Predict, without performing any reductions, whether G[mu]e[nu]f
     equals G[nu]f[mu]e.
 
-    Two reductions of the same type always commute, and an ultraloop
-    commutes with everything.  Mixed types can only fail to commute in three
-    adjacency patterns — {[1]e, [ω]f} with f = σ_ω(e), {[ω]e, [ω²]f} with
-    f = σ₁(e), and {[ω²]e, [1]f} with f = σ_ω²(e) — which are all the same
-    pattern up to triality, and fail except in the degenerate cases listed
-    in _exceptional_pair_commutes.
+    Only {[1]e, [ω]f} with f = σ_ω(e), {[ω]e, [ω²]f} with f = σ₁(e) and
+    {[ω²]e, [1]f} with f = σ_ω²(e) can fail: one pattern up to triality,
+    decided by _pattern_commutes.  Equal types never form it, and neither
+    does an ultraloop, which no permutation moves.
     """
     i, j = g.number(e), g.number(f)
     if mu not in ALL_MU or nu not in ALL_MU:
         raise ValueError(f"unknown reduction type in {mu!r}, {nu!r}")
     if i == j:
         raise ValueError("need two distinct edges")
-    if mu == nu:
-        return True
     t = g.triple
-    if any(t[1][x] == x == t[2][x] for x in (i, j)):  # an ultraloop
-        return True
     for (x, mx), (y, my) in (((i, mu), (j, nu)), ((j, nu), (i, mu))):
-        if my == (mx + 1) % 3:
-            # the trial power mx turns the pattern into {[1]x, [ω]y}
-            s1, sw, sw2 = rotate(t, mx)
-            if sw[x] == y:
-                return _exceptional_pair_commutes(s1, sw, sw2, x, y)
+        if my == (mx + 1) % 3 and rotate(t, mx)[1][x] == y:
+            return _pattern_commutes(t, mx, x)
     return True
 
 
@@ -149,15 +139,12 @@ def trimedial(g: AltDimap) -> Multigraph:
 def is_2_reduction_commutative(g: AltDimap) -> bool:
     """Whether every pair of single reductions on G commutes.
 
-    predict_commute can return False only for a pair {[mx]x, [mx+1]y}
-    with y = σ_ω(x) in the triple of the trial power mx, rotate(t, mx),
-    that is y = σ_ω(x), σ₁(x) or σ_ω²(x) for mx = 0, 1, 2.  So only the
-    pairs (x, y) with x not fixed by that permutation are asked: at most
-    3E calls instead of 9·C(E, 2), with the same answer as asking every
-    pair.
+    Only the pairs {[mx]x, [mx+1]y} with y = σ_ω(x), σ₁(x) or σ_ω²(x)
+    ≠ x for mx = 0, 1, 2 can fail, so _pattern_commutes is asked at most
+    3E times, with the same answer as predict_commute on every pair.
     """
-    t, labels = g.triple, g.sw.labels
-    return all(predict_commute(g, labels[x], mx, labels[y], (mx + 1) % 3)
+    t = g.triple
+    return all(_pattern_commutes(t, mx, x)
                for mx in ALL_MU for x, y in enumerate(rotate(t, mx)[1])
                if x != y)
 

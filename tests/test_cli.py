@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import altdimaps.cli
 from altdimaps import InvariantError, PlaneGraph, alt_c, build_map
-from altdimaps.catalog import posy, ultraloop
+from altdimaps.catalog import posy, ultraloop, witness_a
 from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
 
@@ -89,6 +89,17 @@ def test_commute(capsys, posy_file):
                      "--f", "1", "--nu", "w")
     assert rc == 0
     assert "actual: true" in out and "predicted: true" in out
+
+
+def test_commute_fails(capsys, tmp_path):
+    # in witness_a, edge 1 = σ_ω(e) makes {[1]e, [ω]1} the one pattern
+    # that can fail, and neither edge is degenerate enough for it to commute
+    p = tmp_path / "witness_a.map"
+    p.write_text(serialize_map(witness_a(), "witness_a"))
+    rc, out, _ = run(capsys, "commute", str(p), "--e", "e", "--mu", "1",
+                     "--f", "1", "--nu", "w")
+    assert rc == 0
+    assert "actual: false" in out and "predicted: false" in out
 
 
 def test_enumerate_two_edges(capsys):

@@ -51,6 +51,20 @@ def test_float_parameters_are_read_exactly():
     assert ExtendedParams(*[0.5] * 16).l == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_nonfinite_float_parameters_raise_value_error(bad):
+    # no exact rational holds them: refused as bad input, not OverflowError
+    with pytest.raises(ValueError):
+        SimpleParams(bad, 1, 1, 1)
+    with pytest.raises(ValueError):
+        ExtendedParams(*[1] * 15, bad)
+    for pos in range(4):
+        args = [2, 3, 5, 7]
+        args[pos] = bad
+        with pytest.raises(ValueError):
+            basic_extended_params(*args)
+
+
 # -- symbolic witness identities ------------------------------------------------
 
 W, X, Y, Z = sp.symbols("w x y z")

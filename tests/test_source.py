@@ -84,6 +84,24 @@ def test_alt_images_are_read_off_the_darts():
     assert found == []
 
 
+def test_one_commutation_kernel():
+    # the pair prediction is one kernel on the rotated triple: the old
+    # exceptional-case helper is gone, and only commute_check, which
+    # reports the prediction beside the actual answer, goes back through
+    # the labelled predict_commute
+    path = next(p for p in SOURCES if p.name == "minors.py")
+    functions = [node for node in ast.parse(path.read_text(), str(path)).body
+                 if isinstance(node, ast.FunctionDef)]
+    names = [node.name for node in functions]
+    assert "_pattern_commutes" in names
+    assert "_exceptional_pair_commutes" not in names
+    callers = sorted(node.name for node in functions
+                     for sub in ast.walk(node)
+                     if isinstance(sub, ast.Call)
+                     and ast.unparse(sub.func) == "predict_commute")
+    assert callers == ["commute_check"]
+
+
 def test_plane_graph_errors_name_a_document_line():
     # every error of parse_plane_graph is raised at a line of the
     # document; only parse_map's missing-line errors stay at line 0
