@@ -81,6 +81,8 @@ class BinFn:
     def value(self, subset: Sequence[Hashable]) -> complex:
         idx = 0
         for lab in subset:
+            if lab not in self.ground:
+                raise ValueError(f"unknown ground element {lab!r}")
             idx |= 1 << self.ground.index(lab)
         return complex(self.values[idx])
 

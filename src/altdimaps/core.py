@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
-from .embedded import EmbeddedGraph
+from .embedded import EmbeddedGraph, euler_genus
 from .perm import Perm, numbering, orbits
 
 # The three reduction/loop types, as exponents of the rotation ω:
@@ -104,15 +104,16 @@ class AltDimap:
     # -- incidence --------------------------------------------------------
 
     def vertex_of(self, e: Hashable) -> frozenset:
-        """The in-star (s1-cycle) containing e, as a frozenset of edges."""
-        s1 = self.s1
-        return frozenset(map(s1.labels.__getitem__, _cycle(s1.img, s1.index[e])))
+        """The in-star (s1-cycle) containing e, as a frozenset of edges
+        (ValueError for an unknown edge)."""
+        self.number(e)
+        return frozenset(next(c for c in self.s1.cycles() if e in c))
 
     def head(self, e: Hashable) -> frozenset:
         return self.vertex_of(e)
 
     def tail(self, e: Hashable) -> frozenset:
-        return self.vertex_of(self.sw(e))
+        return self.vertex_of(self.sw.labels[self.sw.img[self.number(e)]])
 
     def vertices(self) -> List[Tuple[Hashable, ...]]:
         return self.s1.cycles()
@@ -168,14 +169,7 @@ def map_stats(g: AltDimap) -> MapStats:
     cf = len(g.sw2.cycles())
     e = g.n_edges
     k = len(g.orbits())
-    # V - E + F = 2(k - γ)
-    chi = v - e + af + cf
-    if chi % 2:
-        raise ValueError("odd Euler characteristic; not an alternating dimap")
-    genus = k - chi // 2
-    if genus < 0:
-        raise ValueError("negative genus; not an alternating dimap")
-    return MapStats(e, v, af, cf, af + cf, k, genus)
+    return MapStats(e, v, af, cf, af + cf, k, euler_genus(v, e, af + cf, k))
 
 
 def trial(g: AltDimap) -> AltDimap:
@@ -253,15 +247,6 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str
 # The kernels below read a map as the image triple t = (σ₁, σ_ω, σ_ω²) over
 # its edge numbers.  A number fixed by all three is a one-edge component,
 # so a kernel reads the same map whether or not such numbers are left in.
-
-
-def _cycle(img: Sequence[int], i: int) -> List[int]:
-    """The numbers on the cycle of img through i, from i on."""
-    cyc, j = [i], img[i]
-    while j != i:
-        cyc.append(j)
-        j = img[j]
-    return cyc
 
 
 class EdgeClass:

@@ -88,16 +88,22 @@ class EmbeddedGraph:
                 + [() for rot in self.rotations.values() if not rot])
 
     def k_minus_gamma(self) -> int:
-        """Components minus total genus, via Euler's relation
-        V - E + F = 2(k - γ)."""
-        chi = len(self.vertices) - len(self.edges) + len(self.trace_faces())
-        if chi % 2:
-            raise ValueError("odd Euler characteristic; invalid embedding")
-        return chi // 2
+        """Components minus total genus."""
+        return len(self.components()) - self.genus()
 
     def genus(self) -> int:
         """The total genus: the sum of the components' genera."""
-        g = len(self.components()) - self.k_minus_gamma()
-        if g < 0:
-            raise ValueError("negative genus; invalid embedding")
-        return g
+        return euler_genus(len(self.vertices), len(self.edges),
+                           len(self.trace_faces()), len(self.components()))
+
+
+def euler_genus(v: int, e: int, f: int, k: int) -> int:
+    """The total genus γ of an embedding with v vertices, e edges, f faces
+    and k components, by Euler's relation v − e + f = 2(k − γ) (Lando and
+    Zvonkin 2004); ValueError for counts that no embedding has."""
+    chi = v - e + f
+    if chi % 2:
+        raise ValueError("odd Euler characteristic; not an embedding")
+    if k < chi // 2:
+        raise ValueError("negative genus; not an embedding")
+    return k - chi // 2

@@ -301,10 +301,11 @@ class PlaneGraph:
 
 
 def plane_multigraph(p: PlaneGraph) -> Multigraph:
-    """Forget the embedding: the underlying multigraph (Tutte oracle input)."""
+    """Forget the embedding: the underlying multigraph (Tutte oracle input),
+    its edges in perm.numbering order."""
     eg = p.graph
     return Multigraph(eg.vertices,
-                      [(e,) + eg.endpoints(e) for e in sorted(eg.edges, key=repr)])
+                      [(e,) + eg.endpoints(e) for e in numbering(eg.edges)[0]])
 
 
 def _dart_map(sw: Sequence[int], sw2: Sequence[int],

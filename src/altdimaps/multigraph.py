@@ -6,6 +6,7 @@ from heapq import heappop, heappush
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
+from .perm import numbering
 from .poly import Poly2
 
 
@@ -132,12 +133,13 @@ def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
     exactly.  The edge order is free: T(G) is its subset expansion, which
     names no order.  So the edges go in the frontier order of their
     endpoints (the edge with the most endpoints met so far next; ties as
-    in frontier, the edge ids numbered in repr order): the reduced edges
+    in frontier, the edge ids in perm.numbering order): the reduced edges
     then meet the rest in few vertices, and the states that differ only
     in how the reduced part was cut coincide."""
     if len(g.edges) > max_edges:
         raise ValueError(f"Tutte recursion capped at {max_edges} edges")
-    ends = [e[1:] for e in sorted(g.edges, key=lambda e: repr(e[0]))]
+    by_id = {e[0]: e[1:] for e in g.edges}
+    ends = [by_id[e] for e in numbering(by_id)[0]]
     x, y = Poly2.var(0), Poly2.var(1)
 
     def step(s: Tuple[int, ...]):

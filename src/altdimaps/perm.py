@@ -156,10 +156,13 @@ class Perm:
         return out
 
     def restricted(self, points: Iterable[Point]) -> "Perm":
-        """Restriction to a union of whole cycles (raises otherwise)."""
-        pts = set(points)
-        sub = {x: self(x) for x in pts}
-        if not pts.issuperset(sub.values()):
+        """Restriction to a union of whole cycles (ValueError otherwise)."""
+        sub = {}
+        for x in points:
+            if x not in self.index:
+                raise ValueError(f"point {x!r} not in domain")
+            sub[x] = self(x)
+        if not sub.keys() >= set(sub.values()):
             raise ValueError("restriction does not respect cycles")
         return Perm(sub)
 

@@ -283,6 +283,13 @@ def test_binfn_validation():
         BinFn(("a", "a"), [1, 2, 3, 4])
 
 
+def test_binfn_value_rejects_an_unknown_ground_element():
+    f = ultraloop_bf(2, labels=("x", "y"))
+    assert f.value(["x", "y"]) == pytest.approx((SQRT2 - 1) ** 2)
+    with pytest.raises(ValueError, match="unknown ground element 'z'"):
+        f.value(["x", "z"])
+
+
 def test_binfn_keeps_caller_array_writeable():
     arr = np.array([1, 2, 3, 4], dtype=np.complex128)
     f = BinFn(("a", "b"), arr)

@@ -279,6 +279,34 @@ def test_frontier_order_on_alt_images(six_edge_maps):
             assert T(g, order=frontier_order(g)) == T(g)
 
 
+def test_T_c_domain_up_to_five_edges():
+    # Brute force over every order of every map with 1–5 edges.  Per edge
+    # count: the maps, those on which T_c is defined in every order, those
+    # of them that have genus 1 (the rest have genus 0), and the other maps
+    # that take more than one value over the orders that work.  On every
+    # map defined in every order T_c takes one value.
+    counts = {n: [0, 0, 0, 0] for n in range(1, 6)}
+    for g in maps_up_to(5, n_min=1):
+        values, undefined = set(), False
+        for order in permutations(g.sw.labels):
+            try:
+                values.add(T_c(g, list(order)))
+            except ValueError:
+                undefined = True
+        row = counts[g.n_edges]
+        row[0] += 1
+        if undefined:
+            row[3] += len(values) > 1
+        else:
+            assert len(values) == 1, g
+            genus = map_stats(g).genus
+            assert genus in (0, 1), g
+            row[1] += 1
+            row[2] += genus
+    assert counts == {1: [1, 1, 0, 0], 2: [4, 4, 0, 0], 3: [11, 10, 1, 0],
+                      4: [43, 31, 3, 1], 5: [161, 81, 12, 20]}
+
+
 def test_recursions_deeper_than_the_recursion_limit():
     # 600 edges; θ_k has Tutte polynomial x + y + y² + … + y^(k-1)
     k = 300

@@ -192,3 +192,10 @@ def test_map_from_rotations_rejects_bad_darts(rotations, message):
 def test_mismatched_domains_rejected():
     with pytest.raises(ValueError):
         AltDimap(Perm({0: 0}), Perm({1: 1}))
+
+
+def test_restriction_rejects_a_point_outside_the_domain():
+    with pytest.raises(ValueError, match="point 'nope' not in domain"):
+        Perm({0: 1, 1: 0}).restricted([0, 1, "nope"])
+    with pytest.raises(ValueError, match="point 'nope' not in domain"):
+        posy(1).restricted(["nope"])

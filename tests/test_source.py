@@ -116,3 +116,22 @@ def test_plane_graph_errors_name_a_document_line():
     found = [f"textio.py:{node.lineno}" for node in errors
              if isinstance(node.args[0], ast.Constant) and node.args[0].value == 0]
     assert found == []
+
+
+def test_only_perm_sorts_labels_by_repr():
+    # one label order: every other module numbers labels by perm.numbering
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "perm.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             for kw in node.keywords
+             if kw.arg == "key" and "repr" in ast.unparse(kw.value)]
+    assert found == []
+
+
+def test_core_walks_no_cycle_of_its_own():
+    # the incidence readers read the in-stars off Perm.cycles
+    path = next(p for p in SOURCES if p.name == "core.py")
+    names = [node.name for node in ast.parse(path.read_text(), str(path)).body
+             if isinstance(node, ast.FunctionDef)]
+    assert "map_stats" in names and "_cycle" not in names
