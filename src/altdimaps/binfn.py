@@ -21,6 +21,8 @@ from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
+from .perm import _canonical_repr, numbering
+
 SQRT2 = math.sqrt(2.0)
 
 #: Primitive third root of unity, the transform parameter of order 3.
@@ -184,7 +186,8 @@ def tensor(f: BinFn, g: BinFn) -> BinFn:
     low bit positions) and values multiply coordinate-wise."""
     overlap = set(f.ground) & set(g.ground)
     if overlap:
-        raise ValueError(f"ground sets overlap: {sorted(map(repr, overlap))}")
+        shared = map(_canonical_repr, numbering(overlap)[0])
+        raise ValueError(f"ground sets overlap: {', '.join(shared)}")
     return BinFn(f.ground + g.ground, np.kron(g.values, f.values))
 
 

@@ -28,10 +28,15 @@ class InvariantError(AssertionError):
     """A failed internal check: a library bug, not bad input."""
 
 
+# row j: the indices (−j, 1 − j, 2 − j) mod 3
+_ROTATIONS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+
+
 def rotate(t: Sequence, j: int) -> tuple:
     """The triple of trial^j(G) from the triple t = (σ₁, σ_ω, σ_ω²) of G:
     (t[−j], t[1−j], t[2−j]), indices mod 3."""
-    return t[-j % 3], t[(1 - j) % 3], t[(2 - j) % 3]
+    a, b, c = _ROTATIONS[j % 3]
+    return t[a], t[b], t[c]
 
 
 class AltDimap:
@@ -130,6 +135,7 @@ class AltDimap:
 
     def restricted(self, edges: Iterable[Hashable]) -> "AltDimap":
         """Sub-dimap induced by a union of components."""
+        edges = list(edges)  # read twice, so an iterator is read once here
         return AltDimap(self.sw.restricted(edges), self.sw2.restricted(edges))
 
 

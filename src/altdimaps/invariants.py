@@ -1,10 +1,10 @@
 """Tutte-style invariants of alternating dimaps.
 
 Exact arithmetic throughout: parameters are rationals (Fraction), the
-polynomial recursions work over sparse integer polynomials.  Recursions on
-a map are evaluated with respect to an explicit edge order — the least
-surviving edge is always the one reduced — because general maps are
-order-sensitive.
+polynomial recursions accumulate packed ints and return sparse integer
+polynomials.  Recursions on a map are evaluated with respect to an
+explicit edge order — the least surviving edge is always the one reduced
+— because general maps are order-sensitive.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Type)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
                    InvariantError, map_stats, reflect, trial_power)
@@ -20,7 +20,7 @@ from .embedded import EmbeddedGraph
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
 from .perm import Perm, inverse, numbering
-from .poly import Poly1, Poly2
+from .poly import Poly, Poly1, Poly2, _PackedRing
 
 Q = Fraction
 
@@ -235,26 +235,34 @@ def extended_eval(g: AltDimap, p: ExtendedParams,
 
 # -- the polynomial recursions T_c, T_a, T_i --------------------------------------
 
-def _clockwise(g: AltDimap, order: Optional[Sequence[Hashable]], x, y,
-               name: str):
-    """T_c's case table in the variables x and y, over the ring of x, in
+def _clockwise(g: AltDimap, order: Optional[Sequence[Hashable]],
+               cls: Type[Poly], name: str) -> Poly:
+    """T_c's case table over cls, in x and y (y = x over Poly1), in
     priority: ω²-loop (including ultraloop) — factor 1; ω-semiloop — x
     times the ω²-reduction; proper 1-semiloop or ω-loop — y times the
     1-reduction; non-semiloop — sum of the 1- and ω²-reductions.  Other
-    edges fit no case (of the `name` recursion) and are rejected."""
-    return _recurse(g, order, (
+    edges fit no case (of the `name` recursion) and are rejected.
+
+    Every coefficient is x, y or 1 and a row has at most two terms, so
+    the sweep accumulates packed ints (poly._PackedRing: a coefficient
+    is at most 2^|E|, an exponent at most |E|), unpacked once at the
+    end."""
+    ring = _PackedRing(cls, g.n_edges)
+    x = ring.var(0)
+    y = ring.var(1) if cls is Poly2 else x
+    return ring.unpack(_recurse(g, order, (
         (lambda c: c.is_omega2_loop, ((None, MUW2),)),
         (lambda c: c.is_omega_semiloop, ((x, MUW2),)),
         (lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop, ((y, MU1),)),
         (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
                         or c.is_omega2_semiloop),
          ((None, MU1), (None, MUW2))),
-    ), type(x).one(), type(x).zero(), name)
+    ), ring.one, ring.zero, name))
 
 
 def T_c(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
     """Clockwise Tutte recursion: _clockwise's table in x and y."""
-    return _clockwise(g, order, Poly2.var(0), Poly2.var(1), "clockwise")
+    return _clockwise(g, order, Poly2, "clockwise")
 
 
 def T_a(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
@@ -279,8 +287,7 @@ def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:
     the ω²-reduction; proper ω²-semiloop or ω-loop — x times the
     ω-reduction; non-semiloop — sum of the ω- and ω²-reductions.  A proper
     1-semiloop, on H a proper ω²-semiloop, is rejected."""
-    x = Poly1.var()
-    return _clockwise(trial_power(reflect(g), 2), order, x, x, "in-star")
+    return _clockwise(trial_power(reflect(g), 2), order, Poly1, "in-star")
 
 
 # -- plane graphs and the alt constructions ---------------------------------------

@@ -7,7 +7,7 @@ from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from .perm import numbering
-from .poly import Poly2
+from .poly import Poly2, _PackedRing
 
 
 class Multigraph:
@@ -135,12 +135,16 @@ def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
     endpoints (the edge with the most endpoints met so far next; ties as
     in frontier, the edge ids in perm.numbering order): the reduced edges
     then meet the rest in few vertices, and the states that differ only
-    in how the reduced part was cut coincide."""
+    in how the reduced part was cut coincide.  The sums are packed ints
+    (poly._PackedRing: every coefficient is x, y or 1 and a state has at
+    most two substates, so a coefficient is at most 2^|E| and an exponent
+    at most |E|), unpacked once at the end."""
     if len(g.edges) > max_edges:
         raise ValueError(f"Tutte recursion capped at {max_edges} edges")
     by_id = {e[0]: e[1:] for e in g.edges}
     ends = [by_id[e] for e in numbering(by_id)[0]]
-    x, y = Poly2.var(0), Poly2.var(1)
+    ring = _PackedRing(Poly2, len(g.edges))
+    x, y = ring.var(0), ring.var(1)
 
     def step(s: Tuple[int, ...]):
         if not s:
@@ -153,4 +157,4 @@ def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
         return [(None, _renumber(rest)), (None, _renumber(rest, v, u))]
 
     root = _renumber([w for i in frontier(ends) for w in ends[i]])
-    return sweep(root, lambda s: s, step, Poly2.one(), Poly2.zero())
+    return ring.unpack(sweep(root, lambda s: s, step, ring.one, ring.zero))

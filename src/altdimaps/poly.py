@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Type
+
+from .core import InvariantError
 
 
 class Poly:
@@ -125,3 +127,64 @@ class Poly2(Poly):
         for (i, j), c in self.coeffs.items():
             out[i + j] = out.get(i + j, 0) + c
         return Poly1(out)
+
+
+class _Shift:
+    """Multiplication of a packed int by one monomial: a left shift."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    def __mul__(self, acc: int) -> int:
+        return acc << self.bits
+
+
+class _PackedRing:
+    """The polynomials over cls (Poly1 or Poly2) that a sweep of at most n
+    reductions can reach, each packed exactly into one int by Kronecker
+    substitution: a coefficient takes B = n + 1 bits and an exponent has
+    stride D = n + 1, so x^i·y^j sits at bit (i·D + j)·B (x^i at i·B over
+    Poly1).  Multiplying by x or y (var) is a shift and adding two
+    polynomials is one int addition; one and zero are the ints 1 and 0.
+
+    The packing is exact for a sweep whose every coefficient is x, y or 1
+    and whose states branch at most twice, as in T_c's table and the
+    Tutte oracle.  A coefficient is then at most the number of paths from
+    the root, at most 2^n < 2^B, so no slot carries into the next; and
+    every exponent is at most the number of reductions, at most n < D, so
+    no exponent reaches the next stride.  unpack raises InvariantError on
+    a negative int or one wider than the strides allow, which is what an
+    exponent or the top coefficient past its bound leaves."""
+
+    one, zero = 1, 0
+
+    def __init__(self, cls: Type[Poly], n: int):
+        self.cls = cls
+        self.bits = self.stride = n + 1
+        self.slots = self.stride ** len(cls.names)
+
+    def var(self, which: int = 0) -> _Shift:
+        """Multiplication by the variable cls.names[which]."""
+        return _Shift(self.stride ** (len(self.cls.names) - 1 - which)
+                      * self.bits)
+
+    def unpack(self, acc: int) -> Poly:
+        """The polynomial packed in acc, read in one pass over its binary
+        digits."""
+        b, d = self.bits, self.stride
+        if acc < 0:
+            raise InvariantError("packed polynomial is negative")
+        if acc.bit_length() > self.slots * b:
+            raise InvariantError(f"packed polynomial of {acc.bit_length()} "
+                                 f"bits exceeds {self.slots} slots of {b}")
+        digits = format(acc, "b")
+        digits = "0" * (-len(digits) % b) + digits
+        top = len(digits) // b
+        coeffs: Dict[Tuple[int, ...], int] = {}
+        for k in range(top):
+            c = int(digits[(top - 1 - k) * b:(top - k) * b], 2)
+            if c:
+                coeffs[divmod(k, d) if self.cls is Poly2 else (k,)] = c
+        return self.cls(coeffs)

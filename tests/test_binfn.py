@@ -216,6 +216,23 @@ def test_tensor_rejects_overlap():
         tensor(f, f)
 
 
+def test_tensor_overlap_error_is_canonical():
+    # the shared labels in perm.numbering order, each frozenset printed
+    # with its members sorted, whatever the hash seed and insertion order
+    f = BinFn(("b", "a"), [1, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"^ground sets overlap: 'a', 'b'$"):
+        tensor(f, f)
+    for members in (["ab", "cd", "ef"], ["ef", "cd", "ab"], ["cd", "ef", "ab"]):
+        label = frozenset()
+        for m in members:
+            label = label | {m}
+        g = ultraloop_bf(1, labels=(label,))
+        with pytest.raises(ValueError) as err:
+            tensor(g, g)
+        assert str(err.value) == \
+            "ground sets overlap: frozenset({'ab', 'cd', 'ef'})"
+
+
 def test_ultraloop_bf_values():
     assert ultraloop_bf(0).values[0] == 1
     f = ultraloop_bf(2)

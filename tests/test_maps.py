@@ -199,3 +199,12 @@ def test_restriction_rejects_a_point_outside_the_domain():
         Perm({0: 1, 1: 0}).restricted([0, 1, "nope"])
     with pytest.raises(ValueError, match="point 'nope' not in domain"):
         posy(1).restricted(["nope"])
+
+
+def test_restriction_reads_its_edges_once():
+    # an iterator serves both permutations
+    g = posy(1)
+    assert g.restricted(iter(g.edges)) == g
+    two = build_map(["a", "b"], [("a",), ("b",)], [("a",), ("b",)])
+    assert two.restricted(e for e in ["a"]) == \
+        build_map(["a"], [("a",)], [("a",)])

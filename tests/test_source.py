@@ -118,14 +118,36 @@ def test_plane_graph_errors_name_a_document_line():
     assert found == []
 
 
+def _sorts_by_repr(node: ast.Call) -> bool:
+    """Whether the call sorts by repr: a repr key, or sorted(map(repr, …))."""
+    if any(kw.arg == "key" and "repr" in ast.unparse(kw.value)
+           for kw in node.keywords):
+        return True
+    return (ast.unparse(node.func) == "sorted" and bool(node.args)
+            and isinstance(node.args[0], ast.Call)
+            and ast.unparse(node.args[0].func) == "map"
+            and bool(node.args[0].args)
+            and "repr" in ast.unparse(node.args[0].args[0]))
+
+
+def test_sorts_by_repr_is_seen_in_both_forms():
+    def calls(source):
+        return [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call)]
+
+    for source in ("sorted(xs, key=repr)", "xs.sort(key=lambda x: repr(x))",
+                   "sorted(map(repr, xs))", "sorted(map(_canonical_repr, xs))"):
+        assert any(map(_sorts_by_repr, calls(source))), source
+    for source in ("sorted(xs)", "sorted(map(str, xs))", "list(map(repr, xs))"):
+        assert not any(map(_sorts_by_repr, calls(source))), source
+
+
 def test_only_perm_sorts_labels_by_repr():
     # one label order: every other module numbers labels by perm.numbering
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "perm.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Call)
-             for kw in node.keywords
-             if kw.arg == "key" and "repr" in ast.unparse(kw.value)]
+             if isinstance(node, ast.Call) and _sorts_by_repr(node)]
     assert found == []
 
 
