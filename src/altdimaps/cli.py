@@ -160,15 +160,16 @@ def _cmd_tutte(args) -> int:
                       "i": (T_i, alt_i)}[args.variant]
     image = alt(p)
     target = oracle.diagonal() if args.variant == "i" else oracle
-    if not args.order:
-        # alt_a(P) has the edge labels of alt_c(P); in alt_c's order T_a
-        # meets 3-5x fewer states on the triangulated 4x5, 4x6 and 5x6
-        # grids than in its own (1.3-1.4x more on 4x4 and 5x5)
-        order = frontier_order(alt_c(p) if args.variant == "a" else image)
-    else:
+    order = None  # T_c and T_i sweep a plane image in its frontier order
+    if args.order:
         # each plane edge lab stands for the image edges (lab, end), in
         # the image's numbering order
         order = [x for lab in args.order for x in image.edges if x[0] == lab]
+    elif args.variant == "a":
+        # alt_a(P) has the edge labels of alt_c(P); in alt_c's order T_a
+        # meets 3-5x fewer states on the triangulated 4x5, 4x6 and 5x6
+        # grids than in its own (1.3-1.4x more on 4x4 and 5x5)
+        order = frontier_order(alt_c(p))
     poly = recursion(image, order=order)
     print(poly)
     print(target)

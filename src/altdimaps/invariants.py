@@ -4,7 +4,11 @@ Exact arithmetic throughout: parameters are rationals (Fraction), the
 polynomial recursions accumulate packed ints and return sparse integer
 polynomials.  Recursions on a map are evaluated with respect to an
 explicit edge order — the least surviving edge is always the one reduced
-— because general maps are order-sensitive.
+— because general maps are order-sensitive.  Without one, extended_eval
+and simple_tutte_eval reduce in repr order.  So do T_c, T_a and T_i,
+except on the alt images of plane graphs, where their value (the Tutte
+polynomial, or its diagonal for T_i) is the same in every order and they
+take the swept map's frontier_order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
 from .embedded import EmbeddedGraph
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
-from .perm import Perm, inverse, numbering
+from .perm import Perm, inverse, numbering, orbits
 from .poly import Poly, Poly1, Poly2, _PackedRing
 
 Q = Fraction
@@ -125,14 +129,29 @@ def frontier_order(g: AltDimap) -> List[Hashable]:
     σ_ω², one for each edge of the trimedial graph); ties as in
     multigraph.frontier, the edges numbered in repr order.  The reduced
     part then meets the rest in few edges, which keeps the recursion
-    states few.  On the alt images of plane graphs T_c, T_a and T_i take
-    the same value in every order; on other maps the order can change
-    it, which is why order=None stays the repr order."""
-    perms = (g.s1, g.sw, g.sw2)
+    states few.  T_c, T_a and T_i take this order of the map they sweep
+    when that map is an alt image of a plane graph and no order is given
+    (see _clockwise)."""
     n = g.n_edges
-    keys = [[k * n + x for k, p in enumerate(perms) for x in (e, p.pre[e])]
+    # key k·n + x is the trimedial edge x → p(x), p the triple's member k;
+    # edge e meets, for each p, the keys of e and of p⁻¹(e)
+    a, b, c = (p.pre for p in (g.s1, g.sw, g.sw2))
+    keys = [(e, a[e], n + e, n + b[e], 2 * n + e, 2 * n + c[e])
             for e in range(n)]
     return [g.sw.labels[i] for i in frontier(keys)]
+
+
+def _is_alt_c_image(g: AltDimap) -> bool:
+    """Whether G has genus 0 and every c-face (σ_ω² cycle) of length 2,
+    that is, whether G is the alt_c image of a plane graph.  The first
+    test reads σ_ω² alone; only a fixed-point-free involution has its
+    vertices, a-faces and components counted, for Euler's relation
+    V − E + (af + |E|/2) = 2k at genus 0."""
+    s1, sw, sw2 = g.triple
+    if any(i == j or sw2[j] != i for i, j in enumerate(sw2)):
+        return False
+    return (len(orbits(s1)) + len(orbits(sw)) - len(sw2) // 2
+            == 2 * len(orbits(sw, sw2)))
 
 
 # -- the recursion engine -------------------------------------------------------
@@ -142,8 +161,10 @@ def frontier_order(g: AltDimap) -> List[Hashable]:
 # applies.  Its terms are (coefficient, reduction type) pairs and the row
 # evaluates to the sum of coefficient × (value of the reduced map).  A
 # coefficient None takes the sub-result as it is, and a zero coefficient
-# drops its term without reducing.
-Case = Tuple[Callable[[EdgeClass], bool], Sequence[Tuple[Any, int]]]
+# drops its term without reducing.  EdgeClass is named by a string: typing
+# caches the generics it makes, and a class held there would keep every
+# module of an earlier import of the package alive after a re-import.
+Case = Tuple[Callable[["EdgeClass"], bool], Sequence[Tuple[Any, int]]]
 
 
 def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
@@ -243,10 +264,18 @@ def _clockwise(g: AltDimap, order: Optional[Sequence[Hashable]],
     1-reduction; non-semiloop — sum of the 1- and ω²-reductions.  Other
     edges fit no case (of the `name` recursion) and are rejected.
 
+    With no order given, the alt_c image of a plane graph P (genus 0,
+    every c-face of length 2), on which the table gives T(P; x, y) in
+    every order, is swept in its frontier_order, which keeps the states
+    few.  Any other map is swept in repr order, on which its value may
+    depend.
+
     Every coefficient is x, y or 1 and a row has at most two terms, so
     the sweep accumulates packed ints (poly._PackedRing: a coefficient
     is at most 2^|E|, an exponent at most |E|), unpacked once at the
     end."""
+    if order is None and _is_alt_c_image(g):
+        order = frontier_order(g)
     ring = _PackedRing(cls, g.n_edges)
     x = ring.var(0)
     y = ring.var(1) if cls is Poly2 else x
@@ -261,7 +290,9 @@ def _clockwise(g: AltDimap, order: Optional[Sequence[Hashable]],
 
 
 def T_c(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
-    """Clockwise Tutte recursion: _clockwise's table in x and y."""
+    """Clockwise Tutte recursion: _clockwise's table in x and y.  The
+    default order is G's frontier_order when G is an alt_c image of a
+    plane graph (genus 0, every c-face of length 2), else repr order."""
     return _clockwise(g, order, Poly2, "clockwise")
 
 
@@ -269,7 +300,9 @@ def T_a(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
     """Anticlockwise Tutte recursion: T_c with ω and ω² exchanged.  The
     mirror image exchanges exactly those (its ω-loops, ω-semiloops and
     ω-reductions are the ω²-ones of G, edge for edge), so this is T_c on
-    reflect(G)."""
+    reflect(G).  The default order is thus reflect(G)'s frontier_order
+    when G is an alt_a image of a plane graph (genus 0, every a-face of
+    length 2), else repr order."""
     return T_c(reflect(g), order)
 
 
@@ -286,7 +319,9 @@ def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:
     ω²-loop (a proper μ-loop is a ν-semiloop exactly for ν ≠ μ) — x times
     the ω²-reduction; proper ω²-semiloop or ω-loop — x times the
     ω-reduction; non-semiloop — sum of the ω- and ω²-reductions.  A proper
-    1-semiloop, on H a proper ω²-semiloop, is rejected."""
+    1-semiloop, on H a proper ω²-semiloop, is rejected.  The default
+    order is H's frontier_order when G is an alt_i image of a plane graph
+    (genus 0, every in-star of length 2), else repr order."""
     return _clockwise(trial_power(reflect(g), 2), order, Poly1, "in-star")
 
 

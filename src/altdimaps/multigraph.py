@@ -34,29 +34,41 @@ def frontier(keys: Sequence[Sequence[Hashable]]) -> List[int]:
     with the most keys already met.  Ties go to the item whose first key
     was met earliest, then to the lowest number, so the taken part grows
     breadth first: on a long grid it sweeps across the width, not along
-    the length."""
+    the length.  An item none of whose keys is met yet waits off the heap
+    until no other is left, and then the lowest such number comes next."""
     touching: Dict[Hashable, List[int]] = {}
     for i, ks in enumerate(keys):
-        for k in set(ks):
-            touching.setdefault(k, []).append(i)
-    score: List = [0] * len(keys)  # None once taken
-    first = [0] * len(keys)  # when the item's first key was met
-    heap = [(0, 0, i) for i in range(len(keys))]
-    met, order = set(), []
-    while heap:
-        s, _, i = heappop(heap)
-        if score[i] is None or -s != score[i]:  # taken, or a stale entry
-            continue
+        for k in ks:
+            items = touching.get(k)
+            if items is None:
+                touching[k] = [i]
+            elif items[-1] != i:  # a key named twice by one item
+                items.append(i)
+    n = len(keys)
+    score: List = [0] * n  # None once taken
+    first = [0] * n  # when the item's first key was met
+    heap: List[Tuple[int, int, int]] = []
+    met, order, fresh = set(), [], 0
+    while len(order) < n:
+        if heap:
+            s, _, i = heappop(heap)
+            if -s != score[i]:  # taken, or a stale entry
+                continue
+        else:
+            while score[fresh] is None:
+                fresh += 1
+            i = fresh
         order.append(i)
         score[i] = None
         for k in keys[i]:
             if k not in met:
                 met.add(k)
                 for j in touching[k]:
-                    if score[j] is not None:
-                        score[j] += 1
-                        first[j] = first[j] or len(met)
-                        heappush(heap, (-score[j], first[j], j))
+                    s = score[j]
+                    if s is not None:
+                        score[j] = s = s + 1
+                        f = first[j] = first[j] or len(met)
+                        heappush(heap, (-s, f, j))
     return order
 
 

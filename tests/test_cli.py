@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import altdimaps.cli
-from altdimaps import InvariantError, PlaneGraph, alt_c, build_map
+from altdimaps import (InvariantError, PlaneGraph, alt_c, alt_i, build_map,
+                       invariants, reflect, trial_power)
 from altdimaps.catalog import posy, ultraloop, witness_a
 from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
@@ -209,6 +210,27 @@ def test_tutte_variant_a_takes_the_order_of_alt_c(capsys, tmp_path, monkeypatch)
     assert rc == 0, err
     assert out.strip().splitlines()[-1] == "equal: true"
     assert ordered == [alt_c(PlaneGraph.from_rotations(rotations))]
+
+
+def test_tutte_variants_c_and_i_take_the_library_order(capsys, tmp_path,
+                                                     monkeypatch):
+    # no order passed: T_c sweeps alt_c(P) and T_i sweeps
+    # trial²(reflect(alt_i(P))), each in its own frontier order
+    rotations = grid_rotations(3, 3, diagonals=True)
+    doc = tmp_path / "tri3x3.pg"
+    doc.write_text(plane_document("tri3x3", rotations))
+    p = PlaneGraph.from_rotations(rotations)
+    asked = []
+    frontier_order = invariants.frontier_order
+    monkeypatch.setattr(invariants, "frontier_order",
+                        lambda g: asked.append(g) or frontier_order(g))
+    for variant, swept in (("c", alt_c(p)),
+                           ("i", trial_power(reflect(alt_i(p)), 2))):
+        asked.clear()
+        rc, out, err = run(capsys, "tutte", str(doc), "--variant", variant)
+        assert rc == 0, err
+        assert out.strip().splitlines()[-1] == "equal: true"
+        assert asked == [swept], variant
 
 
 def test_tutte_above_the_cap_exits_1(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Polynomial and multiplicative invariants, and the plane-graph bridge."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, Hashable, List, Tuple
@@ -8,12 +9,13 @@ import pytest
 import sympy as sp
 
 from altdimaps import (AltDimap, EmbeddedGraph, ExtendedParams,
-                       InvariantError, PlaneGraph, SimpleParams,
+                       InvariantError, PlaneGraph, SimpleParams, build_map,
                        SIMPLE_FAMILIES, T_a, T_c, T_i, alt_a, alt_c, alt_i,
                        basic_extended_params, canonical_code, extended_eval,
                        frontier_order, map_from_rotations, map_stats,
-                       plane_multigraph, simple_family_value,
-                       simple_tutte_eval, tutte_poly)
+                       invariants, plane_multigraph, reflect,
+                       simple_family_value, simple_tutte_eval, trial_power,
+                       tutte_poly)
 from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
                                loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
@@ -195,8 +197,8 @@ def test_tutte_correspondence_clockwise(suite):
     for name, p in suite.items():
         want = tutte_poly(plane_multigraph(p))
         g = alt_c(p)
-        edges = sorted(g.edges, key=repr)
-        for order in (None, edges[::-1], edges[1:] + edges[:1]):
+        edges = list(g.sw.labels)  # repr order; None takes the frontier's
+        for order in (edges, edges[::-1], edges[1:] + edges[:1]):
             assert T_c(g, order=order) == want, (name, order)
 
 
@@ -204,8 +206,8 @@ def test_tutte_correspondence_anticlockwise(suite):
     for name, p in suite.items():
         want = tutte_poly(plane_multigraph(p))
         g = alt_a(p)
-        edges = sorted(g.edges, key=repr)
-        for order in (None, edges[::-1], edges[1:] + edges[:1]):
+        edges = list(g.sw.labels)  # repr order; None takes the frontier's
+        for order in (edges, edges[::-1], edges[1:] + edges[:1]):
             assert T_a(g, order=order) == want, (name, order)
 
 
@@ -264,7 +266,7 @@ def test_frontier_order_on_alt_images(six_edge_maps):
     # The alt images with at most six edges are the maps of genus 0 whose
     # every c-face (alt_c), a-face (alt_a) or in-star (alt_i) has length 2:
     # both sides are computed as sets of canonical codes.  On each of them
-    # the frontier order gives the value of the sorted order.
+    # the frontier order gives the value of the repr order.
     maps = maps_up_to(5) + six_edge_maps
     planes = list(small_plane_graphs(3))
     for T, cycles, images in (
@@ -276,7 +278,79 @@ def test_frontier_order_on_alt_images(six_edge_maps):
         assert {canonical_code(g) for g in selected} == \
             {canonical_code(g) for g in images}
         for g in selected:
-            assert T(g, order=frontier_order(g)) == T(g)
+            assert T(g, order=frontier_order(g)) == T(g, list(g.sw.labels))
+
+
+def _value_or_error(T, g, order):
+    try:
+        return "value", T(g, order)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_default_order_matches_repr_order(six_edge_maps):
+    # With no order T_c, T_a and T_i sweep an alt image of a plane graph in
+    # its frontier order and any other map in repr order.  On all 1,122
+    # maps with at most six edges that gives the value, or the ValueError
+    # text, of the explicit repr order; and the alt_c images are picked by
+    # the same rule as map_stats reads it.
+    for g in maps_up_to(5) + six_edge_maps:
+        for T in (T_c, T_a, T_i):
+            assert _value_or_error(T, g, None) == \
+                _value_or_error(T, g, list(g.sw.labels)), (T.__name__, g)
+        st = map_stats(g)
+        assert invariants._is_alt_c_image(g) == (
+            st.genus == 0 and all(len(c) == 2 for c in g.sw2.cycles())), g
+
+
+def test_T_c_takes_one_value_on_alt_c_images(six_edge_maps):
+    # The maps of genus 0 whose c-faces all have length 2, the alt_c
+    # images: T_c takes one value in every order up to four edges, and in
+    # a fixed sample of 40 orders (and repr order) at six.
+    rng = random.Random(23)
+    counts = {}
+    for g in maps_up_to(5) + six_edge_maps:
+        if map_stats(g).genus or any(len(c) != 2 for c in g.sw2.cycles()):
+            continue
+        counts[g.n_edges] = counts.get(g.n_edges, 0) + 1
+        labels = list(g.sw.labels)
+        if g.n_edges <= 4:
+            orders = list(permutations(labels))
+        else:
+            orders = [labels] + [rng.sample(labels, len(labels))
+                                 for _ in range(40)]
+        assert len({T_c(g, list(order)) for order in orders}) == 1, g
+    assert counts == {0: 1, 2: 2, 4: 7, 6: 26}
+
+
+def test_default_order_is_the_frontier_order_of_plane_images(suite, monkeypatch):
+    # frontier_order is asked for the map each recursion sweeps: alt_c(P)
+    # itself for T_c, reflect(alt_a(P)) for T_a, trial²(reflect(alt_i(P)))
+    # for T_i.  It is not asked for posy(1) (genus 1), alt_a(triangle)
+    # (genus 0, c-faces of length 3), a genus-1 map whose c-faces all have
+    # length 2, nor when an order is given.
+    asked = []
+    frontier = invariants.frontier_order
+    monkeypatch.setattr(invariants, "frontier_order",
+                        lambda g: asked.append(g) or frontier(g))
+    for name, p in suite.items():
+        for T, g, swept in (
+                (T_c, alt_c(p), alt_c(p)),
+                (T_a, alt_a(p), reflect(alt_a(p))),
+                (T_i, alt_i(p, 0), trial_power(reflect(alt_i(p, 0)), 2)),
+                (T_i, alt_i(p, 1), trial_power(reflect(alt_i(p, 1)), 2))):
+            asked.clear()
+            T(g)
+            assert asked == [swept], (name, T.__name__)
+            asked.clear()
+            T(g, list(g.sw.labels))
+            assert asked == [], (name, T.__name__)
+    torus = build_map([0, 1, 2, 3], [(0, 1, 2, 3)], [(0, 2), (1, 3)])
+    assert map_stats(torus).genus == 1
+    for T, g in ((T_c, posy(1)), (T_a, posy(1)), (T_i, posy(1)),
+                 (T_c, alt_a(suite["triangle"])), (T_c, torus)):
+        _value_or_error(T, g, None)
+        assert asked == [], (T.__name__, g)
 
 
 def test_T_c_domain_up_to_five_edges():

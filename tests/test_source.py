@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import altdimaps
@@ -157,3 +160,26 @@ def test_core_walks_no_cycle_of_its_own():
     names = [node.name for node in ast.parse(path.read_text(), str(path)).body
              if isinstance(node, ast.FunctionDef)]
     assert "map_stats" in names and "_cycle" not in names
+
+
+def test_a_fresh_import_frees_the_last_one():
+    # Re-importing the package (as a benchmark set-up does) must leave the
+    # old modules collectable.  typing caches the generics built at import
+    # time, so one built over a class of the package keeps that class, its
+    # module and everything the module imports alive.
+    script = """
+import gc, importlib, sys
+for _ in range(3):
+    for name in [n for n in sys.modules if n.split(".")[0] == "altdimaps"]:
+        del sys.modules[name]
+    importlib.import_module("altdimaps")
+gc.collect()
+classes = [o for o in gc.get_objects()
+           if isinstance(o, type) and o.__module__.startswith("altdimaps.")]
+names = sorted(c.__module__ + "." + c.__qualname__ for c in classes)
+sys.exit(len(names) != len(set(names)))
+"""
+    src = str(Path(altdimaps.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+    assert done.returncode == 0

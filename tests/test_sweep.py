@@ -5,17 +5,21 @@ level, merging equal states within a level.  The reference below is the
 depth-first walk on an explicit stack that did this before, with the
 engine's row generator and the oracle's expansion, unchanged.  Both must
 give the same whole polynomials (and rationals) on the plane graphs below:
-in frontier order on all of them, and in the default order on those with at
-most 12 edges.
+in frontier order on all of them, and in repr order on those with at most
+12 edges.  multigraph.frontier, which gives both the edge order of the
+oracle and frontier_order, is checked against the heap it replaced, in
+which every item waited from the start.
 """
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Hashable, List, Tuple
 
 import pytest
+from hypothesis import given, strategies as st
 
 from altdimaps import (T_a, T_c, T_i, alt_a, alt_c, alt_i, extended_eval,
                        frontier_order, invariants, plane_multigraph,
-                       tutte_poly)
+                       reflect, trial_power, tutte_poly)
 from altdimaps.core import EdgeClass
 from altdimaps.minors import _reduce
 from altdimaps.multigraph import _joined, _renumber, frontier
@@ -109,16 +113,16 @@ def graphs():
 
 def recursions(p, ordered):
     """(name, thunk) for every recursion on the images of p, in frontier
-    order if ordered, else in the default order.  The frontier order is
-    the image's own, but alt_c's for alt_a (which has alt_c's labels), as
-    in `altdimaps tutte`."""
+    order if ordered, else in repr order.  The frontier order is the
+    image's own, but alt_c's for alt_a (which has alt_c's labels), as in
+    `altdimaps tutte`."""
     c = alt_c(p)
     runs = [("T_c", T_c, c, c), ("T_a", T_a, alt_a(p), c),
             ("extended_eval", lambda g, order: extended_eval(g, GENERIC, order), c, c)]
     runs += [(f"T_i/{k}", T_i, alt_i(p, k), alt_i(p, k)) for k in (0, 1)]
     out = []
     for name, T, g, h in runs:
-        order = frontier_order(h) if ordered else None
+        order = frontier_order(h) if ordered else list(g.sw.labels)
         out.append((name, lambda T=T, g=g, order=order: T(g, order)))
     return out
 
@@ -134,3 +138,58 @@ def test_sweep_matches_the_depth_first_walk(name, monkeypatch):
     new = [(n, run()) for n, run in runs]
     monkeypatch.setattr(invariants, "_recurse", dfs_recurse)
     assert new == [(n, run()) for n, run in runs]
+
+
+def reference_frontier(keys):
+    """multigraph.frontier as it was: every item on the heap from the
+    start with priority (0, 0, i), each item's keys gathered in a set."""
+    touching: Dict[Hashable, List[int]] = {}
+    for i, ks in enumerate(keys):
+        for k in set(ks):
+            touching.setdefault(k, []).append(i)
+    score: List = [0] * len(keys)  # None once taken
+    first = [0] * len(keys)
+    heap = [(0, 0, i) for i in range(len(keys))]
+    met, order = set(), []
+    while heap:
+        s, _, i = heappop(heap)
+        if score[i] is None or -s != score[i]:
+            continue
+        order.append(i)
+        score[i] = None
+        for k in keys[i]:
+            if k not in met:
+                met.add(k)
+                for j in touching[k]:
+                    if score[j] is not None:
+                        score[j] += 1
+                        first[j] = first[j] or len(met)
+                        heappush(heap, (-score[j], first[j], j))
+    return order
+
+
+def reference_frontier_order(g):
+    """frontier_order as it was: the keys k·n + x of each edge listed
+    from the three permutations' preimages, then reference_frontier."""
+    perms = (g.s1, g.sw, g.sw2)
+    n = g.n_edges
+    keys = [[k * n + x for k, p in enumerate(perms) for x in (e, p.pre[e])]
+            for e in range(n)]
+    return [g.sw.labels[i] for i in reference_frontier(keys)]
+
+
+def test_frontier_matches_the_reference():
+    # every graph of the sweep test: its oracle's endpoint keys, and the
+    # trimedial keys of its images and of the maps T_a and T_i sweep
+    for name, p in graphs().items():
+        ends = [e[1:] for e in plane_multigraph(p).edges]
+        assert frontier(ends) == reference_frontier(ends), name
+        for g in (alt_c(p), alt_a(p), alt_i(p, 0), alt_i(p, 1)):
+            for h in (g, reflect(g), trial_power(reflect(g), 2)):
+                assert frontier_order(h) == reference_frontier_order(h), name
+
+
+@given(st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=12))
+def test_frontier_matches_the_reference_on_any_keys(keys):
+    # repeated keys, items with no keys, several components
+    assert frontier(keys) == reference_frontier(keys)
