@@ -13,33 +13,60 @@ from .perm import Perm, numbering
 
 def _component_code(sw: Sequence[int], sw2: Sequence[int],
                     swi: Sequence[int], sw2i: Sequence[int],
-                    comp: Sequence[int]) -> bytes:
-    """The least code of one component over all roots.  The σ_ω part of a
-    root's code is known as its breadth-first walk goes, so a root is
-    given up as soon as that part exceeds the best code's."""
+                    comp: Sequence[int], pos: List[int]) -> bytes:
+    """The least code of one component over all roots.
+
+    A root's code is its size byte, then pos[σ_ω(x)] and then pos[σ_ω²(x)]
+    for the edges x in the order its breadth-first walk numbers them.  The
+    byte after the size is pos[σ_ω(root)]: 0 when σ_ω fixes the root, 1
+    otherwise.  So when σ_ω fixes an edge of the component, only such
+    roots are walked; the rule is exact, since every other root's code is
+    greater at that byte.  The σ_ω part of a code is known as the walk
+    goes, so a root is given up as soon as that part exceeds the best
+    code's; every root that attains the least code is walked to the end.
+
+    pos holds -1 at every edge number on entry and again on return: each
+    walk numbers the edges it meets in pos and then resets them.
+    """
     best = b""
     size = len(comp)
-    for root in comp:
+    for root in [x for x in comp if sw[x] == x] or comp:
+        pos[root] = 0
         order = [root]
-        pos = {root: 0}
-        head = []  # pos[sw[x]] for x in order: the code after its size byte
-        tied = bool(best)  # whether head is a prefix of best[1:]
+        push = order.append
+        code = [size]
+        tied = bool(best)  # whether code is a prefix of best
         for x in order:  # order grows as the walk meets new edges
-            for gen in (sw, swi, sw2, sw2i):
-                y = gen[x]
-                if y not in pos:
-                    pos[y] = len(order)
-                    order.append(y)
-            c = pos[sw[x]]
-            if tied and c != best[len(head) + 1]:
-                if c > best[len(head) + 1]:
-                    break
-                tied = False
-            head.append(c)
+            y = sw[x]
+            c = pos[y]
+            if c < 0:
+                c = pos[y] = len(order)
+                push(y)
+            if tied:
+                b = best[len(code)]
+                if c != b:
+                    if c > b:
+                        break
+                    tied = False
+            code.append(c)
+            y = swi[x]
+            if pos[y] < 0:
+                pos[y] = len(order)
+                push(y)
+            y = sw2[x]
+            if pos[y] < 0:
+                pos[y] = len(order)
+                push(y)
+            y = sw2i[x]
+            if pos[y] < 0:
+                pos[y] = len(order)
+                push(y)
         else:
-            code = bytes([size, *head]) + bytes(pos[sw2[x]] for x in order)
-            if not best or code < best:
-                best = code
+            full = bytes(code + [pos[sw2[x]] for x in order])
+            if not best or full < best:
+                best = full
+        for x in order:
+            pos[x] = -1
     return best
 
 
@@ -49,15 +76,18 @@ def canonical_code(g: AltDimap) -> bytes:
     Each component is relabelled by first-visit order of a breadth-first
     traversal applying the generators (sw, sw⁻¹, sw2, sw2⁻¹) in that fixed
     order; the lexicographically least code over all roots represents the
-    component, and component codes are sorted and concatenated.  Maps with
-    more than 255 edges in a component are not supported.
+    component, and component codes are sorted and concatenated.  Where
+    σ_ω fixes an edge of a component, only its fixed edges are tried as
+    roots; the others cannot attain the least code (see _component_code).
+    Maps with more than 255 edges in a component are not supported.
     """
     comps = g.orbits()
     if any(len(c) > 255 for c in comps):
         raise ValueError("canonical codes support at most 255 edges "
                          "per component")
     gens = (g.sw.img, g.sw2.img, g.sw.pre, g.sw2.pre)
-    return b"".join(sorted(_component_code(*gens, c) for c in comps))
+    pos = [-1] * g.n_edges  # shared by the walks, reset after each
+    return b"".join(sorted([_component_code(*gens, c, pos) for c in comps]))
 
 
 def isomorphic(a: AltDimap, b: AltDimap) -> bool:
@@ -86,20 +116,15 @@ def _perm_of_cycle_type(parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_maps(n: int, max_edges: int = 6) -> List[AltDimap]:
-    """All alternating dimaps with exactly n edges, up to isomorphism.
-
-    Every pair (sw, sw2) of permutations of n points is an alternating
-    dimap; duplicates are removed by canonical code.  Since relabelling
-    acts by simultaneous conjugation, sw may be fixed to one representative
-    per cycle type.
-    """
+def _coded_maps(n: int, max_edges: int = 6) -> List[Tuple[bytes, AltDimap]]:
+    """The (canonical code, map) pairs of enumerate_maps(n, max_edges),
+    sorted by code."""
     if n < 0:
         raise ValueError(f"edge count must be nonnegative, not {n}")
     if n > max_edges:
         raise ValueError(f"enumeration capped at {max_edges} edges")
     if n == 0:
-        return [EMPTY_MAP]
+        return [(b"", EMPTY_MAP)]  # no component, so the empty code
     out: Dict[bytes, AltDimap] = {}
     pts = list(range(n))
     labels, index = numbering(pts)
@@ -111,7 +136,20 @@ def enumerate_maps(n: int, max_edges: int = 6) -> List[AltDimap]:
             code = canonical_code(g)
             if code not in out:
                 out[code] = g
-    return [out[c] for c in sorted(out)]
+    return sorted(out.items())
+
+
+def enumerate_maps(n: int, max_edges: int = 6) -> List[AltDimap]:
+    """All alternating dimaps with exactly n edges, up to isomorphism,
+    in the order of their canonical codes.
+
+    Every pair (sw, sw2) of permutations of n points is an alternating
+    dimap; duplicates are removed by canonical code.  Since relabelling
+    acts by simultaneous conjugation, sw may be fixed to one representative
+    per cycle type.  The representative of a code is the first candidate
+    met with it.
+    """
+    return [g for _, g in _coded_maps(n, max_edges)]
 
 
 # -- loop attachment and named maps --------------------------------------------
@@ -241,17 +279,4 @@ def tricircuit(p: int, q: int, r: int) -> AltDimap:
     c = [("c", j) for j in range(r)]
     return build_map(circuit + w + c, [c[:1] + circuit[::-1] + c[:0:-1]],
                      [w[:1] + circuit + w[:0:-1]])
-
-
-def digon_with_omega2_loop() -> AltDimap:
-    """L_{2,1} with an ω²-loop added at the head of edge 1."""
-    return add_omega2_loop(loop_star_1(2), 1, "e")
-
-
-def witness_a() -> AltDimap:
-    """L_{2,1} (edges 0, 1) with an ω²-loop 'e' and an ω-loop 'f' both at
-    the head of edge 1; reducing its four edges in any order peels off one
-    loop of each type."""
-    g = add_omega2_loop(loop_star_1(2), 1, "e")
-    return add_omega_loop(g, "e", "f")
 

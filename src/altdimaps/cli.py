@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .binfn import OMEGA, BinFn, bf_minor, solve_uniform_reduction, transform
-from .catalog import canonical_code, enumerate_maps, isomorphic
+from .catalog import _coded_maps, canonical_code
 from .core import MU_BY_NAME, InvariantError, map_stats, trial, trial_power
 from .invariants import (T_a, T_c, T_i, alt_a, alt_c, alt_i, frontier_order,
                          plane_multigraph)
@@ -131,14 +131,14 @@ def _cmd_commute(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    maps = enumerate_maps(args.edges)
+    coded = _coded_maps(args.edges)
     if args.filter == "posy":
-        maps = [m for m in maps if is_posy(m) is not None]
+        coded = [(c, m) for c, m in coded if is_posy(m) is not None]
     elif args.filter == "self-trial":
-        maps = [m for m in maps if isomorphic(m, trial(m))]
-    for m in maps:
-        print(canonical_code(m).hex())
-    print(f"count {len(maps)}")
+        coded = [(c, m) for c, m in coded if c == canonical_code(trial(m))]
+    for c, _ in coded:
+        print(c.hex())
+    print(f"count {len(coded)}")
     return 0
 
 

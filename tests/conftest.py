@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from altdimaps import (AltDimap, Perm, PlaneGraph, commute_check, enumerate_maps,
                        rotation_system)
+from altdimaps.catalog import add_omega_loop, add_omega2_loop, loop_star_1
 from altdimaps.core import ALL_MU
 from altdimaps.minors import _minors
 
@@ -21,6 +22,27 @@ def maps_up_to(n_max, n_min=0):
 def six_edge_maps():
     """The 901 maps with exactly six edges, up to isomorphism."""
     return maps_up_to(6, n_min=6)
+
+
+def digon_with_omega2_loop():
+    """L_{2,1} with an ω²-loop added at the head of edge 1."""
+    return add_omega2_loop(loop_star_1(2), 1, "e")
+
+
+def witness_a():
+    """L_{2,1} (edges 0, 1) with an ω²-loop 'e' and an ω-loop 'f' both at
+    the head of edge 1; reducing its four edges in any order peels off one
+    loop of each type."""
+    return add_omega_loop(digon_with_omega2_loop(), "e", "f")
+
+
+def disjoint_union(*maps):
+    """The disjoint union of the maps, edge e of the i-th named (i, e)."""
+    sw, sw2 = {}, {}
+    for i, g in enumerate(maps):
+        sw.update({(i, e): (i, g.sw(e)) for e in g.edges})
+        sw2.update({(i, e): (i, g.sw2(e)) for e in g.edges})
+    return AltDimap(Perm(sw), Perm(sw2))
 
 
 def semiloop_pair(g, e, f):
@@ -48,6 +70,20 @@ def totally_commutative_brute(g):
     minor of G (G included) passes all_pairs_commute, which compares the
     composite minors of every pair directly."""
     return all(all_pairs_commute(m) for _, m in _minors(g, lambda m: m))
+
+
+def labelings(g, rng):
+    """g under its own int labels, shuffled strings (some with characters
+    that are escaped) and shuffled tuples, some of which do not compare."""
+    yield g
+    n = g.n_edges
+    strs = ["e0", "e1", "E2", "e 3", "e#4", "e10"][:n]
+    tuples = [(k, "t") if k % 2 else ("t", k) for k in range(10, 10 + n)]
+    for names in (strs, tuples):
+        rng.shuffle(names)
+        name = dict(zip(sorted(g.edges), names))
+        yield AltDimap(Perm({name[e]: name[g.sw(e)] for e in g.edges}),
+                       Perm({name[e]: name[g.sw2(e)] for e in g.edges}))
 
 
 def random_maps(max_n=5, min_n=1):

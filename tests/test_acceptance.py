@@ -23,14 +23,14 @@ from altdimaps.binfn import (OMEGA, SQRT2, BinFn, bf_minor,
                              indicator_from_gf2, mu_matrix, proportional_eq,
                              solve_uniform_reduction, transform,
                              ultraloop_bf)
-from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
-                               loop_star_1, loop_star_omega,
+from altdimaps.catalog import (free_loops, loop_star_1, loop_star_omega,
                                loop_star_omega2, posies)
 from altdimaps.minors import (is_2_reduction_commutative, is_posy_union,
                               is_totally_reduction_commutative,
                               predict_commute)
 
-from conftest import maps_up_to, plane_suite, totally_commutative_brute
+from conftest import (digon_with_omega2_loop, maps_up_to, plane_suite,
+                      totally_commutative_brute)
 
 
 def report(label):

@@ -1,18 +1,23 @@
 """Enumeration, canonical codes and the named small-map families."""
 
+import hashlib
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from altdimaps import (AltDimap, Perm, canonical_code, enumerate_maps,
                        isomorphic, map_from_rotations, map_stats, trial)
-from altdimaps.catalog import (add_omega_loop, add_omega2_loop,
-                               digon_with_omega2_loop, free_loops,
+from altdimaps.catalog import (_partitions, _perm_of_cycle_type,
+                               add_omega_loop, add_omega2_loop, free_loops,
                                loop_star_1, loop_star_omega,
                                loop_star_omega2, posies, posy, tricircuit,
-                               ultraloop, witness_a)
+                               ultraloop)
 from altdimaps.minors import is_posy, is_tricircuit
 
-from conftest import maps_up_to
+from conftest import (digon_with_omega2_loop, disjoint_union, labelings,
+                      maps_up_to, witness_a)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -58,10 +63,56 @@ def test_canonical_code_separates():
 
 
 def test_canonical_code_size_limit_is_per_component():
-    # 300 one-edge components are fine; one component of 256 edges is not
-    assert canonical_code(free_loops(300)) == bytes([1, 0, 0]) * 300
+    # 3000 one-edge components are fine; one component of 256 edges is not
+    assert canonical_code(free_loops(3000)) == bytes([1, 0, 0]) * 3000
     with pytest.raises(ValueError):
         canonical_code(loop_star_omega(256))
+
+
+def test_identical_components_labelled_apart_get_one_code():
+    # two copies of L_{3,1} and of a posy, their edges numbered in blocks
+    # in a, interleaved and each rotated differently in b
+    for h in (loop_star_1(3), posy(1)):
+        n = h.n_edges
+        a = disjoint_union(h, h)
+        rename = {(i, e): 2 * ((e + i) % n) + i for i in (0, 1) for e in h.edges}
+        b = AltDimap(Perm({rename[e]: rename[a.sw(e)] for e in a.edges}),
+                     Perm({rename[e]: rename[a.sw2(e)] for e in a.edges}))
+        assert canonical_code(a) == canonical_code(b) == canonical_code(h) * 2
+
+
+def enumeration_candidates(n):
+    """Every (σ_ω, σ_ω²) pair that enumerate_maps(n) codes, in its order."""
+    for parts in _partitions(n):
+        sw = Perm(dict(enumerate(_perm_of_cycle_type(parts))))
+        for sw2 in permutations(range(n)):
+            yield AltDimap(sw, Perm(dict(enumerate(sw2))))
+
+
+def codes_digest(maps):
+    h = hashlib.sha256()
+    for g in maps:
+        h.update(canonical_code(g).hex().encode() + b"\n")
+    return h.hexdigest()
+
+
+# recorded from the walk that tried every root of a component; the
+# labelled maps are those of test_map_documents.test_writers_digest
+CANDIDATE_CODES_DIGEST = \
+    "455dc1926d4ada50582b0db70b4384b501c9977d69962444244007019aacaa43"
+LABELLED_CODES_DIGEST = \
+    "3564d337911afc7d367a6b41b9737a191dad0bcc9558f18833343390e7d95e8b"
+
+
+def test_codes_digest(six_edge_maps):
+    candidates = [g for n in range(1, 6) for g in enumeration_candidates(n)]
+    assert len(candidates) == 983
+    assert codes_digest(candidates) == CANDIDATE_CODES_DIGEST
+    rng = random.Random(19)
+    labelled = [m for g in maps_up_to(5) + six_edge_maps
+                for m in labelings(g, rng)]
+    assert len(labelled) == 3 * 1122
+    assert codes_digest(labelled) == LABELLED_CODES_DIGEST
 
 
 # -- named families -----------------------------------------------------------

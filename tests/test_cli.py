@@ -8,11 +8,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import altdimaps.cli
 from altdimaps import (InvariantError, PlaneGraph, alt_c, alt_i, build_map,
                        invariants, reflect, trial_power)
-from altdimaps.catalog import posy, ultraloop, witness_a
+from altdimaps.catalog import posy, ultraloop
 from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
 
-from conftest import grid_document, grid_rotations, plane_document
+from conftest import grid_document, grid_rotations, plane_document, witness_a
 
 TRIANGLE_DOC = """planegraph triangle
 vertex u: a0 c1

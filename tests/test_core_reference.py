@@ -15,9 +15,11 @@ import pytest
 
 from altdimaps import (AltDimap, Perm, canonical_code, map_stats, reduce_map,
                        reflect, trial)
+from altdimaps.catalog import (free_loops, loop_star_1, loop_star_omega,
+                               loop_star_omega2, posies)
 from altdimaps.core import ALL_MU
 
-from conftest import maps_up_to
+from conftest import disjoint_union, maps_up_to
 
 MAPS = maps_up_to(6, n_min=1)
 
@@ -189,6 +191,23 @@ def test_derived_maps_and_stats(pairs):
 def test_canonical_code_matches_unpruned_reference(pairs):
     for g, r in pairs:
         assert canonical_code(g) == ref_code(r)
+
+
+def test_canonical_code_matches_the_reference_where_roots_tie():
+    # many roots attain the least code: disjoint loops, loop stars, posies
+    # and unions of isomorphic components, some σ_ω fixing edges and some
+    # not
+    small = [g for g in maps_up_to(3, n_min=1) if len(g.orbits()) == 1]
+    maps = [free_loops(k) for k in range(1, 9)]
+    maps += [star(6) for star in (loop_star_1, loop_star_omega,
+                                  loop_star_omega2)]
+    maps += posies(3)
+    maps += [disjoint_union(g, g, g) for g in small]
+    maps += [disjoint_union(g, h, g, h) for g, h in zip(small, small[1:])]
+    maps += [trial(g) for g in maps]
+    for g in maps:
+        assert canonical_code(g) == ref_code(Ref(g.sw.mapping(),
+                                                 g.sw2.mapping()))
 
 
 def test_reductions_equality_and_hash(pairs):

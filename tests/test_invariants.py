@@ -16,12 +16,12 @@ from altdimaps import (AltDimap, EmbeddedGraph, ExtendedParams,
                        invariants, plane_multigraph, reflect,
                        simple_family_value, simple_tutte_eval, trial_power,
                        tutte_poly)
-from altdimaps.catalog import (digon_with_omega2_loop, free_loops,
-                               loop_star_1, loop_star_omega,
+from altdimaps.catalog import (free_loops, loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
 from altdimaps.poly import Poly1, Poly2
 
-from conftest import K4_TORUS, grid, maps_up_to, plane_suite, theta, wheel
+from conftest import (K4_TORUS, digon_with_omega2_loop, grid, maps_up_to,
+                      plane_suite, theta, wheel)
 
 
 # -- the five order-independent parameter families -----------------------------

@@ -14,7 +14,7 @@ from altdimaps import (AltDimap, Perm, build_map, export_dot, export_json,
 from altdimaps.textio import (DocumentError, _content_lines, _parse_cycles,
                               _untoken)
 
-from conftest import maps_up_to, random_maps
+from conftest import labelings, maps_up_to, random_maps
 
 
 # -- the body parse_map had before it read one directive table -------------------
@@ -149,20 +149,6 @@ def test_cycles_follow_the_numbering():
 
 
 # -- the writers, digested ------------------------------------------------------
-
-def labelings(g, rng):
-    """g under its own int labels, shuffled strings (some with characters
-    that are escaped) and shuffled tuples, some of which do not compare."""
-    yield g
-    n = g.n_edges
-    strs = ["e0", "e1", "E2", "e 3", "e#4", "e10"][:n]
-    tuples = [(k, "t") if k % 2 else ("t", k) for k in range(10, 10 + n)]
-    for names in (strs, tuples):
-        rng.shuffle(names)
-        name = dict(zip(sorted(g.edges), names))
-        yield AltDimap(Perm({name[e]: name[g.sw(e)] for e in g.edges}),
-                       Perm({name[e]: name[g.sw2(e)] for e in g.edges}))
-
 
 # recorded from the writers before Perm.cycles walked in numbering order
 WRITERS_DIGEST = \

@@ -18,11 +18,11 @@ from altdimaps import (AltDimap, Perm, canonical_code,
                        is_2_reduction_commutative, is_posy_union,
                        is_totally_reduction_commutative, minor_closure,
                        predict_commute, reduce_map)
-from altdimaps.catalog import digon_with_omega2_loop, tricircuit, witness_a
+from altdimaps.catalog import tricircuit
 from altdimaps.core import ALL_MU
 from altdimaps.minors import excluded_minor_witness
 
-from conftest import maps_up_to
+from conftest import digon_with_omega2_loop, maps_up_to, witness_a
 
 MAPS = maps_up_to(5)
 

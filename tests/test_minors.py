@@ -7,14 +7,14 @@ from altdimaps import (classify_edge, commute_check, is_posy, is_posy_union,
                        is_totally_reduction_commutative, is_tricircuit,
                        map_stats, minor_closure, predict_commute, reduce_map,
                        reduce_seq, trial, trial_power, trimedial)
-from altdimaps.catalog import (digon_with_omega2_loop, free_loops, isomorphic,
-                               loop_star_1, loop_star_omega, loop_star_omega2,
-                               posies, posy, tricircuit, ultraloop,
-                               witness_a)
+from altdimaps.catalog import (free_loops, isomorphic, loop_star_1,
+                               loop_star_omega, loop_star_omega2, posies,
+                               posy, tricircuit, ultraloop)
 from altdimaps.core import EMPTY_MAP, InvariantError
 from altdimaps.minors import _reduce
 
-from conftest import all_pairs_commute, maps_up_to, totally_commutative_brute
+from conftest import (all_pairs_commute, digon_with_omega2_loop, maps_up_to,
+                      totally_commutative_brute, witness_a)
 
 
 # -- single reductions -------------------------------------------------------
