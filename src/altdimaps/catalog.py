@@ -96,6 +96,11 @@ def isomorphic(a: AltDimap, b: AltDimap) -> bool:
 
 # -- exhaustive enumeration ----------------------------------------------------
 
+# The enumeration tries n! candidates per cycle type of n: 7,920 pairs at
+# 6 edges, 75,600 at 7 and 1.1·10^7 at 9.
+ENUMERATION_MAX_EDGES = 6
+
+
 def _partitions(n: int):
     def rec(remaining, largest):
         if remaining == 0:
@@ -116,13 +121,13 @@ def _perm_of_cycle_type(parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _coded_maps(n: int, max_edges: int = 6) -> List[Tuple[bytes, AltDimap]]:
-    """The (canonical code, map) pairs of enumerate_maps(n, max_edges),
-    sorted by code."""
+def _coded_maps(n: int) -> List[Tuple[bytes, AltDimap]]:
+    """The (canonical code, map) pairs of enumerate_maps(n), sorted by
+    code."""
     if n < 0:
         raise ValueError(f"edge count must be nonnegative, not {n}")
-    if n > max_edges:
-        raise ValueError(f"enumeration capped at {max_edges} edges")
+    if n > ENUMERATION_MAX_EDGES:
+        raise ValueError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges")
     if n == 0:
         return [(b"", EMPTY_MAP)]  # no component, so the empty code
     out: Dict[bytes, AltDimap] = {}
@@ -139,7 +144,7 @@ def _coded_maps(n: int, max_edges: int = 6) -> List[Tuple[bytes, AltDimap]]:
     return sorted(out.items())
 
 
-def enumerate_maps(n: int, max_edges: int = 6) -> List[AltDimap]:
+def enumerate_maps(n: int) -> List[AltDimap]:
     """All alternating dimaps with exactly n edges, up to isomorphism,
     in the order of their canonical codes.
 
@@ -147,9 +152,9 @@ def enumerate_maps(n: int, max_edges: int = 6) -> List[AltDimap]:
     dimap; duplicates are removed by canonical code.  Since relabelling
     acts by simultaneous conjugation, sw may be fixed to one representative
     per cycle type.  The representative of a code is the first candidate
-    met with it.
+    met with it.  n is at most ENUMERATION_MAX_EDGES.
     """
-    return [g for _, g in _coded_maps(n, max_edges)]
+    return [g for _, g in _coded_maps(n)]
 
 
 # -- loop attachment and named maps --------------------------------------------

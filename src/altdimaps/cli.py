@@ -17,8 +17,7 @@ import numpy as np
 from .binfn import OMEGA, BinFn, bf_minor, solve_uniform_reduction, transform
 from .catalog import _coded_maps, canonical_code
 from .core import MU_BY_NAME, InvariantError, map_stats, trial, trial_power
-from .invariants import (T_a, T_c, T_i, alt_a, alt_c, alt_i, frontier_order,
-                         plane_multigraph)
+from .invariants import T_a, T_c, T_i, alt_a, alt_c, alt_i, plane_multigraph
 from .minors import commute_check, excluded_minor_witness, is_posy, reduce_map
 from .multigraph import tutte_poly
 from .textio import (edge_class_summary, export_dot, export_json, parse_map,
@@ -26,10 +25,11 @@ from .textio import (edge_class_summary, export_dot, export_json, parse_map,
 
 MU_CHOICES = list(MU_BY_NAME)
 
-# The tutte command's oracle cap.  With frontier orders the slowest plane
-# graph measured just above it, the triangulated 4×6 grid (53 edges),
-# takes about 0.3 s in the oracle and at most 0.3 s in each recursion
-# (one core of a shared 2-vCPU VM).
+# The tutte command's cap on the edges of the plane graph.  Just above it,
+# the triangulated 4×6 grid (53 edges) takes 0.09-0.15 s in the oracle
+# and at most 0.16-0.22 s in each recursion in its default order (T_a),
+# peak RSS 59 MiB; the triangulated 5×5 grid (56 edges) takes 0.6 s in
+# the oracle (one core of a shared 2-vCPU VM, three runs).
 TUTTE_MAX_EDGES = 48
 
 
@@ -155,21 +155,17 @@ def _cmd_genus_test(args) -> int:
 
 def _cmd_tutte(args) -> int:
     p = parse_plane_graph(_read_text(args.graph_file))
-    oracle = tutte_poly(plane_multigraph(p), max_edges=TUTTE_MAX_EDGES)
+    if len(p.graph.edges) > TUTTE_MAX_EDGES:
+        raise ValueError(f"Tutte recursion capped at {TUTTE_MAX_EDGES} edges")
+    oracle = tutte_poly(plane_multigraph(p))
     recursion, alt = {"c": (T_c, alt_c), "a": (T_a, alt_a),
                       "i": (T_i, alt_i)}[args.variant]
     image = alt(p)
     target = oracle.diagonal() if args.variant == "i" else oracle
-    order = None  # T_c and T_i sweep a plane image in its frontier order
-    if args.order:
-        # each plane edge lab stands for the image edges (lab, end), in
-        # the image's numbering order
-        order = [x for lab in args.order for x in image.edges if x[0] == lab]
-    elif args.variant == "a":
-        # alt_a(P) has the edge labels of alt_c(P); in alt_c's order T_a
-        # meets 3-5x fewer states on the triangulated 4x5, 4x6 and 5x6
-        # grids than in its own (1.3-1.4x more on 4x4 and 5x5)
-        order = frontier_order(alt_c(p))
+    # each plane edge lab stands for the image edges (lab, end), in the
+    # image's numbering order; without --order the library picks the order
+    order = ([x for lab in args.order for x in image.edges if x[0] == lab]
+             if args.order else None)
     poly = recursion(image, order=order)
     print(poly)
     print(target)
@@ -189,7 +185,7 @@ def _cmd_binfn(args) -> int:
         out = transform(f, _parse_mu_scalar(args.mu))
     elif args.binfn_op == "minor":
         e = args.element
-        if e not in f.ground and e.isdigit() and int(e) in f.ground:
+        if e not in f.ground and e.isdecimal() and int(e) in f.ground:
             e = int(e)
         out = bf_minor(f, e, _parse_mu_scalar(args.mu))
     else:

@@ -23,7 +23,7 @@ from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
 from .embedded import EmbeddedGraph
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
-from .perm import Perm, inverse, numbering, orbits
+from .perm import Perm, inverse, numbering
 from .poly import Poly, Poly1, Poly2, _PackedRing
 
 Q = Fraction
@@ -145,13 +145,11 @@ def _is_alt_c_image(g: AltDimap) -> bool:
     """Whether G has genus 0 and every c-face (σ_ω² cycle) of length 2,
     that is, whether G is the alt_c image of a plane graph.  The first
     test reads σ_ω² alone; only a fixed-point-free involution has its
-    vertices, a-faces and components counted, for Euler's relation
-    V − E + (af + |E|/2) = 2k at genus 0."""
-    s1, sw, sw2 = g.triple
+    genus counted."""
+    sw2 = g.sw2.img
     if any(i == j or sw2[j] != i for i, j in enumerate(sw2)):
         return False
-    return (len(orbits(s1)) + len(orbits(sw)) - len(sw2) // 2
-            == 2 * len(orbits(sw, sw2)))
+    return map_stats(g).genus == 0
 
 
 # -- the recursion engine -------------------------------------------------------

@@ -248,21 +248,23 @@ def is_posy_union(g: AltDimap) -> Optional[int]:
     return None
 
 
-def _closure_walk(g: AltDimap, max_edges: int, floor: int = 0):
-    """_minors keyed by canonical code; refused above max_edges edges."""
-    if g.n_edges > max_edges:
-        raise ValueError(f"minor closure capped at {max_edges} edges")
+CLOSURE_MAX_EDGES = 8
+
+
+def _closure_walk(g: AltDimap, floor: int = 0):
+    """_minors keyed by canonical code; refused above the cap."""
+    if g.n_edges > CLOSURE_MAX_EDGES:
+        raise ValueError(f"minor closure capped at {CLOSURE_MAX_EDGES} edges")
     return _minors(g, canonical_code, floor)
 
 
-def minor_closure(g: AltDimap, max_edges: int = 8):
+def minor_closure(g: AltDimap):
     """All minors of G up to isomorphism (including G and the empty map),
     as a dict canonical code -> representative map in _minors order."""
-    return dict(_closure_walk(g, max_edges))
+    return dict(_closure_walk(g))
 
 
-def excluded_minor_witness(g: AltDimap, k: int,
-                           max_edges: int = 8) -> Optional[AltDimap]:
+def excluded_minor_witness(g: AltDimap, k: int) -> Optional[AltDimap]:
     """The first minor in minor_closure(G) whose components are posies of
     total genus k, or None; the walk stops at that witness.
 
@@ -275,12 +277,11 @@ def excluded_minor_witness(g: AltDimap, k: int,
     """
     if k < 0:
         raise ValueError(f"genus k must be at least 0, got {k}")
-    return next((m for _, m in _closure_walk(g, max_edges, 2 * k + 1)
+    return next((m for _, m in _closure_walk(g, 2 * k + 1)
                  if is_posy_union(m) == k), None)
 
 
-def genus_excluded_minor_test(g: AltDimap, k: int,
-                              max_edges: int = 8) -> Tuple[bool, bool]:
+def genus_excluded_minor_test(g: AltDimap, k: int) -> Tuple[bool, bool]:
     """Test the excluded-minor genus characterisation on G.
 
     Returns (genus_below_k, no_posy_union_minor_of_genus_k): for a
@@ -288,4 +289,4 @@ def genus_excluded_minor_test(g: AltDimap, k: int,
     k must be at least 0.
     """
     genus_below = map_stats(g).genus < k
-    return genus_below, excluded_minor_witness(g, k, max_edges) is None
+    return genus_below, excluded_minor_witness(g, k) is None

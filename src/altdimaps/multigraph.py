@@ -132,7 +132,7 @@ def _joined(s: Sequence[int], u: int, v: int) -> bool:
     return find(u) == find(v)
 
 
-def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
+def tutte_poly(g: Multigraph) -> Poly2:
     """Tutte polynomial by deletion/contraction: a loop is worth y times
     the rest, a bridge x times its contraction, and any other edge the sum
     of its deletion and its contraction.
@@ -151,8 +151,6 @@ def tutte_poly(g: Multigraph, max_edges: int = 12) -> Poly2:
     (poly._PackedRing: every coefficient is x, y or 1 and a state has at
     most two substates, so a coefficient is at most 2^|E| and an exponent
     at most |E|), unpacked once at the end."""
-    if len(g.edges) > max_edges:
-        raise ValueError(f"Tutte recursion capped at {max_edges} edges")
     by_id = {e[0]: e[1:] for e in g.edges}
     ends = [by_id[e] for e in numbering(by_id)[0]]
     ring = _PackedRing(Poly2, len(g.edges))

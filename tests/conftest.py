@@ -14,7 +14,7 @@ def maps_up_to(n_max, n_min=0):
     """All maps with n_min..n_max edges, up to isomorphism."""
     out = []
     for n in range(n_min, n_max + 1):
-        out += enumerate_maps(n, max_edges=max(n, 1))
+        out += enumerate_maps(n)
     return out
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import altdimaps.cli
-from altdimaps import (InvariantError, PlaneGraph, alt_c, alt_i, build_map,
-                       invariants, reflect, trial_power)
-from altdimaps.catalog import posy, ultraloop
+from altdimaps import (InvariantError, PlaneGraph, alt_a, alt_c, alt_i,
+                       build_map, invariants, reflect, trial_power)
+from altdimaps.catalog import free_loops, posy, ultraloop
 from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
 
@@ -143,6 +143,14 @@ def test_genus_test_rejects_negative_k(capsys, posy_file):
     assert err.startswith("error: ")
 
 
+def test_genus_test_above_the_cap(capsys, tmp_path):
+    doc = tmp_path / "loops9.map"
+    doc.write_text(serialize_map(free_loops(9), "loops9"))
+    rc, out, err = run(capsys, "genus-test", str(doc), "--k", "1")
+    assert rc == 1 and out == ""
+    assert err == "error: minor closure capped at 8 edges\n"
+
+
 def test_genus_test_k0_has_an_ultraloop_witness(capsys, posy_file):
     rc, out, _ = run(capsys, "genus-test", posy_file, "--k", "0")
     assert rc == 0
@@ -187,7 +195,7 @@ def test_tutte_full_order_every_variant(capsys, triangle_file):
 
 
 def test_tutte_grid_5x5(capsys, tmp_path):
-    # 40 edges: above the oracle's default cap, within the command's
+    # 40 edges, within the command's cap
     doc = tmp_path / "grid5x5.pg"
     doc.write_text(grid_document(5, 5))
     for variant in ("c", "a", "i"):
@@ -196,35 +204,21 @@ def test_tutte_grid_5x5(capsys, tmp_path):
         assert out.strip().splitlines()[-1] == "equal: true"
 
 
-def test_tutte_variant_a_takes_the_order_of_alt_c(capsys, tmp_path, monkeypatch):
-    # the triangulated 4×5 grid, 43 edges: alt_c(P) and alt_a(P) have the
-    # same labels, and T_a meets about 4× fewer states in alt_c's order
+def test_tutte_variants_c_and_i_take_the_library_order(capsys, tmp_path,
+                                                     monkeypatch):
+    # no order passed: T_c sweeps alt_c(P), T_a sweeps reflect(alt_a(P))
+    # and T_i sweeps trial²(reflect(alt_i(P))), each in its own frontier
+    # order; the triangulated 4×5 grid (43 edges) is the slowest graph
+    # under the cap for T_a in that order
     rotations = grid_rotations(4, 5, diagonals=True)
     doc = tmp_path / "tri4x5.pg"
     doc.write_text(plane_document("tri4x5", rotations))
-    ordered = []
-    frontier_order = altdimaps.cli.frontier_order
-    monkeypatch.setattr(altdimaps.cli, "frontier_order",
-                        lambda g: ordered.append(g) or frontier_order(g))
-    rc, out, err = run(capsys, "tutte", str(doc), "--variant", "a")
-    assert rc == 0, err
-    assert out.strip().splitlines()[-1] == "equal: true"
-    assert ordered == [alt_c(PlaneGraph.from_rotations(rotations))]
-
-
-def test_tutte_variants_c_and_i_take_the_library_order(capsys, tmp_path,
-                                                     monkeypatch):
-    # no order passed: T_c sweeps alt_c(P) and T_i sweeps
-    # trial²(reflect(alt_i(P))), each in its own frontier order
-    rotations = grid_rotations(3, 3, diagonals=True)
-    doc = tmp_path / "tri3x3.pg"
-    doc.write_text(plane_document("tri3x3", rotations))
     p = PlaneGraph.from_rotations(rotations)
     asked = []
     frontier_order = invariants.frontier_order
     monkeypatch.setattr(invariants, "frontier_order",
                         lambda g: asked.append(g) or frontier_order(g))
-    for variant, swept in (("c", alt_c(p)),
+    for variant, swept in (("c", alt_c(p)), ("a", reflect(alt_a(p))),
                            ("i", trial_power(reflect(alt_i(p)), 2))):
         asked.clear()
         rc, out, err = run(capsys, "tutte", str(doc), "--variant", variant)
@@ -260,6 +254,17 @@ def test_binfn_pipeline(capsys, tmp_path):
                      "--element", "0")
     assert rc == 0
     assert len(json.loads(out)["values"]) == 1
+
+
+def test_binfn_minor_superscript_element(capsys, tmp_path):
+    # '²' is a digit to str.isdigit but no literal of int: it is a label,
+    # and not one of the ground set
+    vec = tmp_path / "u.json"
+    vec.write_text(json.dumps({"ground": [0], "values": [1, 0.5]}))
+    rc, out, err = run(capsys, "binfn", "minor", str(vec), "--mu", "1",
+                       "--element", "²")
+    assert rc == 1 and out == ""
+    assert err == "error: unknown ground element '²'\n"
 
 
 def test_binfn_solve(capsys, tmp_path):

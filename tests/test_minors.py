@@ -286,5 +286,5 @@ def test_genus_excluded_minor_small():
     from altdimaps import genus_excluded_minor_test
     for g in maps_up_to(3, n_min=1):
         for k in (1, 2):
-            below, no_wit = genus_excluded_minor_test(g, k, max_edges=4)
+            below, no_wit = genus_excluded_minor_test(g, k)
             assert below == no_wit

@@ -121,6 +121,28 @@ def test_plane_graph_errors_name_a_document_line():
     assert found == []
 
 
+def test_no_size_cap_parameters():
+    # each size cap is one module constant, checked in one place
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.Lambda))
+             and any(a.arg == "max_edges"
+                     for a in node.args.posonlyargs + node.args.args
+                     + node.args.kwonlyargs)]
+    assert found == []
+
+
+def test_the_library_picks_the_default_edge_order():
+    # altdimaps tutte passes an order only when --order gives one
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    found = [f"cli.py:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and "frontier_order" in ast.unparse(node.func)]
+    assert found == []
+
+
 def _sorts_by_repr(node: ast.Call) -> bool:
     """Whether the call sorts by repr: a repr key, or sorted(map(repr, …))."""
     if any(kw.arg == "key" and "repr" in ast.unparse(kw.value)

@@ -114,8 +114,8 @@ def graphs():
 def recursions(p, ordered):
     """(name, thunk) for every recursion on the images of p, in frontier
     order if ordered, else in repr order.  The frontier order is the
-    image's own, but alt_c's for alt_a (which has alt_c's labels), as in
-    `altdimaps tutte`."""
+    image's own, but alt_c's for alt_a (which has alt_c's labels), in
+    which T_a meets about 4× fewer states on the triangulated 4×5 grid."""
     c = alt_c(p)
     runs = [("T_c", T_c, c, c), ("T_a", T_a, alt_a(p), c),
             ("extended_eval", lambda g, order: extended_eval(g, GENERIC, order), c, c)]
@@ -131,7 +131,7 @@ def recursions(p, ordered):
 def test_sweep_matches_the_depth_first_walk(name, monkeypatch):
     p = graphs()[name]
     mg = plane_multigraph(p)
-    assert tutte_poly(mg, max_edges=len(mg.edges)) == dfs_tutte_poly(mg)
+    assert tutte_poly(mg) == dfs_tutte_poly(mg)
     runs = recursions(p, True)
     if len(mg.edges) <= 12:
         runs += recursions(p, False)
