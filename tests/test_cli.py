@@ -206,8 +206,28 @@ def test_tutte_grid_5x5(capsys, tmp_path):
 
 def test_tutte_variants_c_and_i_take_the_library_order(capsys, tmp_path,
                                                      monkeypatch):
-    # no order passed: T_c sweeps alt_c(P), T_a sweeps reflect(alt_a(P))
-    # and T_i sweeps trial²(reflect(alt_i(P))), each in its own frontier
+    # no order passed: T_c sweeps alt_c(P) and T_i sweeps
+    # trial²(reflect(alt_i(P))), each in its own frontier order
+    rotations = grid_rotations(3, 3, diagonals=True)
+    doc = tmp_path / "tri3x3.pg"
+    doc.write_text(plane_document("tri3x3", rotations))
+    p = PlaneGraph.from_rotations(rotations)
+    asked = []
+    frontier_order = invariants.frontier_order
+    monkeypatch.setattr(invariants, "frontier_order",
+                        lambda g: asked.append(g) or frontier_order(g))
+    for variant, swept in (("c", alt_c(p)),
+                           ("i", trial_power(reflect(alt_i(p)), 2))):
+        asked.clear()
+        rc, out, err = run(capsys, "tutte", str(doc), "--variant", variant)
+        assert rc == 0, err
+        assert out.strip().splitlines()[-1] == "equal: true"
+        assert asked == [swept], variant
+
+
+def test_tutte_variant_a_takes_the_library_order(capsys, tmp_path,
+                                                monkeypatch):
+    # no order passed: T_a sweeps reflect(alt_a(P)) in its own frontier
     # order; the triangulated 4×5 grid (43 edges) is the slowest graph
     # under the cap for T_a in that order
     rotations = grid_rotations(4, 5, diagonals=True)
@@ -218,13 +238,10 @@ def test_tutte_variants_c_and_i_take_the_library_order(capsys, tmp_path,
     frontier_order = invariants.frontier_order
     monkeypatch.setattr(invariants, "frontier_order",
                         lambda g: asked.append(g) or frontier_order(g))
-    for variant, swept in (("c", alt_c(p)), ("a", reflect(alt_a(p))),
-                           ("i", trial_power(reflect(alt_i(p)), 2))):
-        asked.clear()
-        rc, out, err = run(capsys, "tutte", str(doc), "--variant", variant)
-        assert rc == 0, err
-        assert out.strip().splitlines()[-1] == "equal: true"
-        assert asked == [swept], variant
+    rc, out, err = run(capsys, "tutte", str(doc), "--variant", "a")
+    assert rc == 0, err
+    assert out.strip().splitlines()[-1] == "equal: true"
+    assert asked == [reflect(alt_a(p))]
 
 
 def test_tutte_above_the_cap_exits_1(capsys, tmp_path):
