@@ -22,7 +22,7 @@ from .minors import (commute_check, genus_excluded_minor_test,
 from .catalog import (canonical_code, enumerate_maps, isomorphic,
                       loop_star_1, loop_star_omega, loop_star_omega2,
                       posies, posy, tricircuit, ultraloop)
-from .invariants import (ExtendedParams, PlaneGraph, SimpleParams,
+from .invariants import (ExtendedParams, SimpleParams,
                          SIMPLE_FAMILIES, T_a, T_c, T_i, alt_a, alt_c, alt_i,
                          basic_extended_params, extended_eval,
                          frontier_order, plane_multigraph,

@@ -205,14 +205,10 @@ def ultraloop_bf(k: int, labels: Sequence[Hashable] = None) -> BinFn:
     return BinFn(tuple(labels), (SQRT2 - 1) ** sizes)
 
 
-def indicator_from_gf2(rows: Sequence[Sequence[int]], m: int,
-                       labels: Sequence[Hashable] = None) -> BinFn:
+def indicator_from_gf2(rows: Sequence[Sequence[int]], m: int) -> BinFn:
     """Indicator of the GF(2) rowspace of a 0/1 matrix whose column j
-    corresponds to ground element j.  Always includes the empty set."""
-    if labels is None:
-        labels = tuple(range(m))
-    elif len(labels) != m:
-        raise ValueError("need exactly m labels")
+    corresponds to ground element j, labelled j.  Always includes the
+    empty set."""
     masks = []
     for row in rows:
         if len(row) != m:
@@ -229,7 +225,7 @@ def indicator_from_gf2(rows: Sequence[Sequence[int]], m: int,
     vals = np.zeros(2 ** m, dtype=np.complex128)
     for s in space:
         vals[s] = 1.0
-    return BinFn(tuple(labels), vals)
+    return BinFn(tuple(range(m)), vals)
 
 
 def proportional_eq(f: BinFn, g: BinFn, tol: float = 1e-9) -> bool:
@@ -249,11 +245,11 @@ def proportional_eq(f: BinFn, g: BinFn, tol: float = 1e-9) -> bool:
     return err <= tol * max(1.0, fmax)
 
 
-def solve_uniform_reduction(u: BinFn, new_label: Hashable = None,
-                            tol: float = 1e-9) -> BinFn:
-    """Construct the unique normalized f, on one more ground element,
-    whose [mu]-minor at every position and every mu in {1, omega,
-    omega^2} is proportional to u.
+def solve_uniform_reduction(u: BinFn) -> BinFn:
+    """Construct the unique normalized f, on one more ground element (the
+    least non-negative int not in u's ground set), whose [mu]-minor at
+    every position and every mu in {1, omega, omega^2} is proportional
+    to u.
 
     Any such f must factor as (1, t) tensored onto u; for a nonempty
     ground set the uniform-reduction product formula forces t to equal
@@ -265,16 +261,15 @@ def solve_uniform_reduction(u: BinFn, new_label: Hashable = None,
     """
     if not u.is_normalized:
         raise ValueError("u must be normalized")
-    if new_label is None:
-        new_label = 0
-        while new_label in u.ground:
-            new_label += 1
+    new_label = 0
+    while new_label in u.ground:
+        new_label += 1
     t = u.values[1] if u.m >= 1 else (SQRT2 - 1)
     f = tensor(BinFn((new_label,), np.array([1.0, t])), u)
     for pos in range(f.m):
         for mu in (1, OMEGA, OMEGA ** 2):
             reduced = bf_minor(f, f.ground[pos], mu)
-            if not proportional_eq(reduced, u, tol):
+            if not proportional_eq(reduced, u):
                 raise ValueError(
                     f"no uniformly-reducing extension exists: candidate "
                     f"fails at position {pos}, mu={mu}")

@@ -155,7 +155,7 @@ def _cmd_genus_test(args) -> int:
 
 def _cmd_tutte(args) -> int:
     p = parse_plane_graph(_read_text(args.graph_file))
-    if len(p.graph.edges) > TUTTE_MAX_EDGES:
+    if len(p.edges) > TUTTE_MAX_EDGES:
         raise ValueError(f"Tutte recursion capped at {TUTTE_MAX_EDGES} edges")
     oracle = tutte_poly(plane_multigraph(p))
     recursion, alt = {"c": (T_c, alt_c), "a": (T_a, alt_a),

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
-                    Sequence, Tuple, Type)
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, Type)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
                    InvariantError, map_stats, reflect, trial_power)
@@ -40,7 +40,7 @@ def _coerce(value):
     return value
 
 __all__ = [
-    "SimpleParams", "ExtendedParams", "PlaneGraph",
+    "SimpleParams", "ExtendedParams",
     "simple_tutte_eval", "SIMPLE_FAMILIES", "simple_family_value",
     "extended_eval", "basic_extended_params",
     "T_c", "T_a", "T_i", "frontier_order",
@@ -323,35 +323,19 @@ def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:
     return _clockwise(trial_power(reflect(g), 2), order, Poly1, "in-star")
 
 
-# -- plane graphs and the alt constructions ---------------------------------------
+# -- embedded graphs and the alt constructions ------------------------------------
 
-class PlaneGraph:
-    """An embedded undirected graph whose every component has genus 0:
-    its total genus, the sum of the components' genera, is 0."""
-
-    def __init__(self, graph: EmbeddedGraph):
-        gam = graph.genus()
-        if gam:
-            raise ValueError(f"total genus {gam}; not plane")
-        self.graph = graph
-
-    @classmethod
-    def from_rotations(cls, rotations: Mapping[Hashable, Sequence[Tuple[Hashable, int]]]) -> "PlaneGraph":
-        return cls(EmbeddedGraph(rotations.keys(), rotations))
-
-
-def plane_multigraph(p: PlaneGraph) -> Multigraph:
+def plane_multigraph(eg: EmbeddedGraph) -> Multigraph:
     """Forget the embedding: the underlying multigraph (Tutte oracle input),
     its edges in perm.numbering order."""
-    eg = p.graph
     return Multigraph(eg.vertices,
                       [(e,) + eg.endpoints(e) for e in numbering(eg.edges)[0]])
 
 
 def _dart_map(sw: Sequence[int], sw2: Sequence[int],
               names: Sequence[Hashable]) -> AltDimap:
-    """The map (sw, sw2), two image tuples over the dart numbers of a
-    plane graph, with dart number k named names[k]."""
+    """The map (sw, sw2), two image tuples over the dart numbers of an
+    embedded graph, with dart number k named names[k]."""
     labels, index = numbering(names)
     new = list(map(index.__getitem__, names))  # dart number -> edge number
 
@@ -364,48 +348,51 @@ def _dart_map(sw: Sequence[int], sw2: Sequence[int],
     return AltDimap(renamed(sw), renamed(sw2))
 
 
-def alt_c(p: PlaneGraph) -> AltDimap:
+def alt_c(eg: EmbeddedGraph) -> AltDimap:
     """Each edge becomes a clockwise directed 2-face; the original faces
-    become the anticlockwise faces (cf = |E|, af = |F|).
+    become the anticlockwise faces (cf = |E|, af = |F|).  The image has
+    the genus of eg, which may be any.
 
     Every undirected edge e is replaced by an antiparallel directed pair,
     (e, '+') leaving through dart (e, 0) and (e, '-') leaving through
     dart (e, 1).  Naming each dart by its leaving edge, σ_ω² is α, the
-    2-cycles {(e, '+'), (e, '-')}, and σ_ω is α∘ρ⁻¹, each face of P
+    2-cycles {(e, '+'), (e, '-')}, and σ_ω is α∘ρ⁻¹, each face of eg
     (a cycle of ρ∘α) read backwards."""
-    eg = p.graph
     g = _dart_map(tuple(map(eg.alpha.__getitem__, inverse(eg.rho))), eg.alpha,
                   [(e, "+-"[i]) for e, i in eg.darts])
     st = map_stats(g)
     # a vertex without darts bounds a face of its own but gives the map
     # no vertex, so it is left out of the face identity
-    n_e, n_f = len(eg.edges), sum(1 for f in eg.trace_faces() if f)
+    faces = eg.trace_faces()
+    n_e, n_f = len(eg.edges), sum(1 for f in faces if f)
     if st.n_c_faces != n_e or st.n_a_faces != n_f:
         raise InvariantError("doubled map fails the face-count identities")
-    if st.genus != 0:
-        raise InvariantError("doubled map of a plane graph is not plane")
+    # eg's Euler relation, with the map's genus and components (σ_ω and
+    # σ_ω² generate ⟨ρ, α⟩); each dartless vertex is one more component
+    k = st.n_components + len(faces) - n_f
+    if len(eg.vertices) - n_e + len(faces) != 2 * (k - st.genus):
+        raise InvariantError("doubled map does not have the genus of the graph")
     return g
 
 
-def alt_a(p: PlaneGraph) -> AltDimap:
+def alt_a(eg: EmbeddedGraph) -> AltDimap:
     """Mirror of alt_c: anticlockwise 2-faces (af = |E|, cf = |F|).  With
     the darts named as in alt_c, σ_ω is α and σ_ω² is ρ⁻¹∘α: each dart
     expands clockwise to [incoming, outgoing]."""
-    eg = p.graph
     return _dart_map(eg.alpha, tuple(map(inverse(eg.rho).__getitem__, eg.alpha)),
                      [(e, "+-"[i]) for e, i in eg.darts])
 
 
-def alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
-    """The in-star image: the medial graph of P with one of its two
+def alt_i(eg: EmbeddedGraph, orientation_choice: int = 0) -> AltDimap:
+    """The in-star image: the medial graph of eg with one of its two
     orientations in which in- and out-edges alternate around every
-    vertex.  Each dart of P names itself; orientation 1 is the map
+    vertex.  Each dart of eg names itself; orientation 1 is the map
     (α∘ρ, ρ⁻¹) and orientation 0 the same pair swapped, (ρ⁻¹, α∘ρ).  So
     σ₁ is α under orientation 1 and its conjugate ρ⁻¹∘α∘ρ under
-    orientation 0: one in-star for each edge e of P, the medial vertices,
-    and under orientation 1 the in-star of e is {(e, 0), (e, 1)} itself."""
+    orientation 0: one in-star for each edge e of eg, the medial
+    vertices, and under orientation 1 the in-star of e is {(e, 0), (e, 1)}
+    itself."""
     if orientation_choice not in (0, 1):
         raise ValueError("orientation_choice must be 0 or 1")
-    eg = p.graph
     pair = tuple(map(eg.alpha.__getitem__, eg.rho)), inverse(eg.rho)
     return _dart_map(*(pair if orientation_choice else pair[::-1]), eg.darts)

@@ -41,7 +41,7 @@ from typing import Dict, List, Tuple
 from urllib.parse import quote, unquote
 
 from .core import MU_BY_NAME, AltDimap, build_map, classify_edge, map_stats
-from .invariants import PlaneGraph
+from .embedded import EmbeddedGraph
 
 
 class DocumentError(ValueError):
@@ -171,8 +171,10 @@ def serialize_map(g: AltDimap, name: str = "m") -> str:
             f"sigma_omega2 {_cycles_text(g.sw2, tokens)}\n")
 
 
-def parse_plane_graph(text: str) -> PlaneGraph:
-    """Parse a plane-graph document into a checked genus-0 embedding."""
+def parse_plane_graph(text: str) -> EmbeddedGraph:
+    """Parse a plane-graph document into an embedding, refusing (with
+    ValueError) one of positive total genus: the one genus-0 check on
+    the way to the Tutte identity of the alt images."""
     vertex_rot: Dict[str, List[str]] = {}
     dart_edge: Dict[str, Tuple[str, int, int]] = {}  # dart -> (edge, end, line)
     dart_home: Dict[str, int] = {}  # dart -> the line of its rotation
@@ -217,8 +219,12 @@ def parse_plane_graph(text: str) -> PlaneGraph:
     if missing:
         raise DocumentError(dart_edge[missing[0]][2], f"dart {missing[0]!r} "
                                                       f"belongs to no rotation")
-    return PlaneGraph.from_rotations(
-        {v: [dart_edge[d][:2] for d in darts] for v, darts in vertex_rot.items()})
+    eg = EmbeddedGraph(vertex_rot, {v: [dart_edge[d][:2] for d in darts]
+                                    for v, darts in vertex_rot.items()})
+    gam = eg.genus()
+    if gam:
+        raise ValueError(f"total genus {gam}; not plane")
+    return eg
 
 
 # -- exports ---------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Shared fixtures: the catalog of small maps and a suite of plane graphs."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import strategies as st
 
-from altdimaps import (AltDimap, Perm, PlaneGraph, commute_check, enumerate_maps,
-                       rotation_system)
+from altdimaps import (AltDimap, EmbeddedGraph, Perm, commute_check,
+                       enumerate_maps, rotation_system)
 from altdimaps.catalog import add_omega_loop, add_omega2_loop, loop_star_1
 from altdimaps.core import ALL_MU
 from altdimaps.minors import _minors
@@ -98,26 +100,52 @@ def random_maps(max_n=5, min_n=1):
             lambda p: build(n, *p)))
 
 
+def embedded(rotations):
+    """The embedded graph whose vertices are the keys of rotations."""
+    return EmbeddedGraph(rotations, rotations)
+
+
+def rotation_systems(max_edges):
+    """Every rotation system on the edges 0, 1, … (at most max_edges of
+    them), plane or not: one for each permutation of the darts, whose
+    cycles are the vertices, with no, one or two isolated vertices."""
+    for m in range(max_edges + 1):
+        darts = [(e, end) for e in range(m) for end in (0, 1)]
+        for images in permutations(darts):
+            succ = dict(zip(darts, images))
+            rotations, seen = {}, set()
+            for d in darts:
+                cycle = []
+                while d not in seen:
+                    seen.add(d)
+                    cycle.append(d)
+                    d = succ[d]
+                if cycle:
+                    rotations[cycle[0]] = cycle
+            for lone in ([], ["x"], ["x", "y"]):
+                yield EmbeddedGraph([*rotations, *lone], rotations)
+
+
 def plane_suite():
     """Named plane graphs (rotations are clockwise dart lists)."""
     return {
-        "single_edge": PlaneGraph.from_rotations({
+        "single_edge": embedded({
             "u": [("a", 0)], "v": [("a", 1)]}),
-        "loop": PlaneGraph.from_rotations({
+        "loop": embedded({
             "v": [("a", 0), ("a", 1)]}),
-        "path2": PlaneGraph.from_rotations({
+        "path2": embedded({
             "u": [("a", 0)], "m": [("a", 1), ("b", 0)], "v": [("b", 1)]}),
-        "triangle": PlaneGraph.from_rotations({
+        "triangle": embedded({
             "u": [("a", 0), ("c", 1)],
             "v": [("b", 0), ("a", 1)],
             "w": [("c", 0), ("b", 1)]}),
-        "theta": PlaneGraph.from_rotations({
+        "theta": embedded({
             "u": [("a", 0), ("b", 0), ("c", 0)],
             "v": [("c", 1), ("b", 1), ("a", 1)]}),
-        "bridge_loop": PlaneGraph.from_rotations({
+        "bridge_loop": embedded({
             "u": [("a", 0)],
             "v": [("a", 1), ("b", 0), ("b", 1)]}),
-        "square": PlaneGraph.from_rotations({
+        "square": embedded({
             "p": [("a", 0), ("d", 1)],
             "q": [("b", 0), ("a", 1)],
             "r": [("c", 0), ("b", 1)],
@@ -146,7 +174,7 @@ def wheel_rotations(k):
 
 def wheel(k):
     """The wheel W_k (see wheel_rotations)."""
-    return PlaneGraph.from_rotations(wheel_rotations(k))
+    return embedded(wheel_rotations(k))
 
 
 def grid_rotations(rows, cols, diagonals=False):
@@ -170,13 +198,13 @@ def grid_rotations(rows, cols, diagonals=False):
 
 def grid(rows, cols):
     """The rows × cols grid (see grid_rotations)."""
-    return PlaneGraph.from_rotations(grid_rotations(rows, cols))
+    return embedded(grid_rotations(rows, cols))
 
 
 def triangulated_grid(rows, cols):
     """The rows × cols grid with a diagonal in every square (see
     grid_rotations): 53 edges for 4 × 6, 56 for 5 × 5, 69 for 5 × 6."""
-    return PlaneGraph.from_rotations(grid_rotations(rows, cols, diagonals=True))
+    return embedded(grid_rotations(rows, cols, diagonals=True))
 
 
 def plane_document(name, rotations):
@@ -199,7 +227,7 @@ def grid_document(rows, cols):
 def theta(k):
     """The theta graph θ_k: k parallel edges e000.. between u and v."""
     names = [f"e{i:03d}" for i in range(k)]
-    return PlaneGraph.from_rotations({
+    return embedded({
         "u": [(e, 0) for e in names],
         "v": [(e, 1) for e in reversed(names)]})
 

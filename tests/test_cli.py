@@ -6,13 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import altdimaps.cli
-from altdimaps import (InvariantError, PlaneGraph, alt_a, alt_c, alt_i,
+from altdimaps import (InvariantError, alt_a, alt_c, alt_i,
                        build_map, invariants, reflect, trial_power)
 from altdimaps.catalog import free_loops, posy, ultraloop
 from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
 
-from conftest import grid_document, grid_rotations, plane_document, witness_a
+from conftest import (K4_TORUS, embedded, grid_document, grid_rotations,
+                      plane_document, witness_a)
 
 TRIANGLE_DOC = """planegraph triangle
 vertex u: a0 c1
@@ -211,7 +212,7 @@ def test_tutte_variants_c_and_i_take_the_library_order(capsys, tmp_path,
     rotations = grid_rotations(3, 3, diagonals=True)
     doc = tmp_path / "tri3x3.pg"
     doc.write_text(plane_document("tri3x3", rotations))
-    p = PlaneGraph.from_rotations(rotations)
+    p = embedded(rotations)
     asked = []
     frontier_order = invariants.frontier_order
     monkeypatch.setattr(invariants, "frontier_order",
@@ -233,7 +234,7 @@ def test_tutte_variant_a_takes_the_library_order(capsys, tmp_path,
     rotations = grid_rotations(4, 5, diagonals=True)
     doc = tmp_path / "tri4x5.pg"
     doc.write_text(plane_document("tri4x5", rotations))
-    p = PlaneGraph.from_rotations(rotations)
+    p = embedded(rotations)
     asked = []
     frontier_order = invariants.frontier_order
     monkeypatch.setattr(invariants, "frontier_order",
@@ -252,6 +253,15 @@ def test_tutte_above_the_cap_exits_1(capsys, tmp_path):
     rc, out, err = run(capsys, "tutte", str(doc))
     assert rc == 1 and out == ""
     assert err == f"error: Tutte recursion capped at {TUTTE_MAX_EDGES} edges\n"
+
+
+def test_tutte_on_a_non_plane_document_exits_1(capsys, tmp_path):
+    doc = tmp_path / "k4_torus.pg"
+    doc.write_text(plane_document("k4_torus", K4_TORUS))
+    for variant in ("c", "a", "i"):
+        rc, out, err = run(capsys, "tutte", str(doc), "--variant", variant)
+        assert rc == 1 and out == ""
+        assert err == "error: total genus 1; not plane\n"
 
 
 def test_export_json(capsys, posy_file):

@@ -1,12 +1,10 @@
 """Rotation systems as dart permutations, against the walks they replace."""
 
-from itertools import permutations
-
 import pytest
 
-from altdimaps import EmbeddedGraph, PlaneGraph, rotation_system
+from altdimaps import EmbeddedGraph, rotation_system
 
-from conftest import K4_TORUS, maps_up_to
+from conftest import K4_TORUS, maps_up_to, rotation_systems
 
 
 # -- the dictionary walks that traced faces and components before -------------
@@ -76,27 +74,6 @@ def assert_agrees_with_the_walks(eg):
     assert eg.genus() == len(comps) - chi // 2
 
 
-def rotation_systems(max_edges):
-    """Every rotation system on the edges 0, 1, … (at most max_edges of
-    them), plane or not: one for each permutation of the darts, whose
-    cycles are the vertices, with no, one or two isolated vertices."""
-    for m in range(max_edges + 1):
-        darts = [(e, end) for e in range(m) for end in (0, 1)]
-        for images in permutations(darts):
-            succ = dict(zip(darts, images))
-            rotations, seen = {}, set()
-            for d in darts:
-                cycle = []
-                while d not in seen:
-                    seen.add(d)
-                    cycle.append(d)
-                    d = succ[d]
-                if cycle:
-                    rotations[cycle[0]] = cycle
-            for lone in ([], ["x"], ["x", "y"]):
-                yield EmbeddedGraph([*rotations, *lone], rotations)
-
-
 def test_faces_and_components_on_every_small_rotation_system():
     graphs = list(rotation_systems(3))
     assert len(graphs) == 3 * (1 + 2 + 24 + 720)
@@ -146,4 +123,4 @@ def test_rejects_an_edge_without_both_darts():
 @pytest.mark.parametrize("dart", [("a", 0, 9), ("a", 2), ("a",), "a0", 7])
 def test_rejects_a_dart_that_is_not_an_edge_end(dart):
     with pytest.raises(ValueError, match=r"is not an \(edge, 0 \| 1\) pair"):
-        PlaneGraph.from_rotations({"u": [dart, ("a", 1)]})
+        EmbeddedGraph(["u"], {"u": [dart, ("a", 1)]})

@@ -9,19 +9,20 @@ import pytest
 import sympy as sp
 
 from altdimaps import (AltDimap, EmbeddedGraph, ExtendedParams,
-                       InvariantError, PlaneGraph, SimpleParams, build_map,
+                       InvariantError, SimpleParams, build_map,
                        SIMPLE_FAMILIES, T_a, T_c, T_i, alt_a, alt_c, alt_i,
                        basic_extended_params, canonical_code, extended_eval,
                        frontier_order, map_from_rotations, map_stats,
-                       invariants, plane_multigraph, reflect,
-                       simple_family_value, simple_tutte_eval, trial_power,
-                       tutte_poly)
+                       invariants, parse_plane_graph, plane_multigraph,
+                       reflect, simple_family_value, simple_tutte_eval,
+                       trial_power, tutte_poly)
 from altdimaps.catalog import (free_loops, loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
 from altdimaps.poly import Poly1, Poly2
 
-from conftest import (K4_TORUS, digon_with_omega2_loop, grid, maps_up_to,
-                      plane_suite, theta, wheel)
+from conftest import (K4_TORUS, digon_with_omega2_loop, embedded, grid,
+                      maps_up_to, plane_document, plane_suite,
+                      rotation_systems, theta, triangulated_grid, wheel)
 
 
 # -- the five order-independent parameter families -----------------------------
@@ -243,23 +244,8 @@ def test_tutte_correspondence_frontier_order(p):
 def small_plane_graphs(max_edges):
     """Every plane graph without isolated vertices on the edges 0, 1, …
     (at most max_edges of them), one for each rotation system."""
-    for m in range(max_edges + 1):
-        darts = [(e, end) for e in range(m) for end in (0, 1)]
-        for images in permutations(darts):
-            succ = dict(zip(darts, images))
-            rotations, seen = {}, set()
-            for d in darts:
-                cycle = []
-                while d not in seen:
-                    seen.add(d)
-                    cycle.append(d)
-                    d = succ[d]
-                if cycle:
-                    rotations[cycle[0]] = cycle
-            try:
-                yield PlaneGraph.from_rotations(rotations)
-            except ValueError:  # positive genus
-                pass
+    return [eg for eg in rotation_systems(max_edges)
+            if all(eg.rotations.values()) and eg.genus() == 0]
 
 
 def test_frontier_order_on_alt_images(six_edge_maps):
@@ -391,9 +377,8 @@ def test_recursions_deeper_than_the_recursion_limit():
 
 
 def test_alt_images_shape(suite):
-    for name, p in suite.items():
-        eg = p.graph
-        for g, two_cell in ((alt_c(p), "c"), (alt_a(p), "a")):
+    for name, eg in suite.items():
+        for g, two_cell in ((alt_c(eg), "c"), (alt_a(eg), "a")):
             st_ = map_stats(g)
             assert st_.n_edges == 2 * len(eg.edges)
             assert st_.genus == 0
@@ -401,18 +386,68 @@ def test_alt_images_shape(suite):
             assert faces == len(eg.edges), name
 
 
+def test_the_plane_builders_are_plane(suite):
+    graphs = [*suite.values(), *map(wheel, range(3, 17)), grid(5, 5),
+              triangulated_grid(5, 5), theta(300)]
+    assert {eg.genus() for eg in graphs} == {0}
+
+
+def test_alt_images_keep_the_genus():
+    # on every rotation system with at most three edges, of genus 0 or 1
+    graphs = list(rotation_systems(3))
+    assert len(graphs) == 2241
+    for eg in graphs:
+        gam = eg.genus()
+        st_ = map_stats(alt_c(eg))
+        assert st_.genus == gam
+        assert st_.n_c_faces == len(eg.edges)
+        assert st_.n_a_faces == sum(1 for f in eg.trace_faces() if f)
+        for g in (alt_a(eg), alt_i(eg, 0), alt_i(eg, 1)):
+            assert map_stats(g).genus == gam
+
+
+def test_clockwise_recursion_on_genus_1_alt_c_images():
+    # the alt_c images of the genus-1 rotation systems with at most three
+    # edges and no dartless vertex: T_c is defined in every order, but
+    # takes one value on all but one of them, and no value is the Tutte
+    # polynomial of the graph
+    images = {}
+    for eg in rotation_systems(3):
+        if eg.genus() == 1 and all(eg.rotations.values()):
+            images.setdefault(canonical_code(alt_c(eg)), eg)
+    assert len(images) == 9
+    found = []
+    for eg in images.values():
+        g = alt_c(eg)
+        values = {T_c(g, order=order) for order in permutations(g.edges)}
+        found.append((map_stats(g), tutte_poly(plane_multigraph(eg)), values))
+    assert sum(st_.n_components == 1 for st_, _, _ in found) == 7
+    assert not any(t in values for _, t, values in found)
+    several = [row for row in found if len(row[2]) > 1]
+    assert len(several) == 1
+    st_, t, values = several[0]
+    assert (st_.n_edges, st_.n_vertices, st_.n_a_faces, st_.n_c_faces) == \
+        (6, 2, 1, 3)
+    assert t == Poly2({(1, 1): 1, (0, 2): 1})
+    assert values == {Poly2({(2, 1): 1}), Poly2({(2, 0): 1, (1, 1): 1})}
+    # the bouquet of two loops on the torus
+    bouquet = embedded({"v": [("a", 0), ("b", 0), ("a", 1), ("b", 1)]})
+    assert bouquet.genus() == 1
+    assert T_c(alt_c(bouquet)) == Poly2({(1, 1): 1})
+    assert tutte_poly(plane_multigraph(bouquet)) == Poly2({(0, 2): 1})
+
+
 # -- the hand-built medial orientation: the reference for alt_i -----------------
 #
 # The library derives alt_i from alt_c by trial and reflection; these are
 # the medial graph and the parity walk that built it before, unchanged.
 
-def medial(p: PlaneGraph) -> EmbeddedGraph:
+def medial(eg: EmbeddedGraph) -> EmbeddedGraph:
     """The medial embedded graph: one vertex per edge, one edge per face
     corner (a dart together with its rotation successor).  Around the
     medial vertex of edge e with darts d1, d2 the four corners appear
     clockwise as [corner entering d1, corner leaving d1, corner entering
     d2, corner leaving d2]."""
-    eg = p.graph
     succ_inv: Dict[Tuple[Hashable, int], Tuple[Hashable, int]] = {}
     for rot in eg.rotations.values():
         n = len(rot)
@@ -444,13 +479,13 @@ def medial(p: PlaneGraph) -> EmbeddedGraph:
     return med
 
 
-def medial_alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
+def medial_alt_i(eg: EmbeddedGraph, orientation_choice: int = 0) -> AltDimap:
     """Orient the medial graph so in- and out-darts alternate around every
     vertex.  Each component admits exactly two such orientations; the bit
     selects which one (applied to every component)."""
     if orientation_choice not in (0, 1):
         raise ValueError("orientation_choice must be 0 or 1")
-    med = medial(p)
+    med = medial(eg)
     # Choose a parity bit per medial vertex: the dart at position i of the
     # rotation is incoming iff (i + parity) is even.  The two darts of a
     # medial edge must get opposite kinds, which ties the parities of its
@@ -496,13 +531,12 @@ def medial_alt_i(p: PlaneGraph, orientation_choice: int = 0) -> AltDimap:
 # The library reads alt_c off the traced faces of P; this is the rotation
 # expansion that built it before, unchanged.
 
-def doubled_alt_c(p: PlaneGraph) -> AltDimap:
+def doubled_alt_c(eg: EmbeddedGraph) -> AltDimap:
     """Replace every undirected edge by an antiparallel directed pair.
 
     Edge e gains directed edges (e, '+') (away from dart (e, 0)) and
     (e, '-') (the reverse).  At a vertex, each dart expands clockwise to
     [outgoing, incoming]."""
-    eg = p.graph
     rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
     for v, rot in eg.rotations.items():
         out: List[Tuple[Hashable, str]] = []
@@ -520,13 +554,12 @@ def doubled_alt_c(p: PlaneGraph) -> AltDimap:
 # swapping the labels of each directed pair; this is the anticlockwise
 # branch of the doubling that built it before, unchanged.
 
-def doubled_alt_a(p: PlaneGraph) -> AltDimap:
+def doubled_alt_a(eg: EmbeddedGraph) -> AltDimap:
     """Replace every undirected edge by an antiparallel directed pair.
 
     Edge e gains directed edges (e, '+') (away from dart (e, 0)) and
     (e, '-') (the reverse).  At a vertex, each dart expands clockwise to
     [incoming, outgoing]."""
-    eg = p.graph
     rotations: Dict[Hashable, List[Tuple[Hashable, str]]] = {}
     for v, rot in eg.rotations.items():
         out: List[Tuple[Hashable, str]] = []
@@ -551,8 +584,8 @@ def _alt_i_graphs():
     graphs += [wheel(k) for k in range(3, 13)]
     graphs += [grid(3, 3), grid(4, 5), grid(5, 5)]
     graphs += [theta(k) for k in range(1, 12)]
-    graphs.append(PlaneGraph.from_rotations({}))
-    graphs.append(PlaneGraph.from_rotations({
+    graphs.append(embedded({}))
+    graphs.append(embedded({
         "u": [], "v": [("a", 0), ("b", 1)], "w": [("b", 0), ("a", 1)]}))
     return graphs
 
@@ -581,7 +614,7 @@ def test_alt_i_in_stars_are_the_2_faces():
     for p in _alt_i_graphs():
         g = alt_i(p, 1)
         assert {frozenset(v) for v in g.vertices()} == \
-            {frozenset({(e, 0), (e, 1)}) for e in p.graph.edges}
+            {frozenset({(e, 0), (e, 1)}) for e in p.edges}
 
 
 def test_alt_i_rejects_other_orientations(suite):
@@ -592,27 +625,28 @@ def test_alt_i_rejects_other_orientations(suite):
 
 def test_medial_is_4_regular(suite):
     for name, p in suite.items():
-        if not p.graph.edges:
+        if not p.edges:
             continue
         m = medial(p)
         assert all(len(rot) == 4 for rot in m.rotations.values()), name
 
 
 def test_plane_graph_rejects_positive_genus(suite):
-    with pytest.raises(ValueError, match="not plane"):
-        PlaneGraph.from_rotations(K4_TORUS)
+    with pytest.raises(ValueError, match="^total genus 1; not plane$"):
+        parse_plane_graph(plane_document("k4", K4_TORUS))
     # one non-plane component makes the whole graph non-plane
-    triangle = suite["triangle"].graph.rotations
+    triangle = suite["triangle"].rotations
     with pytest.raises(ValueError, match="total genus 1"):
-        PlaneGraph.from_rotations({**K4_TORUS, **triangle})
+        parse_plane_graph(plane_document("k4_triangle",
+                                         {**K4_TORUS, **triangle}))
 
 
 def test_plane_graph_accepts_plane_components(suite):
-    theta = {("t", v): [(("t", e), end) for e, end in rot]
-             for v, rot in suite["theta"].graph.rotations.items()}
-    p = PlaneGraph.from_rotations({**suite["triangle"].graph.rotations, **theta,
-                                   "lone": []})
-    assert len(p.graph.components()) == 3
+    theta = {f"t{v}": [(f"t{e}", end) for e, end in rot]
+             for v, rot in suite["theta"].rotations.items()}
+    p = parse_plane_graph(plane_document(
+        "three", {**suite["triangle"].rotations, **theta, "lone": []}))
+    assert len(p.components()) == 3
     assert map_stats(alt_c(p)).genus == 0
 
 

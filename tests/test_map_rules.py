@@ -59,10 +59,10 @@ def test_euler_genus():
 # -- the oracle's edge order does not depend on the hash seed --------------------
 
 ORDER_SCRIPT = """
-from altdimaps import PlaneGraph, plane_multigraph, tutte_poly
+from altdimaps import EmbeddedGraph, plane_multigraph, tutte_poly
 def edge(u, v):
     return frozenset([u, v])
-p = PlaneGraph.from_rotations({
+p = EmbeddedGraph("abcd", {
     "a": [(edge("a", "b"), 0), (edge("d", "a"), 1)],
     "b": [(edge("b", "c"), 0), (edge("a", "b"), 1)],
     "c": [(edge("c", "d"), 0), (edge("b", "c"), 1)],

@@ -11,8 +11,8 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 from hypothesis import example, given, strategies as st
 
 import altdimaps
-from altdimaps import AltDimap, Perm, map_from_rotations, parse_plane_graph, rotation_system
-from altdimaps.invariants import PlaneGraph
+from altdimaps import (AltDimap, EmbeddedGraph, Perm, map_from_rotations,
+                       parse_plane_graph, rotation_system)
 from altdimaps.textio import DocumentError, _content_lines
 
 from conftest import (maps_up_to, plane_document, plane_suite, random_maps,
@@ -61,7 +61,7 @@ def ref_map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable,
     return AltDimap(Perm(swm), Perm(sw2m))
 
 
-def ref_parse_plane_graph(text: str) -> PlaneGraph:
+def ref_parse_plane_graph(text: str) -> EmbeddedGraph:
     """Parse a plane-graph document into a checked genus-0 embedding."""
     vertex_rot: Dict[str, List[str]] = {}
     dart_edge: Dict[str, Tuple[str, int]] = {}
@@ -115,7 +115,11 @@ def ref_parse_plane_graph(text: str) -> PlaneGraph:
     if missing:
         raise DocumentError(0, f"dart {sorted(missing)[0]!r} belongs to no "
                                f"rotation")
-    return PlaneGraph.from_rotations(rotations)
+    eg = EmbeddedGraph(rotations.keys(), rotations)
+    gam = eg.genus()
+    if gam:
+        raise ValueError(f"total genus {gam}; not plane")
+    return eg
 
 
 def outcome(read, arg):
@@ -204,7 +208,7 @@ LINES = st.one_of(
     st.sampled_from(["planegraph p", "", "# a comment", "vertex u a0",
                      "face f: a0", "edge c: c0 c1  # the edge c"]),
 )
-SUITE_DOCUMENTS = [plane_document(name, p.graph.rotations)
+SUITE_DOCUMENTS = [plane_document(name, p.rotations)
                    for name, p in sorted(plane_suite().items())]
 
 
@@ -243,10 +247,10 @@ def edge_line(text, dart):
 def test_parse_plane_graph_against_the_two_passes(text):
     new, old = outcome(parse_plane_graph, text), \
         outcome(ref_parse_plane_graph, text)
-    if isinstance(old, PlaneGraph):
-        assert isinstance(new, PlaneGraph)
-        assert new.graph.rotations == old.graph.rotations
-        assert new.graph.vertices == old.graph.vertices
+    if isinstance(old, EmbeddedGraph):
+        assert isinstance(new, EmbeddedGraph)
+        assert new.rotations == old.rotations
+        assert new.vertices == old.vertices
     elif old[1].startswith("line 0: dart ") and old[1].endswith(
             " belongs to no rotation"):
         # the one change: a dart no rotation holds is reported at the
@@ -267,7 +271,7 @@ from altdimaps import EmbeddedGraph, parse_plane_graph
 eg = EmbeddedGraph(["u", "v", "w"], {"u": [("a", 0), ("c", 1)],
                                      "v": [("b", 0), ("a", 1)],
                                      "w": [("c", 0), ("b", 1)]})
-for g in (eg, parse_plane_graph(sys.stdin.read()).graph):
+for g in (eg, parse_plane_graph(sys.stdin.read())):
     print(g.darts, g.rho, g.trace_faces(),
           [sorted(c) for c in g.components()])
 """

@@ -121,6 +121,22 @@ def test_plane_graph_errors_name_a_document_line():
     assert found == []
 
 
+def test_no_plane_graph_class():
+    # the alt images and the oracle take any EmbeddedGraph; genus 0 is
+    # checked once, by textio.parse_plane_graph
+    found = [path.name for path in SOURCES if "PlaneGraph" in path.read_text()]
+    assert found == []
+
+
+def test_textio_imports_nothing_from_invariants():
+    path = next(p for p in SOURCES if p.name == "textio.py")
+    found = [f"textio.py:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and "invariants" in ast.unparse(node)]
+    assert found == []
+
+
 def test_no_size_cap_parameters():
     # each size cap is one module constant, checked in one place
     found = [f"{path.name}:{node.lineno}"
