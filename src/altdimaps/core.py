@@ -255,6 +255,30 @@ def map_from_rotations(rotations: Mapping[Hashable, Sequence[Tuple[Hashable, str
 # so a kernel reads the same map whether or not such numbers are left in.
 
 
+def _on_cycle(p: Sequence[int], e: int, target: int) -> bool:
+    """Whether target lies on the p-cycle of e: one walk along p."""
+    x = p[e]
+    while x != target and x != e:
+        x = p[x]
+    return x == target
+
+
+def _class_code(t: Sequence[Sequence[int]], e: int) -> int:
+    """A code that fixes every bit of EdgeClass(t, e): the loop bits (bit
+    μ set for a μ-loop), or for a non-triloop 8 plus the semiloop bits
+    (bit μ set for a μ-semiloop, walked as in EdgeClass.is_semiloop).  A
+    triloop's semiloop bits follow from its loop bits: an ultraloop is a
+    semiloop of all three types, a proper μ-loop a ν-semiloop exactly for
+    ν ≠ μ.  Two loop bits (3, 5 or 6) break the triple identity, which
+    EdgeClass reports."""
+    s1, sw, sw2 = t
+    code = (s1[e] == e) | (sw[e] == e) << 1 | (sw2[e] == e) << 2
+    if code:
+        return code
+    return (8 | _on_cycle(s1, e, sw[e]) | _on_cycle(sw, e, sw2[e]) << 1
+            | _on_cycle(sw2, e, s1[e]) << 2)
+
+
 class EdgeClass:
     """Loop/semiloop classification of edge number e of the map with image
     triple t.  The loop bits are computed at once, each semiloop bit on
@@ -267,6 +291,7 @@ class EdgeClass:
     of e.  The trial law (the μ-semiloops of G are the μω-semiloops of
     G^ω) thus holds by construction: e is an ω-semiloop when σ_ω²(e) lies
     on its a-face and an ω²-semiloop when σ₁(e) lies on its c-face.
+    Every bit is a function of _class_code(t, e).
     """
 
     __slots__ = ("is_1_loop", "is_omega_loop", "is_omega2_loop",
@@ -288,12 +313,8 @@ class EdgeClass:
     def is_semiloop(self, mu: int) -> bool:
         bit = self._semi[mu]
         if bit is None:
-            e = self._e
             p, q, _ = rotate(self._t, -mu)
-            x, target = p[e], q[e]
-            while x != target and x != e:
-                x = p[x]
-            bit = self._semi[mu] = x == target
+            bit = self._semi[mu] = _on_cycle(p, self._e, q[self._e])
         return bit
 
     is_1_semiloop = property(lambda self: self.is_semiloop(MU1))

@@ -19,8 +19,9 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, Type)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
-                   InvariantError, map_stats, reflect, trial_power)
-from .embedded import EmbeddedGraph
+                   InvariantError, _class_code, map_stats, reflect,
+                   trial_power)
+from .embedded import EmbeddedGraph, euler_genus
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
 from .perm import Perm, inverse, numbering
@@ -133,10 +134,10 @@ def frontier_order(g: AltDimap) -> List[Hashable]:
     when that map is an alt image of a plane graph and no order is given
     (see _clockwise)."""
     n = g.n_edges
-    # key k·n + x is the trimedial edge x → p(x), p the triple's member k;
-    # edge e meets, for each p, the keys of e and of p⁻¹(e)
-    a, b, c = (p.pre for p in (g.s1, g.sw, g.sw2))
-    keys = [(e, a[e], n + e, n + b[e], 2 * n + e, 2 * n + c[e])
+    # key k·n + y is the trimedial edge p⁻¹(y) → y, p the triple's member
+    # k; edge e meets, for each p, the keys of p(e) and of e
+    a, b, c = g.triple
+    keys = [(a[e], e, n + b[e], n + e, 2 * n + c[e], 2 * n + e)
             for e in range(n)]
     return [g.sw.labels[i] for i in frontier(keys)]
 
@@ -145,23 +146,27 @@ def _is_alt_c_image(g: AltDimap) -> bool:
     """Whether G has genus 0 and every c-face (σ_ω² cycle) of length 2,
     that is, whether G is the alt_c image of a plane graph.  The first
     test reads σ_ω² alone; only a fixed-point-free involution has its
-    genus counted."""
+    genus counted, its |E|/2 pairs being the c-faces."""
     sw2 = g.sw2.img
     if any(i == j or sw2[j] != i for i, j in enumerate(sw2)):
         return False
-    return map_stats(g).genus == 0
+    n = len(sw2)
+    return euler_genus(len(g.s1.cycles()), n, len(g.sw.cycles()) + n // 2,
+                       len(g.orbits())) == 0
 
 
 # -- the recursion engine -------------------------------------------------------
 
 # A case table is a sequence of rows (test, terms), tried in priority order;
 # the first row whose test accepts the EdgeClass of the edge being reduced
-# applies.  Its terms are (coefficient, reduction type) pairs and the row
-# evaluates to the sum of coefficient × (value of the reduced map).  A
-# coefficient None takes the sub-result as it is, and a zero coefficient
-# drops its term without reducing.  EdgeClass is named by a string: typing
-# caches the generics it makes, and a class held there would keep every
-# module of an earlier import of the package alive after a re-import.
+# applies.  A test may read the loop and semiloop bits alone, so the row an
+# edge takes is fixed by its core._class_code.  Its terms are (coefficient,
+# reduction type) pairs and the row evaluates to the sum of coefficient ×
+# (value of the reduced map).  A coefficient None takes the sub-result as it
+# is, and a zero coefficient drops its term without reducing.  EdgeClass is
+# named by a string: typing caches the generics it makes, and a class held
+# there would keep every module of an earlier import of the package alive
+# after a re-import.
 Case = Tuple[Callable[["EdgeClass"], bool], Sequence[Tuple[Any, int]]]
 
 
@@ -172,28 +177,40 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
     map is worth `one`; a row whose terms are all dropped is worth `zero`;
     an edge that no row accepts raises ValueError.
 
-    A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers,
-    classified by EdgeClass and reduced by minors._reduce, which leaves a
-    reduced edge fixed by all three; both derive their three types from
-    one rule by rotating the triple (trial).  The recursion is swept
-    level by level (multigraph.sweep), level i holding the states met
-    after i reductions, which have exactly the edges order[i:]; so within
-    a level the images of σ_ω and σ_ω² fix the map, and states are merged
-    on them."""
+    A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers.
+    The row of the edge to reduce is looked up by its class code
+    (core._class_code: three fixed-point compares, and three face walks
+    for a non-triloop) in a dict of this call, filled by testing the
+    table on an EdgeClass the first time a code is met.  Each term is
+    reduced by minors._reduce, which leaves the reduced edge fixed by all
+    three and returns the new triple as tuples.  The classification and
+    the reduction derive their three types from one rule by rotating the
+    triple (trial).  The recursion is swept level by level
+    (multigraph.sweep), level i holding the states met after i
+    reductions, which have exactly the edges order[i:]; so within a level
+    the images of σ_ω and σ_ω² fix the map, and states are merged on
+    them."""
     rem = list(map(g.number, _resolve_order(g, order)))
+    n = len(rem)
+    rows: Dict[int, List[Tuple[Any, int]]] = {}  # class code -> kept terms
 
-    def row(state: Tuple[Tuple[tuple, ...], int]):
+    def row(state: Tuple[Tuple[Tuple[int, ...], ...], int]):
         s, i = state
-        if i == len(rem):
+        if i == n:
             return None
         e = rem[i]
-        c = EdgeClass(s, e)
-        terms = next((terms for test, terms in cases if test(c)), None)
+        code = _class_code(s, e)
+        terms = rows.get(code)
         if terms is None:
-            raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of the "
-                             f"{name} recursion")
-        return [(coeff, (tuple(map(tuple, _reduce(s, e, mu))), i + 1))
-                for coeff, mu in terms if coeff is None or coeff]
+            c = EdgeClass(s, e)
+            terms = next((terms for test, terms in cases if test(c)), None)
+            if terms is None:
+                raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of "
+                                 f"the {name} recursion")
+            terms = rows[code] = [(coeff, mu) for coeff, mu in terms
+                                  if coeff is None or coeff]
+        i += 1
+        return [(coeff, (_reduce(s, e, mu), i)) for coeff, mu in terms]
 
     return sweep((g.triple, 0), lambda st: (st[0][1], st[0][2]), row, one, zero)
 

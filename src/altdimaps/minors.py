@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from typing import (Callable, Hashable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Hashable, Iterator, Optional, Sequence, Set,
+                    Tuple)
 
 from .catalog import canonical_code, tricircuit
-from .core import (ALL_MU, MU1, AltDimap, InvariantError, map_stats,
-                   rotate)
+from .core import (_ROTATIONS, ALL_MU, MU1, AltDimap, InvariantError,
+                   map_stats, rotate)
 from .multigraph import Multigraph
 from .perm import Perm
 
 
 def _reduce(t: Sequence[Sequence[int]], i: int,
-            mu: int) -> Tuple[List[int], ...]:
+            mu: int) -> Tuple[Tuple[int, ...], ...]:
     """The minor G[mu]i of the map with image triple t = (σ₁, σ_ω, σ_ω²),
-    as the triple of new lists over the same numbering: edge i becomes a
+    as the triple of new tuples over the same numbering: edge i becomes a
     fixed point of all three, so the numbers of the other edges are kept.
 
     By triality G[ω^μ]i is trial^−μ(trial^μ(G)[1]i), so every type is
@@ -27,7 +27,8 @@ def _reduce(t: Sequence[Sequence[int]], i: int,
     disappears).  The preimages come from the triple identity p∘q∘r =
     id: q⁻¹ = r∘p and r⁻¹ = p∘q.
     """
-    p, q, r = map(list, rotate(t, mu))
+    a, b, c = _ROTATIONS[mu]
+    p, q, r = list(t[a]), list(t[b]), list(t[c])
     pi, qpre, rpre = p[i], r[p[i]], p[q[i]]
     # r⁻¹(i) and p(i) = r⁻¹(q⁻¹(i)) are the numbers x ≠ i whose q(r(x))
     # the splice can change; the splice trusts p∘q∘r = id there and at i
@@ -40,7 +41,9 @@ def _reduce(t: Sequence[Sequence[int]], i: int,
         if x != i:
             p[q[r[x]]] = x
     p[i] = i
-    return rotate((p, q, r), -mu)
+    new = tuple(p), tuple(q), tuple(r)
+    a, b, c = _ROTATIONS[-mu % 3]
+    return new[a], new[b], new[c]
 
 
 def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
@@ -48,16 +51,15 @@ def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     i = g.number(e)
     if mu not in ALL_MU:
         raise ValueError(f"unknown reduction type {mu!r}")
-    reduced = _reduce(g.triple, i, mu)
-    # drop number i: the numbers above it move down by one
-    n = len(reduced[0])
-    renumber = [*range(i), None, *range(i, n - 1)].__getitem__
-    for x in reduced:
-        del x[i]
+    # drop number i, the one image i in a tuple that fixes it: the numbers
+    # above it move down by one
+    n = g.n_edges
+    new = [*range(i), None, *range(i, n - 1)]
     labels = g.sw.labels[:i] + g.sw.labels[i + 1:]
     index = dict(zip(labels, range(n - 1)))
-    return AltDimap._of(*(Perm._of(labels, index, tuple(map(renumber, x)))
-                          for x in reduced))
+    return AltDimap._of(*(Perm._of(labels, index,
+                                   tuple([new[y] for y in x if y != i]))
+                          for x in _reduce(g.triple, i, mu)))
 
 
 def reduce_seq(g: AltDimap,

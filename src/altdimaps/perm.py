@@ -4,6 +4,7 @@ that equality and hashing are tuple operations."""
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (Dict, Hashable, Iterable, Iterator, List, Mapping,
                     Sequence, Tuple)
 
@@ -33,7 +34,10 @@ def numbering(points: Iterable[Point]) -> Tuple[tuple, Dict[Point, int]]:
     every frozenset's members in order; distinct labels must print
     differently (ValueError otherwise), as distinct strs and ints do."""
     points = set(points)
-    if {str, int}.issuperset(map(type, points)):
+    # repr is _canonical_repr on strs and ints, and on tuples of them
+    if {str, int}.issuperset(map(type, points)) or (
+            {tuple}.issuperset(map(type, points))
+            and {str, int}.issuperset(map(type, chain.from_iterable(points)))):
         labels = tuple(sorted(points, key=repr))
     else:
         keyed = dict(zip(map(_canonical_repr, points), points))

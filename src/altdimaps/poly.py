@@ -171,8 +171,9 @@ class _PackedRing:
                       * self.bits)
 
     def unpack(self, acc: int) -> Poly:
-        """The polynomial packed in acc, read in one pass over its binary
-        digits."""
+        """The polynomial packed in acc, read from its binary digits: slot
+        k is the k-th group of B digits from the right, and the search for
+        the next digit 1 skips the zero slots between two terms."""
         b, d = self.bits, self.stride
         if acc < 0:
             raise InvariantError("packed polynomial is negative")
@@ -180,11 +181,13 @@ class _PackedRing:
             raise InvariantError(f"packed polynomial of {acc.bit_length()} "
                                  f"bits exceeds {self.slots} slots of {b}")
         digits = format(acc, "b")
-        digits = "0" * (-len(digits) % b) + digits
-        top = len(digits) // b
+        top = len(digits)
         coeffs: Dict[Tuple[int, ...], int] = {}
-        for k in range(top):
-            c = int(digits[(top - 1 - k) * b:(top - k) * b], 2)
-            if c:
-                coeffs[divmod(k, d) if self.cls is Poly2 else (k,)] = c
+        pos = digits.rfind("1")
+        while pos >= 0:
+            k = (top - 1 - pos) // b
+            start = max(top - (k + 1) * b, 0)
+            coeffs[divmod(k, d) if self.cls is Poly2 else (k,)] = \
+                int(digits[start:top - k * b], 2)
+            pos = digits.rfind("1", 0, start)
         return self.cls(coeffs)

@@ -18,7 +18,9 @@ from altdimaps import (ExtendedParams, SIMPLE_FAMILIES, T_c, T_i,
                        classify_edge, extended_eval, invariants, reduce_map,
                        simple_tutte_eval)
 from altdimaps.catalog import free_loops
-from altdimaps.core import InvariantError
+from altdimaps.core import (MU1, MUW, MUW2, EdgeClass, InvariantError,
+                            _class_code)
+from altdimaps.poly import Poly1
 
 from conftest import maps_up_to, semiloop_pair
 
@@ -171,6 +173,52 @@ def test_lazy_edge_class_reads_no_semiloop_bit_of_a_triloop():
                 assert not any(c.is_proper_semiloop(mu) for mu in range(3))
                 assert c._semi == [None] * 3
 
+
+def test_a_triloops_semiloop_bits_follow_from_its_loop_bits(six_edge_maps):
+    # An ultraloop is a semiloop of all three types, and a proper μ-loop a
+    # ν-semiloop exactly for ν ≠ μ; so a row of a case table depends on a
+    # triloop's loop bits alone, and the class code walks no face for it.
+    triloops = 0
+    for g in maps_up_to(5) + six_edge_maps:
+        for e in range(g.n_edges):
+            c = EdgeClass(g.triple, e)
+            loops = [c.is_loop(mu) for mu in range(3)]
+            semi = [c.is_semiloop(mu) for mu in range(3)]
+            code = _class_code(g.triple, e)
+            if c.is_triloop:
+                triloops += 1
+                want = [True] * 3 if c.is_ultraloop else [not b for b in loops]
+                assert semi == want, (g, e)
+                assert code == sum(b << mu for mu, b in enumerate(loops))
+            else:
+                assert code == 8 + sum(b << mu for mu, b in enumerate(semi))
+    assert triloops > 0
+    # Rows are looked up per table: two tables handed to the engine under
+    # one name, in turn, each give what the map-level engine gives them.
+    x = Poly1.var()
+    tables = [(
+        (lambda c: c.is_omega2_loop, ((None, MUW2),)),
+        (lambda c: c.is_omega_semiloop, ((x, MUW2),)),
+        (lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop, ((x, MU1),)),
+        (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
+                        or c.is_omega2_semiloop), ((None, MU1), (None, MUW2))),
+    ), (
+        (lambda c: c.is_1_loop, ((None, MU1),)),
+        (lambda c: c.is_proper_semiloop(MUW) or c.is_omega2_loop, ((x, MUW2),)),
+        (lambda c: c.is_proper_semiloop(MUW2) or c.is_omega_loop, ((x, MUW),)),
+        (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
+                        or c.is_omega2_semiloop), ((None, MUW), (None, MUW2))),
+    )]
+    differ = 0
+    for g in maps_up_to(4):
+        got = []
+        for cases in tables:
+            args = (None, cases, Poly1.one(), Poly1.zero(), "in-star")
+            want = _value(lambda g: map_level_recurse(g, *args), g)
+            assert _value(lambda g: invariants._recurse(g, *args), g) == want, g
+            got.append(want)
+        differ += got[0] != got[1]
+    assert differ > 0
 
 @pytest.mark.parametrize("name", sorted(RECURSIONS))
 def test_int_engine_matches_map_engine(name, monkeypatch):

@@ -241,6 +241,60 @@ def test_tutte_correspondence_frontier_order(p):
         assert T_i(g, order=frontier_order(g)) == want.diagonal()
 
 
+def spanning_tree_count(eg):
+    """Kirchhoff's count for a connected graph: the determinant of its
+    Laplacian with the last row and column struck out, by Bareiss's
+    fraction-free elimination in ints.  That minor is positive definite,
+    so every pivot is positive and no row is swapped."""
+    index = {v: i for i, v in enumerate(sorted(eg.vertices, key=repr))}
+    n = len(index) - 1
+    m = [[0] * (n + 1) for _ in range(n + 1)]
+    for e in eg.edges:
+        u, v = map(index.__getitem__, eg.endpoints(e))
+        if u != v:
+            m[u][u] += 1
+            m[v][v] += 1
+            m[u][v] -= 1
+            m[v][u] -= 1
+    prev = 1
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m[n - 1][n - 1] if n else 1
+
+
+def plane_dual(eg):
+    """The dual of a plane graph: a vertex for each face of trace_faces,
+    whose darts, in the face's order, are its rotation; each edge keeps
+    its darts, so it joins the faces on its two sides."""
+    faces = dict(enumerate(eg.trace_faces()))
+    return EmbeddedGraph(faces, faces)
+
+
+def test_tutte_recursions_on_the_triangulated_4x5_grid_by_closed_forms():
+    # Checks computed without sweep or frontier, which the recursions and
+    # the oracle share: T(1, 1) is the spanning-tree count, T(2, 2) is
+    # 2^|E|, and the dual swaps x and y.
+    assert spanning_tree_count(grid(5, 5)) == 557_568_000
+    p = triangulated_grid(4, 5)
+    dual = plane_dual(p)
+    assert dual.genus() == 0 and len(dual.vertices) == 25
+    trees, n_e = spanning_tree_count(p), len(p.edges)
+    assert spanning_tree_count(dual) == trees
+    values = []
+    for eg in (p, dual):
+        tc, ta, ti = T_c(alt_c(eg)), T_a(alt_a(eg)), T_i(alt_i(eg))
+        assert tc == ta and ti == tc.diagonal()
+        assert tc.evaluate(1, 1) == ti.evaluate(1) == trees
+        assert tc.evaluate(2, 2) == ti.evaluate(2) == 2 ** n_e
+        values.append(tc)
+    primal, of_dual = values
+    assert of_dual == Poly2({(j, i): c for (i, j), c in primal.coeffs.items()})
+    assert of_dual != primal
+
+
 def small_plane_graphs(max_edges):
     """Every plane graph without isolated vertices on the edges 0, 1, …
     (at most max_edges of them), one for each rotation system."""

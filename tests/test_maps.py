@@ -8,6 +8,7 @@ from altdimaps import (AltDimap, EMPTY_MAP, Perm, build_map, classify_edge,
                        rotation_system, trial, trial_power)
 from altdimaps.core import ALL_MU, MUW, MUW2
 from altdimaps.minors import reduce_map
+from altdimaps.perm import _canonical_repr, numbering
 from altdimaps.catalog import (loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
 
@@ -208,3 +209,16 @@ def test_restriction_reads_its_edges_once():
     two = build_map(["a", "b"], [("a",), ("b",)], [("a",), ("b",)])
     assert two.restricted(e for e in ["a"]) == \
         build_map(["a"], [("a",)], [("a",)])
+
+
+PLAIN = st.one_of(st.text(max_size=3), st.integers(), st.booleans())
+
+
+@given(st.one_of(st.sets(PLAIN, max_size=8),
+                 st.sets(st.lists(PLAIN, max_size=3).map(tuple), max_size=8)))
+def test_plain_labels_are_numbered_by_their_canonical_repr(points):
+    # strs, ints and tuples of them are sorted by repr directly, the order
+    # _canonical_repr gives; a bool is not an int here, and goes the long way
+    labels, index = numbering(points)
+    assert list(labels) == sorted(points, key=_canonical_repr)
+    assert [index[x] for x in labels] == list(range(len(labels)))

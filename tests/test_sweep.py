@@ -8,7 +8,8 @@ give the same whole polynomials (and rationals) on the plane graphs below:
 in frontier order on all of them, and in repr order on those with at most
 12 edges.  multigraph.frontier, which gives both the edge order of the
 oracle and frontier_order, is checked against the heap it replaced, in
-which every item waited from the start.
+which every item waited from the start.  The states that each default-order
+sweep expands are pinned as counts.
 """
 
 from heapq import heappop, heappush
@@ -22,10 +23,10 @@ from altdimaps import (T_a, T_c, T_i, alt_a, alt_c, alt_i, extended_eval,
                        reflect, trial_power, tutte_poly)
 from altdimaps.core import EdgeClass
 from altdimaps.minors import _reduce
-from altdimaps.multigraph import _joined, _renumber, frontier
+from altdimaps.multigraph import _joined, _renumber, frontier, sweep
 from altdimaps.poly import Poly2
 
-from conftest import grid, plane_suite, triangulated_grid, wheel
+from conftest import grid, plane_suite, theta, triangulated_grid, wheel
 from test_engine import GENERIC
 
 
@@ -138,6 +139,40 @@ def test_sweep_matches_the_depth_first_walk(name, monkeypatch):
     new = [(n, run()) for n, run in runs]
     monkeypatch.setattr(invariants, "_recurse", dfs_recurse)
     assert new == [(n, run()) for n, run in runs]
+
+
+# States expanded (leaves included) by T_c(alt_c(P)), T_a(alt_a(P)) and
+# T_i(alt_i(P)) in their default orders, the frontier order of the map each
+# sweeps.  A cheaper step must expand the same states.
+STATE_COUNTS = {
+    "W3": (40,) * 3, "W4": (60,) * 3, "W5": (80,) * 3, "W6": (100,) * 3,
+    "theta3": (11,) * 3, "theta4": (15,) * 3, "theta5": (19,) * 3,
+    "theta6": (23,) * 3, "theta7": (27,) * 3, "theta8": (31,) * 3,
+    "theta9": (35,) * 3,
+    "tri4x5": (2_011, 10_554, 6_373),
+}
+
+
+def test_default_orders_expand_the_pinned_states(monkeypatch):
+    counts = []
+
+    def counting_sweep(root, key, step, one, zero):
+        def counted(state):
+            counts[-1] += 1
+            return step(state)
+        return sweep(root, key, counted, one, zero)
+
+    monkeypatch.setattr(invariants, "sweep", counting_sweep)
+    planes = {**{f"W{k}": wheel(k) for k in range(3, 7)},
+              **{f"theta{k}": theta(k) for k in range(3, 10)},
+              "tri4x5": triangulated_grid(4, 5)}
+    for name, p in planes.items():
+        found = []
+        for T, alt in ((T_c, alt_c), (T_a, alt_a), (T_i, alt_i)):
+            counts.append(0)
+            T(alt(p))
+            found.append(counts[-1])
+        assert tuple(found) == STATE_COUNTS[name], name
 
 
 def reference_frontier(keys):
