@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from typing import (Callable, Hashable, Iterator, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, Hashable, Iterator, Optional, Sequence,
+                    Set, Tuple)
 
 from .catalog import canonical_code, tricircuit
 from .core import (_ROTATIONS, ALL_MU, MU1, AltDimap, InvariantError,
@@ -46,20 +46,34 @@ def _reduce(t: Sequence[Sequence[int]], i: int,
     return new[a], new[b], new[c]
 
 
+def _renumbering(labels: tuple, live: int) -> tuple:
+    """The numbering of the live part of a map over labels, live a bitmask
+    of its numbers: the live numbers in order, the new number of each
+    (indexed by its old one), and the labels and index of the part.  The
+    live numbers keep their order and are renumbered from 0."""
+    nums = [x for x in range(len(labels)) if live >> x & 1]
+    new = [0] * len(labels)
+    for j, x in enumerate(nums):
+        new[x] = j
+    sub = tuple([labels[x] for x in nums])
+    return nums, new, sub, dict(zip(sub, range(len(sub))))
+
+
+def _live_map(renumbering, t: Sequence[Sequence[int]]) -> AltDimap:
+    """The live part of the image triple t as a map, numbered by
+    _renumbering; every other number of t must be fixed by all three."""
+    nums, new, sub, index = renumbering
+    return AltDimap._of(*[Perm._of(sub, index, tuple([new[p[x]] for x in nums]))
+                          for p in t])
+
+
 def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     """The minor G[mu]e (see _reduce), numbered as G without e."""
     i = g.number(e)
     if mu not in ALL_MU:
         raise ValueError(f"unknown reduction type {mu!r}")
-    # drop number i, the one image i in a tuple that fixes it: the numbers
-    # above it move down by one
-    n = g.n_edges
-    new = [*range(i), None, *range(i, n - 1)]
-    labels = g.sw.labels[:i] + g.sw.labels[i + 1:]
-    index = dict(zip(labels, range(n - 1)))
-    return AltDimap._of(*(Perm._of(labels, index,
-                                   tuple([new[y] for y in x if y != i]))
-                          for x in _reduce(g.triple, i, mu)))
+    live = ((1 << g.n_edges) - 1) ^ (1 << i)
+    return _live_map(_renumbering(g.sw.labels, live), _reduce(g.triple, i, mu))
 
 
 def reduce_seq(g: AltDimap,
@@ -175,34 +189,52 @@ def _minors(g: AltDimap, key: Callable[[AltDimap], Hashable],
     (G first), yielding (key(m), m) for the first minor m met with each
     key.
 
-    The children of a minor are its reductions by the edges sorted by
-    repr, each by types 1, ω, ω² (a triloop once: all three give one map),
-    made only when the consumer resumes the walk after their parent.  A
-    labelled minor met before is skipped without calling key.  A minor
-    with at most floor edges gets no children, and G below floor yields
-    nothing.  Every reduction removes one edge, so a pruned subtree holds
-    only minors below floor and is popped before anything under it on the
-    stack; maps and keys with different edge counts never collide, so the
-    minors at or above floor are yielded in the same order as with floor
-    0."""
-    met: Set[AltDimap] = set()
+    A state is (t, live, n): t is the image triple of the minor over G's
+    own numbering (_reduce's output), live the bitmask of its n unreduced
+    numbers.  A reduced number and a live ultraloop are both fixed by all
+    three images, so a labelled minor is (live, σ_ω, σ_ω²); one met before
+    is skipped before its map is built (G itself, or _live_map with each
+    live mask renumbered once per walk) or key is called.  The children of
+    a minor are its reductions by the live numbers in order (G's labels
+    sorted by repr), each by types 1, ω, ω² (a triloop once: all three
+    give one map), made only when the consumer resumes the walk after
+    their parent.  A minor with at most floor edges gets no children, and
+    G below floor yields nothing.  Every reduction removes one edge, so a
+    pruned subtree holds only minors below floor and is popped before
+    anything under it on the stack; maps and keys with different edge
+    counts never collide, so the minors at or above floor are yielded in
+    the same order as with floor 0."""
+    labels, n = g.sw.labels, g.n_edges
+    full = (1 << n) - 1
+    met: Set[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = set()
     seen: Set[Hashable] = set()
-    stack = [g] if g.n_edges >= floor else []
+    renumberings: Dict[int, tuple] = {}
+    stack = [(g.triple, full, n)] if n >= floor else []
     while stack:
-        m = stack.pop()
-        if m in met:
+        t, live, n = stack.pop()
+        labelled = live, t[1], t[2]
+        if labelled in met:
             continue
-        met.add(m)
+        met.add(labelled)
+        if live == full:
+            m, nums = g, range(len(labels))
+        else:
+            r = renumberings.get(live)
+            if r is None:
+                r = renumberings[live] = _renumbering(labels, live)
+            m, nums = _live_map(r, t), r[0]
         k = key(m)
         if k in seen:
             continue
         seen.add(k)
         yield k, m
-        if m.n_edges > floor:
-            t = m.triple
-            for i, e in enumerate(m.sw.labels):
-                types = (MU1,) if any(p[i] == i for p in t) else ALL_MU
-                stack += (reduce_map(m, e, mu) for mu in types)
+        if n > floor:
+            s1, sw, sw2 = t
+            for i in nums:
+                triloop = s1[i] == i or sw[i] == i or sw2[i] == i
+                types = (MU1,) if triloop else ALL_MU
+                stack += [(_reduce(t, i, mu), live ^ (1 << i), n - 1)
+                          for mu in types]
 
 
 def is_totally_reduction_commutative(g: AltDimap) -> bool:

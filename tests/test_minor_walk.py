@@ -1,12 +1,15 @@
-"""The minor-closure walk against a copy of the full walk it replaced.
+"""The minor-closure walk against copies of the walks it replaced.
 
-The reference walk gives every child a canonical code and reduces a
+The closure reference gives every child a canonical code and reduces a
 triloop by all three types; the library walk skips labelled minors it has
 already met and reduces a triloop once.  Both must yield the same
 representatives in the same order, so the genus witness is the same too.
-The genus-k witness search must also key no minor too small to be a
-witness, and the candidate-pair 2-commutativity test must agree with a
-copy of the all-pairs loop it replaced.
+The walk reference makes every child a map with reduce_map, where the
+library walk keeps image triples and builds a map only for a minor it has
+not met; the two must yield the same (key, map) pairs in the same order at
+every floor.  The genus-k witness search must also key no minor too small
+to be a witness, and the candidate-pair 2-commutativity test must agree
+with a copy of the all-pairs loop it replaced.
 """
 
 import random
@@ -14,15 +17,16 @@ import random
 import pytest
 
 import altdimaps.catalog
-from altdimaps import (AltDimap, Perm, canonical_code,
+from altdimaps import (AltDimap, InvariantError, Perm, canonical_code,
                        is_2_reduction_commutative, is_posy_union,
                        is_totally_reduction_commutative, minor_closure,
                        predict_commute, reduce_map)
-from altdimaps.catalog import tricircuit
-from altdimaps.core import ALL_MU
-from altdimaps.minors import excluded_minor_witness
+from altdimaps.catalog import free_loops, posy, tricircuit, ultraloop
+from altdimaps.core import ALL_MU, MU1
+from altdimaps.minors import _minors, excluded_minor_witness
 
-from conftest import digon_with_omega2_loop, maps_up_to, witness_a
+from conftest import (digon_with_omega2_loop, disjoint_union, maps_up_to,
+                      witness_a)
 
 MAPS = maps_up_to(5)
 
@@ -42,6 +46,38 @@ def full_closure(g):
             for mu in ALL_MU:
                 stack.append(reduce_map(m, e, mu))
     return out
+
+
+def altdimap_walk(g, key, floor=0):
+    """_minors as it was before it walked image triples: every child is a
+    map made by reduce_map, and a labelled minor met before is skipped as
+    a map when it is popped."""
+    met, seen = set(), set()
+    stack = [g] if g.n_edges >= floor else []
+    while stack:
+        m = stack.pop()
+        if m in met:
+            continue
+        met.add(m)
+        k = key(m)
+        if k in seen:
+            continue
+        seen.add(k)
+        yield k, m
+        if m.n_edges > floor:
+            t = m.triple
+            for i, e in enumerate(m.sw.labels):
+                types = (MU1,) if any(p[i] == i for p in t) else ALL_MU
+                stack += (reduce_map(m, e, mu) for mu in types)
+
+
+KEYS = {"identity": lambda m: m, "code": canonical_code}
+
+
+def walks_alike(g, key, floor=0):
+    """Whether the library walk yields the reference walk's (key, map)
+    pairs in its order; map equality compares the labels as well."""
+    return list(_minors(g, key, floor)) == list(altdimap_walk(g, key, floor))
 
 
 def string_named(g, rng):
@@ -87,6 +123,40 @@ def test_closure_and_witness_match_the_full_walk(labelled_maps, monkeypatch):
             calls.clear()
             assert excluded_minor_witness(g, k) == first
             assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_triple_walk_matches_the_altdimap_walk(labelled_maps, key):
+    for g in labelled_maps:
+        for floor in (0, 3, 5):
+            assert walks_alike(g, KEYS[key], floor)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_triple_walk_matches_on_six_edges(six_edge_maps, key):
+    assert all(walks_alike(g, KEYS[key], 5) for g in six_edge_maps)
+
+
+def test_a_live_ultraloop_is_no_reduced_number():
+    """A reduced number and a live ultraloop are both fixed by all three
+    images; the walk tells them apart by its live mask, so every subset
+    of k free loops is a labelled minor of its own."""
+    for k in range(1, 5):
+        g = free_loops(k)
+        assert len(list(_minors(g, KEYS["identity"]))) == 2 ** k
+        assert walks_alike(g, KEYS["identity"])
+    for other in (posy(1), tricircuit(1, 1, 1)):
+        g = disjoint_union(ultraloop(), other)
+        for key in KEYS.values():
+            assert walks_alike(g, key)
+
+
+def test_walk_raises_when_the_triple_does_not_close():
+    g = posy(1)
+    bad = AltDimap._of(Perm({e: e for e in g.edges}), g.sw, g.sw2)
+    for walk in (_minors, altdimap_walk):
+        with pytest.raises(InvariantError, match="does not close around it"):
+            list(walk(bad, KEYS["identity"]))
 
 
 def test_totally_commutative_count(labelled_maps):
