@@ -6,7 +6,7 @@ from itertools import permutations
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .core import AltDimap, EMPTY_MAP, build_map, reflect
-from .perm import Perm, numbering
+from .perm import Perm, numbering, orbits
 
 
 # -- canonical codes -----------------------------------------------------------
@@ -70,6 +70,19 @@ def _component_code(sw: Sequence[int], sw2: Sequence[int],
     return best
 
 
+def _code(sw: Sequence[int], sw2: Sequence[int], swi: Sequence[int],
+          sw2i: Sequence[int], comps: List[List[int]]) -> bytes:
+    """The code of the components comps (lists of edge numbers) of the map
+    with images sw, sw2 and their inverses swi, sw2i: the component codes,
+    sorted and concatenated.  Numbers outside comps are never read."""
+    if any(len(c) > 255 for c in comps):
+        raise ValueError("canonical codes support at most 255 edges "
+                         "per component")
+    pos = [-1] * len(sw)  # shared by the walks, reset after each
+    return b"".join(sorted([_component_code(sw, sw2, swi, sw2i, c, pos)
+                            for c in comps]))
+
+
 def canonical_code(g: AltDimap) -> bytes:
     """Isomorphism-invariant byte code.
 
@@ -79,15 +92,22 @@ def canonical_code(g: AltDimap) -> bytes:
     component, and component codes are sorted and concatenated.  Where
     σ_ω fixes an edge of a component, only its fixed edges are tried as
     roots; the others cannot attain the least code (see _component_code).
-    Maps with more than 255 edges in a component are not supported.
+    The code depends on no edge number, so live_code gives a minor's code
+    from its image triple without a map.  Maps with more than 255 edges in
+    a component are not supported.
     """
-    comps = g.orbits()
-    if any(len(c) > 255 for c in comps):
-        raise ValueError("canonical codes support at most 255 edges "
-                         "per component")
-    gens = (g.sw.img, g.sw2.img, g.sw.pre, g.sw2.pre)
-    pos = [-1] * g.n_edges  # shared by the walks, reset after each
-    return b"".join(sorted([_component_code(*gens, c, pos) for c in comps]))
+    return _code(g.sw.img, g.sw2.img, g.sw.pre, g.sw2.pre, g.orbits())
+
+
+def live_code(t: Sequence[Sequence[int]], live: int) -> bytes:
+    """canonical_code of the live part of the image triple t = (σ₁, σ_ω,
+    σ_ω²), live a bitmask of its numbers, every other number fixed by all
+    three: the code of the components whose first number is live (a live
+    ultraloop is one, a dead number is not).  The inverses come from the
+    triple identity: σ_ω⁻¹ = σ_ω²∘σ₁ and σ_ω²⁻¹ = σ₁∘σ_ω."""
+    s1, sw, sw2 = t
+    return _code(sw, sw2, [sw2[x] for x in s1], [s1[x] for x in sw],
+                 [c for c in orbits(sw, sw2) if live >> c[0] & 1])
 
 
 def isomorphic(a: AltDimap, b: AltDimap) -> bool:

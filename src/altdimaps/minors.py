@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, Iterator, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Hashable, Iterator, Optional, Sequence, Set,
+                    Tuple)
 
-from .catalog import canonical_code, tricircuit
+from .catalog import canonical_code, live_code, tricircuit
 from .core import (_ROTATIONS, ALL_MU, MU1, AltDimap, InvariantError,
                    map_stats, rotate)
+from .embedded import euler_genus
 from .multigraph import Multigraph
-from .perm import Perm
+from .perm import Perm, orbits
+
+Triple = Tuple[Tuple[int, ...], ...]
 
 
-def _reduce(t: Sequence[Sequence[int]], i: int,
-            mu: int) -> Tuple[Tuple[int, ...], ...]:
+def _reduce(t: Sequence[Sequence[int]], i: int, mu: int) -> Triple:
     """The minor G[mu]i of the map with image triple t = (σ₁, σ_ω, σ_ω²),
     as the triple of new tuples over the same numbering: edge i becomes a
     fixed point of all three, so the numbers of the other edges are kept.
@@ -46,23 +48,21 @@ def _reduce(t: Sequence[Sequence[int]], i: int,
     return new[a], new[b], new[c]
 
 
-def _renumbering(labels: tuple, live: int) -> tuple:
-    """The numbering of the live part of a map over labels, live a bitmask
-    of its numbers: the live numbers in order, the new number of each
-    (indexed by its old one), and the labels and index of the part.  The
-    live numbers keep their order and are renumbered from 0."""
+def _live_part(g: AltDimap, t: Triple, live: int) -> AltDimap:
+    """The minor of G with image triple t over G's numbering, live the
+    bitmask of its unreduced numbers (every other number of t fixed by all
+    three), as a map numbered as G without its reduced edges: G itself
+    when nothing is reduced.  The live numbers keep their order and are
+    renumbered from 0."""
+    labels = g.sw.labels
+    if live == (1 << len(labels)) - 1:
+        return g
     nums = [x for x in range(len(labels)) if live >> x & 1]
     new = [0] * len(labels)
     for j, x in enumerate(nums):
         new[x] = j
     sub = tuple([labels[x] for x in nums])
-    return nums, new, sub, dict(zip(sub, range(len(sub))))
-
-
-def _live_map(renumbering, t: Sequence[Sequence[int]]) -> AltDimap:
-    """The live part of the image triple t as a map, numbered by
-    _renumbering; every other number of t must be fixed by all three."""
-    nums, new, sub, index = renumbering
+    index = dict(zip(sub, range(len(sub))))
     return AltDimap._of(*[Perm._of(sub, index, tuple([new[p[x]] for x in nums]))
                           for p in t])
 
@@ -73,7 +73,7 @@ def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     if mu not in ALL_MU:
         raise ValueError(f"unknown reduction type {mu!r}")
     live = ((1 << g.n_edges) - 1) ^ (1 << i)
-    return _live_map(_renumbering(g.sw.labels, live), _reduce(g.triple, i, mu))
+    return _live_part(g, _reduce(g.triple, i, mu), live)
 
 
 def reduce_seq(g: AltDimap,
@@ -159,7 +159,12 @@ def is_2_reduction_commutative(g: AltDimap) -> bool:
     ≠ x for mx = 0, 1, 2 can fail, so _pattern_commutes is asked at most
     3E times, with the same answer as predict_commute on every pair.
     """
-    t = g.triple
+    return _2_commutative(g.triple)
+
+
+def _2_commutative(t: Sequence[Sequence[int]]) -> bool:
+    """is_2_reduction_commutative on the image triple t; a number fixed by
+    all three (a reduced one, or an ultraloop) is never asked about."""
     return all(_pattern_commutes(t, mx, x)
                for mx in ALL_MU for x, y in enumerate(rotate(t, mx)[1])
                if x != y)
@@ -183,58 +188,54 @@ def is_tricircuit(g: AltDimap) -> bool:
     return canonical_code(g) == canonical_code(model)
 
 
-def _minors(g: AltDimap, key: Callable[[AltDimap], Hashable],
-            floor: int = 0) -> Iterator[Tuple[Hashable, AltDimap]]:
+def _minors(g: AltDimap,
+            key: Optional[Callable[[Triple, int], Hashable]] = None,
+            floor: int = 0) -> Iterator[Tuple[Hashable, Triple, int]]:
     """Depth-first walk over the minors of G with at least floor edges
-    (G first), yielding (key(m), m) for the first minor m met with each
-    key.
+    (G first), yielding (key(t, live), t, live) for the first minor met
+    with each key; with no key, every labelled minor is yielded once, its
+    key None.
 
-    A state is (t, live, n): t is the image triple of the minor over G's
-    own numbering (_reduce's output), live the bitmask of its n unreduced
-    numbers.  A reduced number and a live ultraloop are both fixed by all
-    three images, so a labelled minor is (live, σ_ω, σ_ω²); one met before
-    is skipped before its map is built (G itself, or _live_map with each
-    live mask renumbered once per walk) or key is called.  The children of
-    a minor are its reductions by the live numbers in order (G's labels
-    sorted by repr), each by types 1, ω, ω² (a triloop once: all three
-    give one map), made only when the consumer resumes the walk after
-    their parent.  A minor with at most floor edges gets no children, and
-    G below floor yields nothing.  Every reduction removes one edge, so a
-    pruned subtree holds only minors below floor and is popped before
-    anything under it on the stack; maps and keys with different edge
-    counts never collide, so the minors at or above floor are yielded in
-    the same order as with floor 0."""
-    labels, n = g.sw.labels, g.n_edges
-    full = (1 << n) - 1
+    A minor is (t, live): t is its image triple over G's own numbering
+    (_reduce's output), live the bitmask of its unreduced numbers.  A
+    reduced number and a live ultraloop are both fixed by all three
+    images, so a labelled minor is (live, σ_ω, σ_ω²); one met before is
+    skipped before key is called.  No map is built: a consumer that needs
+    one makes it with _live_part, and live_code keys a minor by its
+    canonical code.  The children of a minor are its reductions by the
+    live numbers in order (G's labels sorted by repr), each by types 1, ω,
+    ω² (a triloop once: all three give one map), made only when the
+    consumer resumes the walk after their parent.  A minor with at most
+    floor edges gets no children, and G below floor yields nothing.  Every
+    reduction removes one edge, so a pruned subtree holds only minors
+    below floor and is popped before anything under it on the stack; keys
+    of minors with different edge counts never collide, so the minors at
+    or above floor are yielded in the same order as with floor 0."""
+    n = g.n_edges
     met: Set[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = set()
     seen: Set[Hashable] = set()
-    renumberings: Dict[int, tuple] = {}
-    stack = [(g.triple, full, n)] if n >= floor else []
+    stack = [(g.triple, (1 << n) - 1, n)] if n >= floor else []
     while stack:
         t, live, n = stack.pop()
         labelled = live, t[1], t[2]
         if labelled in met:
             continue
         met.add(labelled)
-        if live == full:
-            m, nums = g, range(len(labels))
-        else:
-            r = renumberings.get(live)
-            if r is None:
-                r = renumberings[live] = _renumbering(labels, live)
-            m, nums = _live_map(r, t), r[0]
-        k = key(m)
-        if k in seen:
-            continue
-        seen.add(k)
-        yield k, m
+        k = None
+        if key is not None:
+            k = key(t, live)
+            if k in seen:
+                continue
+            seen.add(k)
+        yield k, t, live
         if n > floor:
             s1, sw, sw2 = t
-            for i in nums:
-                triloop = s1[i] == i or sw[i] == i or sw2[i] == i
-                types = (MU1,) if triloop else ALL_MU
-                stack += [(_reduce(t, i, mu), live ^ (1 << i), n - 1)
-                          for mu in types]
+            for i in range(len(s1)):
+                if live >> i & 1:
+                    triloop = s1[i] == i or sw[i] == i or sw2[i] == i
+                    types = (MU1,) if triloop else ALL_MU
+                    stack += [(_reduce(t, i, mu), live ^ (1 << i), n - 1)
+                              for mu in types]
 
 
 def is_totally_reduction_commutative(g: AltDimap) -> bool:
@@ -243,10 +244,10 @@ def is_totally_reduction_commutative(g: AltDimap) -> bool:
 
     Equivalently: in every minor of G (G included), all pairs of
     reductions commute.  The labelled minor closure is walked and each
-    minor tested with is_2_reduction_commutative, so no pair of composite
-    minors is ever compared.  The pair prediction has been verified
-    exhaustively on every map with at most six edges, so the test is
-    exact there.
+    minor's triple tested as in is_2_reduction_commutative, so no pair of
+    composite minors is compared and no minor is made a map.  The pair
+    prediction has been verified exhaustively on every map with at most
+    six edges, so the test is exact there.
 
     Up to five edges the connected maps with this property are exactly
     the ultraloop, the pure 1-, ω- and ω²-circuits, the genus-one posy,
@@ -255,7 +256,7 @@ def is_totally_reduction_commutative(g: AltDimap) -> bool:
     edges 94 of the 901 maps have it, and the connected ones are exactly
     the pure 1-, ω- and ω²-circuits.
     """
-    return all(is_2_reduction_commutative(m) for _, m in _minors(g, lambda m: m))
+    return all(_2_commutative(t) for _, t, _ in _minors(g))
 
 
 # -- posies and the excluded-minor genus test ---------------------------------
@@ -276,9 +277,19 @@ def is_posy_union(g: AltDimap) -> Optional[int]:
     has exactly one of each when the four counts agree; Euler's formula
     then gives it 2 * genus + 1 edges, so it is a posy.
     """
-    st = map_stats(g)
-    if st.n_vertices == st.n_a_faces == st.n_c_faces == st.n_components:
-        return st.genus
+    return _posy_union_genus(g.triple, g.n_edges)
+
+
+def _posy_union_genus(t: Sequence[Sequence[int]], n: int) -> Optional[int]:
+    """is_posy_union of the map with image triple t with n live numbers,
+    every other number fixed by all three: such a number adds one cycle
+    to each image and one component, so d = len(t[0]) - n is taken off
+    each count.  The vertices, a-faces and c-faces are counted only while
+    each count equals the components'."""
+    d = len(t[0]) - n
+    k = len(orbits(t[1], t[2])) - d
+    if all(len(orbits(p)) - d == k for p in t):
+        return euler_genus(k, n, 2 * k, k)
     return None
 
 
@@ -286,16 +297,17 @@ CLOSURE_MAX_EDGES = 8
 
 
 def _closure_walk(g: AltDimap, floor: int = 0):
-    """_minors keyed by canonical code; refused above the cap."""
+    """_minors keyed by canonical code (live_code); refused above the
+    cap."""
     if g.n_edges > CLOSURE_MAX_EDGES:
         raise ValueError(f"minor closure capped at {CLOSURE_MAX_EDGES} edges")
-    return _minors(g, canonical_code, floor)
+    return _minors(g, live_code, floor)
 
 
 def minor_closure(g: AltDimap):
     """All minors of G up to isomorphism (including G and the empty map),
     as a dict canonical code -> representative map in _minors order."""
-    return dict(_closure_walk(g))
+    return {k: _live_part(g, t, live) for k, t, live in _closure_walk(g)}
 
 
 def excluded_minor_witness(g: AltDimap, k: int) -> Optional[AltDimap]:
@@ -306,13 +318,18 @@ def excluded_minor_witness(g: AltDimap, k: int) -> Optional[AltDimap]:
     so the walk has floor 2k + 1 (see _minors): no smaller minor, the
     empty map included, is keyed or expanded, and the witness is the same
     map as with the whole closure.  The walk does not prune by genus: the
-    theorem this tests includes that reductions never raise it.  k must
-    be at least 0.
+    theorem this tests includes that reductions never raise it.  Each
+    minor's genus is read off its triple, by is_posy_union's rule, and
+    only the witness is made a map.  k must be an int (not a bool) of at
+    least 0.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"genus k must be an int, got {k!r}")
     if k < 0:
         raise ValueError(f"genus k must be at least 0, got {k}")
-    return next((m for _, m in _closure_walk(g, 2 * k + 1)
-                 if is_posy_union(m) == k), None)
+    return next((_live_part(g, t, live)
+                 for _, t, live in _closure_walk(g, 2 * k + 1)
+                 if _posy_union_genus(t, live.bit_count()) == k), None)
 
 
 def genus_excluded_minor_test(g: AltDimap, k: int) -> Tuple[bool, bool]:
@@ -320,7 +337,7 @@ def genus_excluded_minor_test(g: AltDimap, k: int) -> Tuple[bool, bool]:
 
     Returns (genus_below_k, no_posy_union_minor_of_genus_k): for a
     nonempty map the two booleans agree exactly when the theorem holds.
-    k must be at least 0.
+    k must be an int (not a bool) of at least 0.
     """
-    genus_below = map_stats(g).genus < k
-    return genus_below, excluded_minor_witness(g, k) is None
+    no_witness = excluded_minor_witness(g, k) is None
+    return map_stats(g).genus < k, no_witness

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 from altdimaps import (AltDimap, EmbeddedGraph, Perm, commute_check,
-                       enumerate_maps, rotation_system)
+                       enumerate_maps, reduce_map, rotation_system)
 from altdimaps.catalog import add_omega_loop, add_omega2_loop, loop_star_1
-from altdimaps.core import ALL_MU
-from altdimaps.minors import _minors
+from altdimaps.core import ALL_MU, MU1
 
 
 def maps_up_to(n_max, n_min=0):
@@ -67,11 +66,37 @@ def all_pairs_commute(g):
                for mu in ALL_MU for nu in ALL_MU)
 
 
+def altdimap_walk(g, key, floor=0):
+    """The reference minor walk, as the library walked before it kept
+    image triples: every child is a map made by reduce_map, and a labelled
+    minor met before is skipped as a map when it is popped; yields (key(m),
+    m) for the first minor m met with each key, children pushed in label
+    order (a triloop by one type), none below floor."""
+    met, seen = set(), set()
+    stack = [g] if g.n_edges >= floor else []
+    while stack:
+        m = stack.pop()
+        if m in met:
+            continue
+        met.add(m)
+        k = key(m)
+        if k in seen:
+            continue
+        seen.add(k)
+        yield k, m
+        if m.n_edges > floor:
+            t = m.triple
+            for i, e in enumerate(m.sw.labels):
+                types = (MU1,) if any(p[i] == i for p in t) else ALL_MU
+                stack += (reduce_map(m, e, mu) for mu in types)
+
+
 def totally_commutative_brute(g):
     """The reference for is_totally_reduction_commutative: every labelled
-    minor of G (G included) passes all_pairs_commute, which compares the
-    composite minors of every pair directly."""
-    return all(all_pairs_commute(m) for _, m in _minors(g, lambda m: m))
+    minor of G (G included), met by altdimap_walk, passes
+    all_pairs_commute, which compares the composite minors of every pair
+    directly."""
+    return all(all_pairs_commute(m) for _, m in altdimap_walk(g, lambda m: m))
 
 
 def labelings(g, rng):

@@ -4,29 +4,34 @@ The closure reference gives every child a canonical code and reduces a
 triloop by all three types; the library walk skips labelled minors it has
 already met and reduces a triloop once.  Both must yield the same
 representatives in the same order, so the genus witness is the same too.
-The walk reference makes every child a map with reduce_map, where the
-library walk keeps image triples and builds a map only for a minor it has
-not met; the two must yield the same (key, map) pairs in the same order at
-every floor.  The genus-k witness search must also key no minor too small
-to be a witness, and the candidate-pair 2-commutativity test must agree
-with a copy of the all-pairs loop it replaced.
+The walk reference (conftest.altdimap_walk) makes every child a map with
+reduce_map, where the library walk keeps image triples, keys them by
+live_code and makes a map only where one leaves the library; the two must
+yield the same (key, map) pairs in the same order at every floor.  The
+readers of a triple (its code and its posy-union genus) must agree with
+the same readers of the map it makes, on every minor the closure walk
+keys.  The genus-k witness search must also key no minor too small to be
+a witness, and the candidate-pair 2-commutativity test must agree with a
+copy of the all-pairs loop it replaced.
 """
 
 import random
 
 import pytest
 
-import altdimaps.catalog
+import altdimaps.minors
 from altdimaps import (AltDimap, InvariantError, Perm, canonical_code,
                        is_2_reduction_commutative, is_posy_union,
-                       is_totally_reduction_commutative, minor_closure,
-                       predict_commute, reduce_map)
-from altdimaps.catalog import free_loops, posy, tricircuit, ultraloop
-from altdimaps.core import ALL_MU, MU1
-from altdimaps.minors import _minors, excluded_minor_witness
+                       is_totally_reduction_commutative, map_stats,
+                       minor_closure, predict_commute, reduce_map)
+from altdimaps.catalog import (free_loops, live_code, posy, tricircuit,
+                               ultraloop)
+from altdimaps.core import ALL_MU
+from altdimaps.minors import (_live_part, _minors, _posy_union_genus,
+                              excluded_minor_witness)
 
-from conftest import (digon_with_omega2_loop, disjoint_union, maps_up_to,
-                      witness_a)
+from conftest import (altdimap_walk, digon_with_omega2_loop, disjoint_union,
+                      maps_up_to, witness_a)
 
 MAPS = maps_up_to(5)
 
@@ -48,36 +53,24 @@ def full_closure(g):
     return out
 
 
-def altdimap_walk(g, key, floor=0):
-    """_minors as it was before it walked image triples: every child is a
-    map made by reduce_map, and a labelled minor met before is skipped as
-    a map when it is popped."""
-    met, seen = set(), set()
-    stack = [g] if g.n_edges >= floor else []
-    while stack:
-        m = stack.pop()
-        if m in met:
-            continue
-        met.add(m)
-        k = key(m)
-        if k in seen:
-            continue
-        seen.add(k)
-        yield k, m
-        if m.n_edges > floor:
-            t = m.triple
-            for i, e in enumerate(m.sw.labels):
-                types = (MU1,) if any(p[i] == i for p in t) else ALL_MU
-                stack += (reduce_map(m, e, mu) for mu in types)
+# key name -> (the library walk's key on triples, the reference's on maps);
+# the library's labelled walk has no key, and the reference keys by the map
+KEYS = {"identity": (None, lambda m: m), "code": (live_code, canonical_code)}
 
 
-KEYS = {"identity": lambda m: m, "code": canonical_code}
+def library_walk(g, key, floor=0):
+    """_minors with each yielded minor made a map: (key, map) pairs, keyed
+    by the map itself when key is None."""
+    for k, t, live in _minors(g, key, floor):
+        m = _live_part(g, t, live)
+        yield (m if key is None else k), m
 
 
-def walks_alike(g, key, floor=0):
+def walks_alike(g, name, floor=0):
     """Whether the library walk yields the reference walk's (key, map)
     pairs in its order; map equality compares the labels as well."""
-    return list(_minors(g, key, floor)) == list(altdimap_walk(g, key, floor))
+    lib, ref = KEYS[name]
+    return list(library_walk(g, lib, floor)) == list(altdimap_walk(g, ref, floor))
 
 
 def string_named(g, rng):
@@ -103,20 +96,27 @@ def test_map_count():
     assert len(MAPS) == 221
 
 
-def test_closure_and_witness_match_the_full_walk(labelled_maps, monkeypatch):
+def counted_codes(monkeypatch):
+    """The (t, live) of every minor the closure walk codes, from now on
+    until the test ends."""
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return canonical_code(m)
+    def counted(t, live):
+        calls.append((t, live))
+        return live_code(t, live)
 
-    monkeypatch.setattr(altdimaps.catalog, "canonical_code", counted)
+    monkeypatch.setattr(altdimaps.minors, "live_code", counted)
+    return calls
+
+
+def test_closure_and_witness_match_the_full_walk(labelled_maps, monkeypatch):
+    calls = counted_codes(monkeypatch)
     for g in labelled_maps:
         ref = full_closure(g)
         calls.clear()
         assert list(minor_closure(g).items()) == list(ref.items())
         # at most one canonical code per distinct labelled minor
-        assert len(calls) == len(set(calls))
+        assert len(ref) <= len(calls) == len(set(calls))
         for k in (1, 2):
             first = next((m for m in ref.values()
                           if m.edges and is_posy_union(m) == k), None)
@@ -129,12 +129,47 @@ def test_closure_and_witness_match_the_full_walk(labelled_maps, monkeypatch):
 def test_triple_walk_matches_the_altdimap_walk(labelled_maps, key):
     for g in labelled_maps:
         for floor in (0, 3, 5):
-            assert walks_alike(g, KEYS[key], floor)
+            assert walks_alike(g, key, floor)
 
 
 @pytest.mark.parametrize("key", KEYS)
 def test_triple_walk_matches_on_six_edges(six_edge_maps, key):
-    assert all(walks_alike(g, KEYS[key], 5) for g in six_edge_maps)
+    assert all(walks_alike(g, key, 5) for g in six_edge_maps)
+
+
+def posy_union_by_map_stats(m):
+    """is_posy_union as it read map_stats before it read the triple."""
+    st = map_stats(m)
+    if st.n_vertices == st.n_a_faces == st.n_c_faces == st.n_components:
+        return st.genus
+    return None
+
+
+@pytest.mark.parametrize("labels", ["ints", "strings"])
+def test_triple_readers_match_the_built_map(six_edge_maps, labels,
+                                            monkeypatch):
+    """On every minor the closure walk codes, in every map with at most
+    six edges, the code and the posy-union genus read off the triple are
+    those of the map it makes.  Both readers ignore labels, so a triple
+    met again (in another map) is checked once."""
+    rng = random.Random(7)
+    maps = MAPS + six_edge_maps
+    if labels == "strings":
+        maps = [string_named(g, rng) for g in maps]
+    calls = counted_codes(monkeypatch)
+    checked = set()
+    for g in maps:
+        calls.clear()
+        minor_closure(g)
+        for t, live in calls:
+            if (t, live) in checked:
+                continue
+            checked.add((t, live))
+            m = _live_part(g, t, live)
+            assert live_code(t, live) == canonical_code(m)
+            genus = _posy_union_genus(t, live.bit_count())
+            assert genus == is_posy_union(m) == posy_union_by_map_stats(m)
+    assert len(checked) > 10_000
 
 
 def test_a_live_ultraloop_is_no_reduced_number():
@@ -143,20 +178,20 @@ def test_a_live_ultraloop_is_no_reduced_number():
     of k free loops is a labelled minor of its own."""
     for k in range(1, 5):
         g = free_loops(k)
-        assert len(list(_minors(g, KEYS["identity"]))) == 2 ** k
-        assert walks_alike(g, KEYS["identity"])
+        assert len(list(_minors(g))) == 2 ** k
+        assert walks_alike(g, "identity")
     for other in (posy(1), tricircuit(1, 1, 1)):
         g = disjoint_union(ultraloop(), other)
-        for key in KEYS.values():
+        for key in KEYS:
             assert walks_alike(g, key)
 
 
 def test_walk_raises_when_the_triple_does_not_close():
     g = posy(1)
     bad = AltDimap._of(Perm({e: e for e in g.edges}), g.sw, g.sw2)
-    for walk in (_minors, altdimap_walk):
+    for walk, key in zip((library_walk, altdimap_walk), KEYS["identity"]):
         with pytest.raises(InvariantError, match="does not close around it"):
-            list(walk(bad, KEYS["identity"]))
+            list(walk(bad, key))
 
 
 def test_totally_commutative_count(labelled_maps):
@@ -168,18 +203,13 @@ def test_witness_search_keys_nothing_below_its_floor(labelled_maps,
                                                      monkeypatch):
     """A posy union of total genus k has at least 2k + 1 edges, so the
     genus-k witness search keys no smaller minor."""
-    keyed = []
-
-    def counted(m):
-        keyed.append(m.n_edges)
-        return canonical_code(m)
-
-    monkeypatch.setattr(altdimaps.catalog, "canonical_code", counted)
+    keyed = counted_codes(monkeypatch)
     for g in labelled_maps:
         for k in (1, 2):
             keyed.clear()
             excluded_minor_witness(g, k)
-            assert all(n >= 2 * k + 1 for n in keyed)
+            assert all(live.bit_count() >= 2 * k + 1 for _, live in keyed)
+            assert keyed or g.n_edges < 2 * k + 1
 
 
 def all_pairs_2_commutative(g):

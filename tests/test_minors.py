@@ -2,7 +2,8 @@
 
 import pytest
 
-from altdimaps import (classify_edge, commute_check, is_posy, is_posy_union,
+from altdimaps import (classify_edge, commute_check,
+                       genus_excluded_minor_test, is_posy, is_posy_union,
                        is_2_reduction_commutative,
                        is_totally_reduction_commutative, is_tricircuit,
                        map_stats, minor_closure, predict_commute, reduce_map,
@@ -11,7 +12,7 @@ from altdimaps.catalog import (free_loops, isomorphic, loop_star_1,
                                loop_star_omega, loop_star_omega2, posies,
                                posy, tricircuit, ultraloop)
 from altdimaps.core import EMPTY_MAP, InvariantError
-from altdimaps.minors import _reduce
+from altdimaps.minors import _reduce, excluded_minor_witness
 
 from conftest import (all_pairs_commute, digon_with_omega2_loop, maps_up_to,
                       totally_commutative_brute, witness_a)
@@ -288,3 +289,17 @@ def test_genus_excluded_minor_small():
         for k in (1, 2):
             below, no_wit = genus_excluded_minor_test(g, k)
             assert below == no_wit
+
+
+def test_genus_test_refuses_a_k_that_is_not_an_int():
+    """posy(2) has genus 2 and only posy unions of integer genus as
+    minors, so k = 1.5 once read (False, True), a false counterexample to
+    the theorem; True acted as 1.  Any k but an int is refused, as is a
+    negative one."""
+    g = posy(2)
+    for k in (1.5, 2.0, True, False, "1", None, -1):
+        for test in (genus_excluded_minor_test, excluded_minor_witness):
+            with pytest.raises(ValueError, match="genus k must be"):
+                test(g, k)
+    assert genus_excluded_minor_test(g, 2) == (False, False)
+    assert genus_excluded_minor_test(g, 3) == (True, True)
