@@ -165,7 +165,7 @@ def _cmd_tutte(args) -> int:
     # each plane edge lab stands for the image edges (lab, end), in the
     # image's numbering order; without --order the library picks the order
     order = ([x for lab in args.order for x in image.edges if x[0] == lab]
-             if args.order else None)
+             if args.order is not None else None)
     poly = recursion(image, order=order)
     print(poly)
     print(target)

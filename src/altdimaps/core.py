@@ -12,7 +12,8 @@ a rotation (see rotate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .embedded import EmbeddedGraph, euler_genus
 from .perm import Perm, numbering, orbits
@@ -154,6 +155,25 @@ def build_map(edge_labels: Sequence[Hashable],
                     Perm._on_cycles(labels, index, sigma_omega2_cycles))
 
 
+def _image_map(sw: Sequence[int], sw2: Sequence[int],
+               names: Sequence[Hashable],
+               keep: Optional[Sequence[int]] = None) -> AltDimap:
+    """The map (sw, sw2), two image tuples over numbers 0..n-1 with number
+    k named names[k], on the numbers in keep (default all; keep must be
+    closed under both), renumbered by perm.numbering of their names."""
+    keep = range(len(names)) if keep is None else keep
+    labels, index = numbering([names[k] for k in keep])
+    new = list(map(index.get, names))  # old number -> new number
+
+    def renamed(img: Sequence[int]) -> Perm:
+        out = [0] * len(labels)
+        for k in keep:
+            out[new[k]] = new[img[k]]
+        return Perm._of(labels, index, tuple(out))
+
+    return AltDimap(renamed(sw), renamed(sw2))
+
+
 @dataclass(frozen=True)
 class MapStats:
     n_edges: int
@@ -264,13 +284,19 @@ def _on_cycle(p: Sequence[int], e: int, target: int) -> bool:
 
 
 def _class_code(t: Sequence[Sequence[int]], e: int) -> int:
-    """A code that fixes every bit of EdgeClass(t, e): the loop bits (bit
-    μ set for a μ-loop), or for a non-triloop 8 plus the semiloop bits
-    (bit μ set for a μ-semiloop, walked as in EdgeClass.is_semiloop).  A
-    triloop's semiloop bits follow from its loop bits: an ultraloop is a
-    semiloop of all three types, a proper μ-loop a ν-semiloop exactly for
-    ν ≠ μ.  Two loop bits (3, 5 or 6) break the triple identity, which
-    EdgeClass reports."""
+    """The class of edge number e of the map with image triple t, as an
+    int that EdgeClass decodes: the loop bits (bit μ set for a μ-loop:
+    t[μ] fixes e), or for a non-triloop 8 plus the semiloop bits (bit μ
+    set for a μ-semiloop).  This is the one semiloop walk.
+
+    A 1-semiloop is a standard loop, head(e) = tail(e): σ_ω(e) lies on
+    the σ₁-cycle of e.  The μ-semiloops of G are the 1-semiloops of the
+    trial map G^(ω^−μ), so bit μ is that one walk in its triple (p, q, r)
+    = rotate(t, −μ): q(e) on the p-cycle of e.  The trial law (the
+    μ-semiloops of G are the μω-semiloops of G^ω) thus holds by
+    construction: e is an ω-semiloop when σ_ω²(e) lies on its a-face and
+    an ω²-semiloop when σ₁(e) lies on its c-face.  Two loop bits (3, 5 or
+    6) break the triple identity, which EdgeClass reports."""
     s1, sw, sw2 = t
     code = (s1[e] == e) | (sw[e] == e) << 1 | (sw2[e] == e) << 2
     if code:
@@ -281,46 +307,34 @@ def _class_code(t: Sequence[Sequence[int]], e: int) -> int:
 
 class EdgeClass:
     """Loop/semiloop classification of edge number e of the map with image
-    triple t.  The loop bits are computed at once, each semiloop bit on
-    first read.
-
-    e is a μ-loop when t[μ] fixes it.  A 1-semiloop is a standard loop,
-    head(e) = tail(e): σ_ω(e) lies on the σ₁-cycle of e.  The μ-semiloops
-    of G are the 1-semiloops of the trial map G^(ω^−μ), so the bit is that
-    one walk in its triple (p, q, r) = rotate(t, −μ): q(e) on the p-cycle
-    of e.  The trial law (the μ-semiloops of G are the μω-semiloops of
-    G^ω) thus holds by construction: e is an ω-semiloop when σ_ω²(e) lies
-    on its a-face and an ω²-semiloop when σ₁(e) lies on its c-face.
-    Every bit is a function of _class_code(t, e).
-    """
+    triple t, decoded from _class_code(t, e).  A triloop's semiloop bits
+    follow from its loop bits: an ultraloop is a semiloop of all three
+    types, a proper μ-loop a ν-semiloop exactly for ν ≠ μ."""
 
     __slots__ = ("is_1_loop", "is_omega_loop", "is_omega2_loop",
-                 "is_ultraloop", "is_triloop", "_t", "_e", "_semi")
+                 "is_ultraloop", "is_triloop", "_semis")
 
     def __init__(self, t: Sequence[Sequence[int]], e: int):
-        s1, sw, sw2 = t
-        l1, lw, lw2 = s1[e] == e, sw[e] == e, sw2[e] == e
-        if l1 + lw + lw2 == 2:  # any two force the third
+        code = _class_code(t, e)
+        if code in (3, 5, 6):  # any two loop bits force the third
             raise InvariantError("triple identity violated")
-        self.is_1_loop, self.is_omega_loop, self.is_omega2_loop = l1, lw, lw2
-        self.is_ultraloop = l1 and lw and lw2
-        self.is_triloop = l1 or lw or lw2
-        self._t, self._e, self._semi = t, e, [None] * 3
+        bits = code & 1 > 0, code & 2 > 0, code & 4 > 0
+        self.is_ultraloop, self.is_triloop = code == 7, code < 8
+        self.is_1_loop, self.is_omega_loop, self.is_omega2_loop = (
+            bits if self.is_triloop else (False,) * 3)
+        self._semis = (tuple(self.is_ultraloop or not b for b in bits)
+                       if self.is_triloop else bits)
 
     def is_loop(self, mu: int) -> bool:
         return (self.is_1_loop, self.is_omega_loop, self.is_omega2_loop)[mu]
 
     def is_semiloop(self, mu: int) -> bool:
-        bit = self._semi[mu]
-        if bit is None:
-            p, q, _ = rotate(self._t, -mu)
-            bit = self._semi[mu] = _on_cycle(p, self._e, q[self._e])
-        return bit
+        return self._semis[mu]
 
-    is_1_semiloop = property(lambda self: self.is_semiloop(MU1))
+    is_1_semiloop = property(lambda self: self._semis[MU1])
     is_standard_loop = is_1_semiloop
-    is_omega_semiloop = property(lambda self: self.is_semiloop(MUW))
-    is_omega2_semiloop = property(lambda self: self.is_semiloop(MUW2))
+    is_omega_semiloop = property(lambda self: self._semis[MUW])
+    is_omega2_semiloop = property(lambda self: self._semis[MUW2])
 
     def is_proper_loop(self, mu: int) -> bool:
         return self.is_loop(mu) and not self.is_ultraloop

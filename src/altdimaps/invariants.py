@@ -19,12 +19,12 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, Type)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
-                   InvariantError, _class_code, map_stats, reflect,
-                   trial_power)
+                   InvariantError, _class_code, _image_map, map_stats,
+                   reflect, trial_power)
 from .embedded import EmbeddedGraph, euler_genus
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
-from .perm import Perm, inverse, numbering
+from .perm import inverse, numbering
 from .poly import Poly, Poly1, Poly2, _PackedRing
 
 Q = Fraction
@@ -180,8 +180,9 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
     A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers.
     The row of the edge to reduce is looked up by its class code
     (core._class_code: three fixed-point compares, and three face walks
-    for a non-triloop) in a dict of this call, filled by testing the
-    table on an EdgeClass the first time a code is met.  Each term is
+    for a non-triloop) in a dict of this call, filled the first time a
+    code is met by testing the table on the EdgeClass that decodes it
+    (every bit a test may read is a function of the code).  Each term is
     reduced by minors._reduce, which leaves the reduced edge fixed by all
     three and returns the new triple as tuples.  The classification and
     the reduction derive their three types from one rule by rotating the
@@ -349,22 +350,6 @@ def plane_multigraph(eg: EmbeddedGraph) -> Multigraph:
                       [(e,) + eg.endpoints(e) for e in numbering(eg.edges)[0]])
 
 
-def _dart_map(sw: Sequence[int], sw2: Sequence[int],
-              names: Sequence[Hashable]) -> AltDimap:
-    """The map (sw, sw2), two image tuples over the dart numbers of an
-    embedded graph, with dart number k named names[k]."""
-    labels, index = numbering(names)
-    new = list(map(index.__getitem__, names))  # dart number -> edge number
-
-    def renamed(img: Sequence[int]) -> Perm:
-        out = [0] * len(new)
-        for i, j in zip(new, img):
-            out[i] = new[j]
-        return Perm._of(labels, index, tuple(out))
-
-    return AltDimap(renamed(sw), renamed(sw2))
-
-
 def alt_c(eg: EmbeddedGraph) -> AltDimap:
     """Each edge becomes a clockwise directed 2-face; the original faces
     become the anticlockwise faces (cf = |E|, af = |F|).  The image has
@@ -375,8 +360,8 @@ def alt_c(eg: EmbeddedGraph) -> AltDimap:
     dart (e, 1).  Naming each dart by its leaving edge, σ_ω² is α, the
     2-cycles {(e, '+'), (e, '-')}, and σ_ω is α∘ρ⁻¹, each face of eg
     (a cycle of ρ∘α) read backwards."""
-    g = _dart_map(tuple(map(eg.alpha.__getitem__, inverse(eg.rho))), eg.alpha,
-                  [(e, "+-"[i]) for e, i in eg.darts])
+    g = _image_map(tuple(map(eg.alpha.__getitem__, inverse(eg.rho))), eg.alpha,
+                   [(e, "+-"[i]) for e, i in eg.darts])
     st = map_stats(g)
     # a vertex without darts bounds a face of its own but gives the map
     # no vertex, so it is left out of the face identity
@@ -396,8 +381,8 @@ def alt_a(eg: EmbeddedGraph) -> AltDimap:
     """Mirror of alt_c: anticlockwise 2-faces (af = |E|, cf = |F|).  With
     the darts named as in alt_c, σ_ω is α and σ_ω² is ρ⁻¹∘α: each dart
     expands clockwise to [incoming, outgoing]."""
-    return _dart_map(eg.alpha, tuple(map(inverse(eg.rho).__getitem__, eg.alpha)),
-                     [(e, "+-"[i]) for e, i in eg.darts])
+    return _image_map(eg.alpha, tuple(map(inverse(eg.rho).__getitem__, eg.alpha)),
+                      [(e, "+-"[i]) for e, i in eg.darts])
 
 
 def alt_i(eg: EmbeddedGraph, orientation_choice: int = 0) -> AltDimap:
@@ -412,4 +397,4 @@ def alt_i(eg: EmbeddedGraph, orientation_choice: int = 0) -> AltDimap:
     if orientation_choice not in (0, 1):
         raise ValueError("orientation_choice must be 0 or 1")
     pair = tuple(map(eg.alpha.__getitem__, eg.rho)), inverse(eg.rho)
-    return _dart_map(*(pair if orientation_choice else pair[::-1]), eg.darts)
+    return _image_map(*(pair if orientation_choice else pair[::-1]), eg.darts)

@@ -7,10 +7,10 @@ from typing import (Callable, Hashable, Iterator, Optional, Sequence, Set,
 
 from .catalog import canonical_code, live_code, tricircuit
 from .core import (_ROTATIONS, ALL_MU, MU1, AltDimap, InvariantError,
-                   map_stats, rotate)
+                   _image_map, map_stats, rotate)
 from .embedded import euler_genus
 from .multigraph import Multigraph
-from .perm import Perm, orbits
+from .perm import orbits
 
 Triple = Tuple[Tuple[int, ...], ...]
 
@@ -51,27 +51,26 @@ def _reduce(t: Sequence[Sequence[int]], i: int, mu: int) -> Triple:
 def _live_part(g: AltDimap, t: Triple, live: int) -> AltDimap:
     """The minor of G with image triple t over G's numbering, live the
     bitmask of its unreduced numbers (every other number of t fixed by all
-    three), as a map numbered as G without its reduced edges: G itself
-    when nothing is reduced.  The live numbers keep their order and are
-    renumbered from 0."""
-    labels = g.sw.labels
-    if live == (1 << len(labels)) - 1:
+    three), as a map on G's labels without its reduced edges: G itself
+    when nothing is reduced."""
+    n = g.n_edges
+    if live == (1 << n) - 1:
         return g
-    nums = [x for x in range(len(labels)) if live >> x & 1]
-    new = [0] * len(labels)
-    for j, x in enumerate(nums):
-        new[x] = j
-    sub = tuple([labels[x] for x in nums])
-    index = dict(zip(sub, range(len(sub))))
-    return AltDimap._of(*[Perm._of(sub, index, tuple([new[p[x]] for x in nums]))
-                          for p in t])
+    return _image_map(t[1], t[2], g.sw.labels,
+                      [x for x in range(n) if live >> x & 1])
+
+
+def _check_mu(*mus: int) -> None:
+    """Refuse any reduction type but the ints 0, 1 and 2 (bools too)."""
+    for mu in mus:
+        if not isinstance(mu, int) or isinstance(mu, bool) or mu not in ALL_MU:
+            raise ValueError(f"unknown reduction type {mu!r}")
 
 
 def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
     """The minor G[mu]e (see _reduce), numbered as G without e."""
     i = g.number(e)
-    if mu not in ALL_MU:
-        raise ValueError(f"unknown reduction type {mu!r}")
+    _check_mu(mu)
     live = ((1 << g.n_edges) - 1) ^ (1 << i)
     return _live_part(g, _reduce(g.triple, i, mu), live)
 
@@ -117,8 +116,7 @@ def predict_commute(g: AltDimap, e: Hashable, mu: int,
     does an ultraloop, which no permutation moves.
     """
     i, j = g.number(e), g.number(f)
-    if mu not in ALL_MU or nu not in ALL_MU:
-        raise ValueError(f"unknown reduction type in {mu!r}, {nu!r}")
+    _check_mu(mu, nu)
     if i == j:
         raise ValueError("need two distinct edges")
     t = g.triple
@@ -133,12 +131,12 @@ def commute_check(g: AltDimap, e: Hashable, mu: int,
     """Compare G[mu]e[nu]f with G[nu]f[mu]e.
 
     Returns (actual, predicted): the actual equality of the two composite
-    minors, and the structural prediction from predict_commute.
+    minors, and the structural prediction from predict_commute, which
+    checks the arguments.
     """
-    if e == f:
-        raise ValueError("need two distinct edges")
+    predicted = predict_commute(g, e, mu, f, nu)
     actual = reduce_seq(g, [(e, mu), (f, nu)]) == reduce_seq(g, [(f, nu), (e, mu)])
-    return actual, predict_commute(g, e, mu, f, nu)
+    return actual, predicted
 
 
 # -- trimedial graph and reduction-commutative maps ---------------------------

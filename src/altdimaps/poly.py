@@ -44,12 +44,9 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: Dict[Tuple[int, ...], int] = {}
-        columns = list(zip(*other.coeffs))  # other's exponents of each variable
         for a, c1 in self.coeffs.items():
-            # a + b for every exponent tuple b of other, summed column by
-            # column: cheaper than a tuple built per pair
-            keys = zip(*[map(i.__add__, col) for i, col in zip(a, columns)])
-            for k, c2 in zip(keys, other.coeffs.values()):
+            for b, c2 in other.coeffs.items():
+                k = tuple(i + j for i, j in zip(a, b))
                 out[k] = out.get(k, 0) + c1 * c2
         return type(self)(out)
 

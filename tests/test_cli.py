@@ -195,6 +195,14 @@ def test_tutte_full_order_every_variant(capsys, triangle_file):
             assert out.strip().endswith("equal: true")
 
 
+def test_tutte_order_must_name_every_edge(capsys, triangle_file):
+    # an empty --order is an order too, and not a permutation of the edges
+    for order in ([], ["a", "b"]):
+        rc, out, err = run(capsys, "tutte", triangle_file, "--order", *order)
+        assert rc == 1 and out == ""
+        assert err == "error: order must be a permutation of the edge set\n"
+
+
 def test_tutte_grid_5x5(capsys, tmp_path):
     # 40 edges, within the command's cap
     doc = tmp_path / "grid5x5.pg"

@@ -1,12 +1,13 @@
 """Differential tests of the recursion engine on int-tuple states.
 
 The engine's state is the image triple (σ₁, σ_ω, σ_ω²).  It classifies
-edges with the lazy EdgeClass and reduces with the kernel minors._reduce,
-which keeps the input numbering.  These tests hold it against an eager
-map-level classification, its semiloop bits from the global definition
-(conftest.semiloop_pair), and the map-level engine that it replaced: the
-eight bits on every edge of every map with 1-6 edges, and T_c, T_i and
-extended_eval on every six-edge map in the default order.
+edges by core._class_code, which EdgeClass decodes, and reduces with
+the kernel minors._reduce, which keeps the input numbering.  These tests
+hold it against an eager map-level classification, its semiloop bits
+from the global definition (conftest.semiloop_pair), and the map-level
+engine that it replaced: the eight bits on every edge of every map with
+1-6 edges, and T_c, T_i and extended_eval on every six-edge map in the
+default order.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import pytest
 from altdimaps import (ExtendedParams, SIMPLE_FAMILIES, T_c, T_i,
                        classify_edge, extended_eval, invariants, reduce_map,
                        simple_tutte_eval)
-from altdimaps.catalog import free_loops
+from altdimaps.catalog import free_loops, posy
 from altdimaps.core import (MU1, MUW, MUW2, EdgeClass, InvariantError,
                             _class_code)
 from altdimaps.poly import Poly1
@@ -31,7 +32,8 @@ BITS = ("is_1_loop", "is_omega_loop", "is_omega2_loop", "is_ultraloop",
 
 @dataclass(frozen=True)
 class EagerClass:
-    """The frozen classification that the lazy EdgeClass replaced."""
+    """The frozen classification that EdgeClass replaced: every bit read
+    off the labelled permutations."""
 
     is_1_loop: bool
     is_omega_loop: bool
@@ -171,7 +173,18 @@ def test_lazy_edge_class_reads_no_semiloop_bit_of_a_triloop():
             c = classify_edge(g, e)
             if c.is_triloop:
                 assert not any(c.is_proper_semiloop(mu) for mu in range(3))
-                assert c._semi == [None] * 3
+
+
+def test_edge_class_has_no_fourth_type():
+    # is_loop and is_semiloop index three bits: type 3 is no type, and is
+    # not read as bit 3 of the class code (set for every non-triloop)
+    g = posy(1)
+    for e in g.edges:
+        c = classify_edge(g, e)
+        assert not c.is_triloop
+        for read in (c.is_loop, c.is_semiloop):
+            with pytest.raises(IndexError):
+                read(3)
 
 
 def test_a_triloops_semiloop_bits_follow_from_its_loop_bits(six_edge_maps):

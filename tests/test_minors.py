@@ -35,10 +35,11 @@ def test_reduce_unknown_edge():
 
 
 def test_reduce_rejects_unknown_type():
-    # a triloop used to be deleted before its type was looked at
+    # a triloop used to be deleted before its type was looked at; 1.0 and
+    # True equal 1 but are no reduction type
     for g, e in ((loop_star_omega(2), 0), (loop_star_1(3), 1)):
-        for mu in (7, -1, "1", None):
-            with pytest.raises(ValueError):
+        for mu in (7, -1, "1", None, 1.0, True):
+            with pytest.raises(ValueError, match="unknown reduction type"):
                 reduce_map(g, e, mu)
 
 
@@ -58,11 +59,10 @@ def test_reduce_kernel_checks_the_triple_identity():
 def test_predict_commute_rejects_unknown_types_and_edges():
     g = loop_star_1(3)
     for args in ((0, 5, 1, 1), (0, 1, 1, 5), (99, 0, 1, 1), (0, 0, 99, 1),
-                 (0, 1, 0, 2)):
-        with pytest.raises(ValueError):
-            predict_commute(g, *args)
-    with pytest.raises(ValueError):
-        commute_check(g, 0, 0, 99, 1)
+                 (0, 1, 0, 2), (0, 1.0, 1, 1), (0, 1, 1, True)):
+        for check in (predict_commute, commute_check):
+            with pytest.raises(ValueError):
+                check(g, *args)
 
 
 def test_reduction_effects_on_counts():
