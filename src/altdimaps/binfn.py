@@ -8,7 +8,7 @@ The mu-transform applies the m-th Kronecker power of a 2x2 matrix
 M(mu) without ever materialising it, four coordinates at a time as a
 16x16 Kronecker block on matrix multiplication; the [mu]-minor collapses one
 coordinate by the row (1, lambda) and renormalises.  At the third root
-of unity the transform has order three up to scale, mirroring the
+of unity the transform has order three, M(ω)³ = I, mirroring the
 triality operator on alternating dimaps.
 """
 

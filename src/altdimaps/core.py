@@ -306,16 +306,15 @@ def _class_code(t: Sequence[Sequence[int]], e: int) -> int:
 
 
 class EdgeClass:
-    """Loop/semiloop classification of edge number e of the map with image
-    triple t, decoded from _class_code(t, e).  A triloop's semiloop bits
+    """Loop/semiloop classification of an edge, decoded from its class
+    code (_class_code; classify_edge makes one).  A triloop's semiloop bits
     follow from its loop bits: an ultraloop is a semiloop of all three
     types, a proper μ-loop a ν-semiloop exactly for ν ≠ μ."""
 
     __slots__ = ("is_1_loop", "is_omega_loop", "is_omega2_loop",
                  "is_ultraloop", "is_triloop", "_semis")
 
-    def __init__(self, t: Sequence[Sequence[int]], e: int):
-        code = _class_code(t, e)
+    def __init__(self, code: int):
         if code in (3, 5, 6):  # any two loop bits force the third
             raise InvariantError("triple identity violated")
         bits = code & 1 > 0, code & 2 > 0, code & 4 > 0
@@ -345,4 +344,4 @@ class EdgeClass:
 
 def classify_edge(g: AltDimap, e: Hashable) -> EdgeClass:
     """The EdgeClass of edge e of G (ValueError for an unknown edge)."""
-    return EdgeClass(g.triple, g.number(e))
+    return EdgeClass(_class_code(g.triple, g.number(e)))

@@ -203,7 +203,7 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
         code = _class_code(s, e)
         terms = rows.get(code)
         if terms is None:
-            c = EdgeClass(s, e)
+            c = EdgeClass(code)
             terms = next((terms for test, terms in cases if test(c)), None)
             if terms is None:
                 raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of "

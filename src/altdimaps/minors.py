@@ -67,19 +67,24 @@ def _check_mu(*mus: int) -> None:
             raise ValueError(f"unknown reduction type {mu!r}")
 
 
-def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
-    """The minor G[mu]e (see _reduce), numbered as G without e."""
-    i = g.number(e)
-    _check_mu(mu)
-    live = ((1 << g.n_edges) - 1) ^ (1 << i)
-    return _live_part(g, _reduce(g.triple, i, mu), live)
-
-
 def reduce_seq(g: AltDimap,
                steps: Sequence[Tuple[Hashable, int]]) -> AltDimap:
+    """The minor of G after the reductions (e, mu) of steps in order, on
+    G's image triple (see _reduce); one map, numbered as G without the
+    reduced edges, is built at the end (G itself for no steps)."""
+    t, live = g.triple, (1 << g.n_edges) - 1
     for e, mu in steps:
-        g = reduce_map(g, e, mu)
-    return g
+        i = g.number(e)
+        if not live >> i & 1:
+            raise ValueError(f"edge {e!r} not in map")
+        _check_mu(mu)
+        t, live = _reduce(t, i, mu), live ^ (1 << i)
+    return _live_part(g, t, live)
+
+
+def reduce_map(g: AltDimap, e: Hashable, mu: int) -> AltDimap:
+    """The minor G[mu]e (see _reduce), numbered as G without e."""
+    return reduce_seq(g, [(e, mu)])
 
 
 def _pattern_commutes(t: Sequence[Sequence[int]], mx: int, x: int) -> bool:
@@ -132,10 +137,13 @@ def commute_check(g: AltDimap, e: Hashable, mu: int,
 
     Returns (actual, predicted): the actual equality of the two composite
     minors, and the structural prediction from predict_commute, which
-    checks the arguments.
+    checks the arguments.  Both minors fix e and f on G's numbering, so
+    they are equal when their σ_ω and σ_ω² are: no map is built.
     """
     predicted = predict_commute(g, e, mu, f, nu)
-    actual = reduce_seq(g, [(e, mu), (f, nu)]) == reduce_seq(g, [(f, nu), (e, mu)])
+    t, i, j = g.triple, g.number(e), g.number(f)
+    actual = (_reduce(_reduce(t, i, mu), j, nu)[1:]
+              == _reduce(_reduce(t, j, nu), i, mu)[1:])
     return actual, predicted
 
 

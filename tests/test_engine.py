@@ -194,10 +194,10 @@ def test_a_triloops_semiloop_bits_follow_from_its_loop_bits(six_edge_maps):
     triloops = 0
     for g in maps_up_to(5) + six_edge_maps:
         for e in range(g.n_edges):
-            c = EdgeClass(g.triple, e)
+            code = _class_code(g.triple, e)
+            c = EdgeClass(code)
             loops = [c.is_loop(mu) for mu in range(3)]
             semi = [c.is_semiloop(mu) for mu in range(3)]
-            code = _class_code(g.triple, e)
             if c.is_triloop:
                 triloops += 1
                 want = [True] * 3 if c.is_ultraloop else [not b for b in loops]

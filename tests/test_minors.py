@@ -168,10 +168,27 @@ def test_commute_needs_distinct_edges():
 
 
 def test_reduce_seq_matches_composition():
-    g = posy(2)
-    e, f = sorted(g.edges)[:2]
-    assert reduce_seq(g, [(e, 1), (f, 2)]) == \
-        reduce_map(reduce_map(g, e, 1), f, 2)
+    # reduce_seq and commute_check reduce G's image triple and renumber
+    # once, if at all; composing reduce_map renumbers after each step.
+    # Every two-step sequence on every map with at most 5 edges gives the
+    # same map (map equality compares the labels), and commute_check the
+    # same actual answer as comparing the step-by-step composite maps
+    for g in maps_up_to(5):
+        for e in g.edges:
+            with pytest.raises(ValueError, match="not in map"):
+                reduce_seq(g, [(e, 0), (e, 1)])
+            for f in g.edges:
+                if e == f:
+                    continue
+                for mu in range(3):
+                    h = reduce_map(g, e, mu)
+                    for nu in range(3):
+                        seq = reduce_seq(g, [(e, mu), (f, nu)])
+                        step = reduce_map(h, f, nu)
+                        assert seq == step
+                        back = reduce_map(reduce_map(g, f, nu), e, mu)
+                        actual, _ = commute_check(g, e, mu, f, nu)
+                        assert actual == (step == back)
 
 
 # -- reduction-commutative classes --------------------------------------------

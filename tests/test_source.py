@@ -105,6 +105,23 @@ def test_one_commutation_kernel():
     assert callers == ["commute_check"]
 
 
+def test_minors_renumber_in_one_place():
+    # a minor stays an image triple over G's numbering: commute_check
+    # compares triples and builds no map, and only _live_part renumbers
+    path = next(p for p in SOURCES if p.name == "minors.py")
+    functions = {node.name: node
+                 for node in ast.parse(path.read_text(), str(path)).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(node):
+        return {ast.unparse(sub.func) for sub in ast.walk(node)
+                if isinstance(sub, ast.Call)}
+
+    assert not calls(functions["commute_check"]) & {"reduce_seq", "reduce_map"}
+    assert [name for name, node in functions.items()
+            if "_image_map" in calls(node)] == ["_live_part"]
+
+
 def test_plane_graph_errors_name_a_document_line():
     # every error of parse_plane_graph is raised at a line of the
     # document; only parse_map's missing-line errors stay at line 0

@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 from altdimaps import (T_a, T_c, T_i, alt_a, alt_c, alt_i, extended_eval,
                        frontier_order, invariants, plane_multigraph,
                        reflect, trial_power, tutte_poly)
-from altdimaps.core import EdgeClass
+from altdimaps.core import EdgeClass, _class_code
 from altdimaps.minors import _reduce
 from altdimaps.multigraph import _joined, _renumber, frontier, sweep
 from altdimaps.poly import Poly2
@@ -68,7 +68,7 @@ def dfs_recurse(g, order, cases, one, zero, name):
         if i == len(rem):
             return one
         e = rem[i]
-        c = EdgeClass(s, e)
+        c = EdgeClass(_class_code(s, e))
         terms = next((terms for test, terms in cases if test(c)), None)
         if terms is None:
             raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of the "
