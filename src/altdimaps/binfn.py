@@ -73,13 +73,6 @@ class BinFn:
     def is_normalized(self) -> bool:
         return abs(self.values[0] - 1.0) <= _EPS
 
-    def normalized(self) -> "BinFn":
-        """Rescale so the empty-set entry is exactly 1."""
-        c = self.values[0]
-        if abs(c) <= _EPS:
-            raise ValueError("cannot normalize: empty-set entry is zero")
-        return BinFn(self.ground, self.values / c)
-
     def value(self, subset: Sequence[Hashable]) -> complex:
         idx = 0
         for lab in subset:

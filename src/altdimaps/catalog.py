@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-from .core import AltDimap, EMPTY_MAP, build_map, reflect
-from .perm import Perm, numbering, orbits
+from .core import AltDimap, EMPTY_MAP, _image_map, build_map, reflect
+from .perm import inverse, orbits
 
 
 # -- canonical codes -----------------------------------------------------------
@@ -141,6 +141,18 @@ def _perm_of_cycle_type(parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _first_per_code(sw: Tuple[int, ...],
+                    sw2s: Iterable[Tuple[int, ...]]) -> Dict[bytes, tuple]:
+    """The first σ_ω² of sw2s met with each canonical code of the map
+    (sw, σ_ω²), both image tuples over 0..n-1, keyed by that code."""
+    swi = inverse(sw)
+    out: Dict[bytes, tuple] = {}
+    for sw2 in sw2s:
+        out.setdefault(_code(sw, sw2, swi, inverse(sw2), orbits(sw, sw2)),
+                       sw2)
+    return out
+
+
 def _coded_maps(n: int) -> List[Tuple[bytes, AltDimap]]:
     """The (canonical code, map) pairs of enumerate_maps(n), sorted by
     code."""
@@ -148,20 +160,10 @@ def _coded_maps(n: int) -> List[Tuple[bytes, AltDimap]]:
         raise ValueError(f"edge count must be nonnegative, not {n}")
     if n > ENUMERATION_MAX_EDGES:
         raise ValueError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges")
-    if n == 0:
-        return [(b"", EMPTY_MAP)]  # no component, so the empty code
-    out: Dict[bytes, AltDimap] = {}
-    pts = list(range(n))
-    labels, index = numbering(pts)
-    for parts in _partitions(n):
-        # sw and sw2 permute the edge numbers (labels[i] need not be i)
-        swp = Perm._of(labels, index, _perm_of_cycle_type(parts))
-        for sw2 in permutations(pts):
-            g = AltDimap(swp, Perm._of(labels, index, sw2))
-            code = canonical_code(g)
-            if code not in out:
-                out[code] = g
-    return sorted(out.items())
+    # relabelling conjugates sw, so no code is met under two cycle types
+    out = {code: (sw, sw2) for sw in map(_perm_of_cycle_type, _partitions(n))
+           for code, sw2 in _first_per_code(sw, permutations(range(n))).items()}
+    return [(code, _image_map(*out[code], range(n))) for code in sorted(out)]
 
 
 def enumerate_maps(n: int) -> List[AltDimap]:
@@ -252,23 +254,19 @@ def posies(k: int) -> List[AltDimap]:
     represented by the member with the smaller canonical code."""
     if k < 0:
         raise ValueError(f"genus must be nonnegative, not {k}")
-    if k == 0:
-        return [ultraloop()]
     n = 2 * k + 1
-    out: Dict[bytes, AltDimap] = {}
-    pts = list(range(n))
-    labels, index = numbering(pts)
-    swp = Perm._on_cycles(labels, index, [tuple(pts)])
-    for rest in permutations(pts[1:]):
-        # sw2 ranges over all n-cycles (one a-face forces sw to one too)
-        g = AltDimap(swp, Perm._on_cycles(labels, index, [(0,) + rest]))
-        if len(g.s1.cycles()) == 1:
-            code = canonical_code(g)
-            mirror = canonical_code(reflect(g))
-            if mirror < code:
-                continue
-            out.setdefault(code, g)
-    return [out[c] for c in sorted(out)]
+    sw = tuple(range(1, n)) + (0,)  # one a-face forces sw to an n-cycle
+    swi = inverse(sw)
+    # sw2 ranges over the n-cycles (0, *rest) that leave one vertex: those
+    # whose σ₁⁻¹ = σ_ω∘σ_ω² is one cycle too
+    cycles = (tuple(map((rest + (0,)).__getitem__, inverse((0,) + rest)))
+              for rest in permutations(range(1, n)))
+    found = _first_per_code(sw, (sw2 for sw2 in cycles
+                                 if len(orbits([sw[y] for y in sw2])) == 1))
+    # every map of a class has the same mirror (σ_ω²⁻¹, σ_ω⁻¹) code; the
+    # one cycle of sw is the one component of both
+    return [_image_map(sw, sw2, range(n)) for code, sw2 in sorted(found.items())
+            if _code(inverse(sw2), swi, sw2, sw, orbits(sw)) >= code]
 
 
 def posy(k: int, variant: int = 0) -> AltDimap:

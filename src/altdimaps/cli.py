@@ -181,15 +181,20 @@ def _cmd_export(args) -> int:
 
 def _cmd_binfn(args) -> int:
     f = _bf_from_json(_read_text(args.input))
-    if args.binfn_op == "transform":
-        out = transform(f, _parse_mu_scalar(args.mu))
-    elif args.binfn_op == "minor":
-        e = args.element
-        if e not in f.ground and e.isdecimal() and int(e) in f.ground:
-            e = int(e)
-        out = bf_minor(f, e, _parse_mu_scalar(args.mu))
-    else:
-        out = solve_uniform_reduction(f)
+    # Finite inputs near the float limit can overflow; the result is then
+    # refused like a non-finite input rather than written as Infinity/NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.binfn_op == "transform":
+            out = transform(f, _parse_mu_scalar(args.mu))
+        elif args.binfn_op == "minor":
+            e = args.element
+            if e not in f.ground and e.isdecimal() and int(e) in f.ground:
+                e = int(e)
+            out = bf_minor(f, e, _parse_mu_scalar(args.mu))
+        else:
+            out = solve_uniform_reduction(f)
+    if not np.isfinite(out.values).all():
+        raise ValueError("result overflows the float range")
     sys.stdout.write(_bf_to_json(out))
     return 0
 

@@ -9,12 +9,13 @@ from hypothesis import given, strategies as st
 
 from altdimaps import (AltDimap, Perm, canonical_code, enumerate_maps,
                        isomorphic, map_from_rotations, map_stats, trial)
-from altdimaps.catalog import (_partitions, _perm_of_cycle_type,
+from altdimaps.catalog import (_coded_maps, _partitions, _perm_of_cycle_type,
                                add_omega_loop, add_omega2_loop, free_loops,
                                loop_star_1, loop_star_omega,
                                loop_star_omega2, posies, posy, tricircuit,
                                ultraloop)
 from altdimaps.minors import is_posy, is_tricircuit
+from altdimaps.textio import serialize_map
 
 from conftest import (digon_with_omega2_loop, disjoint_union, labelings,
                       maps_up_to, witness_a)
@@ -114,6 +115,24 @@ def test_codes_digest(six_edge_maps):
     assert len(labelled) == 3 * 1122
     assert codes_digest(labelled) == LABELLED_CODES_DIGEST
 
+
+
+# recorded when every candidate was built as a map and coded by
+# canonical_code: the codes, their order and the labelled representatives
+# of the census, then the labelled posies
+REPRESENTATIVES_DIGEST = \
+    "56d99c9d63f9ab80dbc25266a65645aaec6262527d673002653ebadac553992e"
+
+
+def test_representatives_digest():
+    h = hashlib.sha256()
+    for n in range(7):
+        for code, rep in _coded_maps(n):
+            h.update((code.hex() + "\n" + serialize_map(rep)).encode())
+    for k in range(4):
+        for p in posies(k):
+            h.update(serialize_map(p).encode())
+    assert h.hexdigest() == REPRESENTATIVES_DIGEST
 
 # -- named families -----------------------------------------------------------
 

@@ -491,6 +491,16 @@ def test_binfn_exit_codes_on_any_text(capsys, tmp_path, text, command):
         assert set(json.loads(out)) == {"ground", "values"}
 
 
+def test_binfn_overflow_is_an_error(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"ground": [null], "values": '
+                    '[1.3715936240140148e+308, 1.3715936240140144e+308]}',
+                    encoding="utf-8")
+    rc, out, err = run(capsys, "binfn", "transform", str(path), "--mu", "w")
+    assert (rc, out) == (1, "")
+    assert "overflows" in err
+
+
 def test_usage_error_exit_code(posy_file):
     with pytest.raises(SystemExit) as ei:
         main(["reduce", posy_file, "--edge", "0", "--mu", "bogus"])

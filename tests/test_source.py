@@ -122,6 +122,26 @@ def test_minors_renumber_in_one_place():
             if "_image_map" in calls(node)] == ["_live_part"]
 
 
+
+def test_enumeration_codes_image_tuples():
+    # the census and the posies code candidates as image tuples in one
+    # loop and build a map only for each representative, by _image_map
+    path = next(p for p in SOURCES if p.name == "catalog.py")
+    functions = {node.name: node
+                 for node in ast.parse(path.read_text(), str(path)).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(node):
+        return {ast.unparse(sub.func) for sub in ast.walk(node)
+                if isinstance(sub, ast.Call)}
+
+    builders = {"AltDimap", "AltDimap._of", "Perm", "Perm._of",
+                "Perm._on_cycles", "build_map", "canonical_code", "reflect"}
+    for name in ("_first_per_code", "_coded_maps", "posies"):
+        assert not calls(functions[name]) & builders, name
+    for name in ("_coded_maps", "posies"):
+        assert {"_first_per_code", "_image_map"} <= calls(functions[name])
+
 def test_plane_graph_errors_name_a_document_line():
     # every error of parse_plane_graph is raised at a line of the
     # document; only parse_map's missing-line errors stay at line 0
