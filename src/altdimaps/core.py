@@ -42,8 +42,7 @@ def rotate(t: Sequence, j: int) -> tuple:
 
 class AltDimap:
     """An alternating dimap, stored as (sw, sw2) over one edge numbering;
-    s1 is derived on first use, unless the trial power or reduction that
-    made the map wrote it."""
+    s1 is derived on first use."""
 
     __slots__ = ("sw", "sw2", "_s1")
 
@@ -54,19 +53,10 @@ class AltDimap:
         self.sw2 = sigma_omega2
         self._s1 = None
 
-    @classmethod
-    def _of(cls, s1: Perm, sw: Perm, sw2: Perm) -> "AltDimap":
-        """The map with the triple (s1, sw, sw2), unchecked: s1 must close
-        it."""
-        g = cls(sw, sw2)
-        g._s1 = s1
-        return g
-
     @property
     def s1(self) -> Perm:
-        """s1 = (sw ∘ sw2)⁻¹, so that s1(sw(sw2(e))) = e; made on first use.
-        The one place a map derives a member of its triple from the other
-        two (a reduction rewrites a triple that already closes)."""
+        """s1 = (sw ∘ sw2)⁻¹, so that s1(sw(sw2(e))) = e, made on first use:
+        the one place a map derives a member of its triple."""
         if self._s1 is None:
             sw, sw2 = self.sw, self.sw2
             self._s1 = Perm._of(sw.labels, sw.index,
@@ -209,8 +199,8 @@ def trial(g: AltDimap) -> AltDimap:
 
 
 def trial_power(g: AltDimap, j: int) -> AltDimap:
-    """G^(ω^j): the triple of G rotated by j."""
-    return AltDimap._of(*rotate((g.s1, g.sw, g.sw2), j))
+    """G^(ω^j): the triple of G rotated by j, built from its last two."""
+    return AltDimap(*rotate((g.s1, g.sw, g.sw2), j)[1:])
 
 
 def reflect(g: AltDimap) -> AltDimap:

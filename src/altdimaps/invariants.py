@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+from typing import (Any, Dict, Hashable, List, Optional, Sequence,
                     Tuple, Type)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
@@ -163,15 +163,11 @@ def _is_alt_c_image(g: AltDimap) -> bool:
 # edge takes is fixed by its core._class_code.  Its terms are (coefficient,
 # reduction type) pairs and the row evaluates to the sum of coefficient ×
 # (value of the reduced map).  A coefficient None takes the sub-result as it
-# is, and a zero coefficient drops its term without reducing.  EdgeClass is
-# named by a string: typing caches the generics it makes, and a class held
-# there would keep every module of an earlier import of the package alive
-# after a re-import.
-Case = Tuple[Callable[["EdgeClass"], bool], Sequence[Tuple[Any, int]]]
+# is, and a zero coefficient drops its term without reducing.
 
 
 def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
-             cases: Sequence[Case], one, zero, name: str):
+             cases: Sequence[tuple], one, zero, name: str):
     """Evaluate a case-table recursion, always reducing the first
     surviving edge of `order` (default: edges sorted by repr).  The empty
     map is worth `one`; a row whose terms are all dropped is worth `zero`;
@@ -319,7 +315,7 @@ def T_a(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:
     reflect(G).  The default order is thus reflect(G)'s frontier_order
     when G is an alt_a image of a plane graph (genus 0, every a-face of
     length 2), else repr order."""
-    return T_c(reflect(g), order)
+    return _clockwise(reflect(g), order, Poly2, "anticlockwise")
 
 
 def T_i(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly1:

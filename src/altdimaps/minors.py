@@ -51,13 +51,10 @@ def _reduce(t: Sequence[Sequence[int]], i: int, mu: int) -> Triple:
 def _live_part(g: AltDimap, t: Triple, live: int) -> AltDimap:
     """The minor of G with image triple t over G's numbering, live the
     bitmask of its unreduced numbers (every other number of t fixed by all
-    three), as a map on G's labels without its reduced edges: G itself
-    when nothing is reduced."""
-    n = g.n_edges
-    if live == (1 << n) - 1:
-        return g
+    three), as a map on G's labels without its reduced edges: a map equal
+    to G when nothing is reduced."""
     return _image_map(t[1], t[2], g.sw.labels,
-                      [x for x in range(n) if live >> x & 1])
+                      [x for x in range(g.n_edges) if live >> x & 1])
 
 
 def _check_mu(*mus: int) -> None:
@@ -71,7 +68,7 @@ def reduce_seq(g: AltDimap,
                steps: Sequence[Tuple[Hashable, int]]) -> AltDimap:
     """The minor of G after the reductions (e, mu) of steps in order, on
     G's image triple (see _reduce); one map, numbered as G without the
-    reduced edges, is built at the end (G itself for no steps)."""
+    reduced edges, is built at the end (a map equal to G for no steps)."""
     t, live = g.triple, (1 << g.n_edges) - 1
     for e, mu in steps:
         i = g.number(e)

@@ -11,14 +11,16 @@ Each directive appears at most once; ``edges``, ``sigma_omega`` and
 ``sigma_omega2`` are required, and the two sigma lines follow ``edges``.
 Cycles use whitespace-separated labels inside parentheses; several
 cycles may appear on one line; fixed points are omitted.  A label is
-written as its ``str``, with whitespace, ``(``, ``)``, ``#`` and ``%``
-percent-encoded (``('a', '+')`` becomes ``%28'a',%20'+'%29``), and read
-back decoded, so every label reads back as one string (labels with one
-``str``, such as ``1`` and ``'1'``, and a label whose ``str`` is empty
-cannot be written).  The map name is written the same way, as one
-token.  Only the two permutations sigma_omega and sigma_omega2 are
-stored; sigma_1 is always derived, so a document can never hold an
-inconsistent triple.
+written as its ``str`` (or, if it is not a str but prints a frozenset,
+as perm._canonical_repr writes it, every frozenset's members in order),
+with whitespace, ``(``, ``)``, ``#`` and ``%`` percent-encoded
+(``('a', '+')`` becomes ``%28'a',%20'+'%29``), and read back decoded,
+so every label reads back as one string (labels with one ``str``, such
+as ``1`` and ``'1'``, and a label whose ``str`` is empty cannot be
+written).  The map name is written the same way, as one token.  Only
+the two permutations sigma_omega and sigma_omega2 are stored; sigma_1
+is always derived, so a document can never hold an inconsistent
+triple.
 
 Plane-graph documents::
 
@@ -42,6 +44,7 @@ from urllib.parse import quote, unquote
 
 from .core import MU_BY_NAME, AltDimap, build_map, classify_edge, map_stats
 from .embedded import EmbeddedGraph
+from .perm import _canonical_repr
 
 
 class DocumentError(ValueError):
@@ -114,14 +117,15 @@ def parse_map(text: str) -> AltDimap:
     return build_map(*map(found.get, _MAP_DIRECTIVES[1:]))
 
 
-def _normal_cycles(perm) -> List[Tuple]:
+def _normal_cycles(perm, texts: Dict) -> List[Tuple]:
     """All cycles of perm, each rotated to start at its least label (by
-    str), sorted by that label (by str)."""
+    its text in texts), sorted by that label (by text)."""
+    key = texts.__getitem__
     norm = []
     for c in perm.cycles():
-        i = c.index(min(c, key=str))
+        i = c.index(min(c, key=key))
         norm.append(c[i:] + c[:i])
-    norm.sort(key=lambda c: str(c[0]))
+    norm.sort(key=lambda c: texts[c[0]])
     return norm
 
 
@@ -137,14 +141,22 @@ def _token(x) -> str:
     return _RESERVED.sub(_escape, str(x))
 
 
-def _tokens(g: AltDimap) -> Dict:
-    """Each edge label as one document token."""
-    tokens = {e: _token(e) for e in g.edges}
+def _tokens(g: AltDimap) -> Tuple[Dict, Dict]:
+    """Each edge label's text, which every writer prints and sorts by, and
+    that text as one document token.  The text is the label's str, or
+    perm._canonical_repr of a label that is not a str but prints a
+    frozenset, whose str follows its insertion history."""
+    texts, tokens = {}, {}
+    for e in g.edges:
+        t = str(e)
+        if "frozenset(" in t and not isinstance(e, str):
+            t = _canonical_repr(e)
+        texts[e], tokens[e] = t, _RESERVED.sub(_escape, t)
     if "" in tokens.values():
         raise ValueError("an edge label's str is empty; cannot write it")
     if len(set(tokens.values())) < len(tokens):
         raise ValueError("two edge labels have the same str; cannot write them")
-    return tokens
+    return texts, tokens
 
 
 def _untoken(tokens: str) -> List[str]:
@@ -152,8 +164,8 @@ def _untoken(tokens: str) -> List[str]:
     return [unquote(t) for t in tokens.split()]
 
 
-def _cycles_text(perm, tokens: Dict) -> str:
-    norm = [c for c in _normal_cycles(perm) if len(c) > 1]
+def _cycles_text(perm, texts: Dict, tokens: Dict) -> str:
+    norm = [c for c in _normal_cycles(perm, texts) if len(c) > 1]
     if not norm:
         return "()"
     return "".join("(" + " ".join(map(tokens.get, c)) + ")" for c in norm)
@@ -163,12 +175,12 @@ def serialize_map(g: AltDimap, name: str = "m") -> str:
     """Emit the canonical document: cycles sorted by least element,
     fixed points omitted, one permutation per line.  The name is written
     as one token, escaped as the labels are."""
-    edges = sorted(g.edges, key=str)
-    tokens = _tokens(g)
+    texts, tokens = _tokens(g)
+    edges = sorted(g.edges, key=texts.__getitem__)
     return (f"map {_token(name)}\n"
             f"edges {' '.join(map(tokens.get, edges))}\n"
-            f"sigma_omega {_cycles_text(g.sw, tokens)}\n"
-            f"sigma_omega2 {_cycles_text(g.sw2, tokens)}\n")
+            f"sigma_omega {_cycles_text(g.sw, texts, tokens)}\n"
+            f"sigma_omega2 {_cycles_text(g.sw2, texts, tokens)}\n")
 
 
 def parse_plane_graph(text: str) -> EmbeddedGraph:
@@ -241,9 +253,9 @@ def edge_class_summary(g: AltDimap, e) -> str:
     return "ordinary"
 
 
-def _vertex_ids(g: AltDimap) -> Dict[frozenset, str]:
+def _vertex_ids(g: AltDimap, texts: Dict) -> Dict[frozenset, str]:
     cycles = sorted((frozenset(c) for c in g.s1.cycles()),
-                    key=lambda c: sorted(map(str, c)))
+                    key=lambda c: sorted(map(texts.get, c)))
     return {c: f"v{i}" for i, c in enumerate(cycles)}
 
 
@@ -256,15 +268,15 @@ def export_dot(g: AltDimap) -> str:
     """DOT digraph: one node per in-star, one arc per edge (tail to
     head), labelled with the edge and its classification.  Raises
     ValueError if two edge labels have the same str."""
-    _tokens(g)
-    vid = _vertex_ids(g)
+    texts = _tokens(g)[0]
+    vid = _vertex_ids(g, texts)
     lines = ["digraph altdimap {"]
     for c in sorted(vid, key=lambda c: vid[c]):
-        members = ",".join(sorted(map(str, c)))
+        members = ",".join(sorted(map(texts.get, c)))
         lines.append(f'  {vid[c]} [label={_dot_string(f"{{{members}}}")}];')
-    for e in sorted(g.edges, key=str):
+    for e in sorted(g.edges, key=texts.__getitem__):
         t, h = vid[g.tail(e)], vid[g.head(e)]
-        label = _dot_string(f"{e} ({edge_class_summary(g, e)})")
+        label = _dot_string(f"{texts[e]} ({edge_class_summary(g, e)})")
         lines.append(f"  {t} -> {h} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -274,14 +286,14 @@ def export_json(g: AltDimap) -> str:
     """Deterministic JSON: the permutation triple, the basic counts,
     and the per-edge classification table.  Raises ValueError if two
     edge labels have the same str."""
-    _tokens(g)
+    texts = _tokens(g)[0]
     st = map_stats(g)
 
     def cyc(perm):
-        return [[str(x) for x in c] for c in _normal_cycles(perm)]
+        return [list(map(texts.get, c)) for c in _normal_cycles(perm, texts)]
 
     doc = {
-        "edges": sorted(map(str, g.edges)),
+        "edges": sorted(texts.values()),
         "sigma_omega": cyc(g.sw),
         "sigma_omega2": cyc(g.sw2),
         "sigma_1": cyc(g.s1),
@@ -293,7 +305,7 @@ def export_json(g: AltDimap) -> str:
             "components": st.n_components,
             "genus": st.genus,
         },
-        "classification": {str(e): edge_class_summary(g, e)
-                           for e in sorted(g.edges, key=str)},
+        "classification": {texts[e]: edge_class_summary(g, e)
+                           for e in sorted(g.edges, key=texts.__getitem__)},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -212,6 +212,13 @@ def test_tutte_correspondence_anticlockwise(suite):
             assert T_a(g, order=order) == want, (name, order)
 
 
+def test_anticlockwise_recursion_names_itself():
+    # an edge no row of the table fits is reported by T_a, not T_c
+    g = build_map(range(4), [(0, 1, 2)], [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="anticlockwise recursion"):
+        T_a(g)
+
+
 def test_diagonal_correspondence_both_orientations(suite):
     for name, p in suite.items():
         want = tutte_poly(plane_multigraph(p)).diagonal()

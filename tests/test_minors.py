@@ -11,8 +11,9 @@ from altdimaps import (classify_edge, commute_check,
 from altdimaps.catalog import (free_loops, isomorphic, loop_star_1,
                                loop_star_omega, loop_star_omega2, posies,
                                posy, tricircuit, ultraloop)
-from altdimaps.core import EMPTY_MAP, InvariantError
+from altdimaps.core import EMPTY_MAP, InvariantError, rotate
 from altdimaps.minors import _reduce, excluded_minor_witness
+from altdimaps.textio import serialize_map
 
 from conftest import (all_pairs_commute, digon_with_omega2_loop, maps_up_to,
                       totally_commutative_brute, witness_a)
@@ -92,6 +93,17 @@ def test_trial_minor_law_small():
                     lhs = reduce_map(trial_power(g, j), e, i)
                     rhs = trial_power(reduce_map(g, e, (i + j) % 3), j)
                     assert lhs == rhs
+
+
+def test_trial_powers_and_empty_reductions_are_built_maps():
+    # every map is made by AltDimap(σ_ω, σ_ω²): a trial power's derived σ₁
+    # is the rotated one, and reducing nothing gives a map equal to G
+    for g in maps_up_to(5):
+        for j in range(3):
+            assert trial_power(g, j).triple == rotate(g.triple, j)
+        h = reduce_seq(g, [])
+        assert h == g and hash(h) == hash(g)
+        assert serialize_map(h) == serialize_map(g)
 
 
 # -- semiloop laws -----------------------------------------------------------

@@ -122,6 +122,37 @@ def test_minors_renumber_in_one_place():
             if "_image_map" in calls(node)] == ["_live_part"]
 
 
+def test_only_altdimap_writes_s1():
+    # a map is made one way, AltDimap(σ_ω, σ_ω²), and derives σ₁ in
+    # AltDimap.s1: nothing else in the library writes it
+    def writes(node):
+        return [sub for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and sub.attr == "_s1"
+                and isinstance(sub.ctx, ast.Store)]
+
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    assert sum(len(writes(tree)) for tree in trees.values()) == 2
+    altdimap = next(node for node in trees["core.py"].body
+                    if isinstance(node, ast.ClassDef) and node.name == "AltDimap")
+    assert sorted(node.name for node in altdimap.body
+                  if isinstance(node, ast.FunctionDef) and writes(node)) \
+        == ["__init__", "s1"]
+
+
+def test_every_minor_is_built():
+    # _live_part builds every minor that leaves the library, G's own
+    # (nothing reduced) included, by _image_map
+    path = next(p for p in SOURCES if p.name == "minors.py")
+    live_part = next(node for node in ast.parse(path.read_text(), str(path)).body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "_live_part")
+    returns = [sub for sub in ast.walk(live_part) if isinstance(sub, ast.Return)]
+    assert len(returns) == 1
+    value = returns[0].value
+    assert isinstance(value, ast.Call) and ast.unparse(value.func) == "_image_map"
+
+
 
 def test_enumeration_codes_image_tuples():
     # the census and the posies code candidates as image tuples in one
