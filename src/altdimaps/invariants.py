@@ -115,6 +115,10 @@ def basic_extended_params(alpha, beta, gamma, delta) -> ExtendedParams:
 
 # -- edge orders ----------------------------------------------------------------
 
+class _Numbers(tuple):
+    """An edge order in edge numbers (_frontier's): _recurse takes it as is."""
+
+
 def _resolve_order(g: AltDimap, order: Optional[Sequence[Hashable]]) -> List[Hashable]:
     if order is None:
         return list(g.sw.labels)
@@ -122,6 +126,15 @@ def _resolve_order(g: AltDimap, order: Optional[Sequence[Hashable]]) -> List[Has
     if len(order) != g.n_edges or set(order) != set(g.edges):
         raise ValueError("order must be a permutation of the edge set")
     return order
+
+
+def _frontier(g: AltDimap) -> _Numbers:
+    """frontier_order(g) as edge numbers."""
+    n, (a, b, c) = g.n_edges, g.triple
+    # key k·n + y is the trimedial edge p⁻¹(y) → y, p the triple's member
+    # k; edge e meets, for each p, the keys of p(e) and of e
+    return _Numbers(frontier([(a[e], e, n + b[e], n + e, 2 * n + c[e], 2 * n + e)
+                              for e in range(n)]))
 
 
 def frontier_order(g: AltDimap) -> List[Hashable]:
@@ -133,13 +146,7 @@ def frontier_order(g: AltDimap) -> List[Hashable]:
     states few.  T_c, T_a and T_i take this order of the map they sweep
     when that map is an alt image of a plane graph and no order is given
     (see _clockwise)."""
-    n = g.n_edges
-    # key k·n + y is the trimedial edge p⁻¹(y) → y, p the triple's member
-    # k; edge e meets, for each p, the keys of p(e) and of e
-    a, b, c = g.triple
-    keys = [(a[e], e, n + b[e], n + e, 2 * n + c[e], 2 * n + e)
-            for e in range(n)]
-    return [g.sw.labels[i] for i in frontier(keys)]
+    return [g.sw.labels[i] for i in _frontier(g)]
 
 
 def _is_alt_c_image(g: AltDimap) -> bool:
@@ -162,33 +169,54 @@ def _is_alt_c_image(g: AltDimap) -> bool:
 # applies.  A test may read the loop and semiloop bits alone, so the row an
 # edge takes is fixed by its core._class_code.  Its terms are (coefficient,
 # reduction type) pairs and the row evaluates to the sum of coefficient ×
-# (value of the reduced map).  A coefficient None takes the sub-result as it
-# is, and a zero coefficient drops its term without reducing.
+# (value of the reduced map): None takes the sub-result as it is, and a zero
+# drops its term without reducing.  The tests of the library's two tables:
+
+_CLOCKWISE = (lambda c: c.is_omega2_loop, lambda c: c.is_omega_semiloop,
+              lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop,
+              lambda c: not any(map(c.is_semiloop, ALL_MU)))
+_EXTENDED = (lambda c: c.is_ultraloop,
+             *(lambda c, mu=mu: c.is_loop(mu) for mu in ALL_MU),
+             *(lambda c, mu=mu: c.is_proper_semiloop(mu) for mu in ALL_MU),
+             lambda c: True)
+
+
+def _decide(tests: Sequence[Any], code: int) -> Optional[int]:
+    """The index of the first of tests accepting EdgeClass(code), or None."""
+    c = EdgeClass(code)
+    return next((k for k, test in enumerate(tests) if test(c)), None)
+
+
+_DECIDED = {tests: {code: _decide(tests, code) for code in {*range(16)} - {3, 5, 6}}
+            for tests in (_CLOCKWISE, _EXTENDED)}
 
 
 def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
              cases: Sequence[tuple], one, zero, name: str):
     """Evaluate a case-table recursion, always reducing the first
-    surviving edge of `order` (default: edges sorted by repr).  The empty
-    map is worth `one`; a row whose terms are all dropped is worth `zero`;
-    an edge that no row accepts raises ValueError.
+    surviving edge of `order` (default: edges sorted by repr; a _Numbers
+    order is taken as it is).  The empty map is worth `one`; a row whose
+    terms are all dropped is worth `zero`; an edge that no row accepts
+    raises ValueError.
 
     A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers.
-    The row of the edge to reduce is looked up by its class code
+    The row of the edge to reduce is fixed by its class code
     (core._class_code: three fixed-point compares, and three face walks
-    for a non-triloop) in a dict of this call, filled the first time a
-    code is met by testing the table on the EdgeClass that decodes it
-    (every bit a test may read is a function of the code).  Each term is
-    reduced by minors._reduce, which leaves the reduced edge fixed by all
-    three and returns the new triple as tuples.  The classification and
-    the reduction derive their three types from one rule by rotating the
+    for a non-triloop): decided at import for the library's tables
+    (_DECIDED), else by _decide when the call first meets the code.  Its
+    kept terms, bound in a dict of the call, are reduced by
+    minors._reduce, which leaves the reduced edge fixed by all three and
+    returns the new triple as tuples.  The classification and the
+    reduction derive their three types from one rule by rotating the
     triple (trial).  The recursion is swept level by level
     (multigraph.sweep), level i holding the states met after i
     reductions, which have exactly the edges order[i:]; so within a level
-    the images of σ_ω and σ_ω² fix the map, and states are merged on
-    them."""
-    rem = list(map(g.number, _resolve_order(g, order)))
+    the images of σ_ω and σ_ω² fix the map, and states are merged on them."""
+    rem = (order if isinstance(order, _Numbers)
+           else list(map(g.number, _resolve_order(g, order))))
     n = len(rem)
+    tests = tuple(test for test, _ in cases)
+    decided = _DECIDED.get(tests, {})
     rows: Dict[int, List[Tuple[Any, int]]] = {}  # class code -> kept terms
 
     def row(state: Tuple[Tuple[Tuple[int, ...], ...], int]):
@@ -199,12 +227,11 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
         code = _class_code(s, e)
         terms = rows.get(code)
         if terms is None:
-            c = EdgeClass(code)
-            terms = next((terms for test, terms in cases if test(c)), None)
-            if terms is None:
+            k = decided[code] if code in decided else _decide(tests, code)
+            if k is None:
                 raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of "
                                  f"the {name} recursion")
-            terms = rows[code] = [(coeff, mu) for coeff, mu in terms
+            terms = rows[code] = [(coeff, mu) for coeff, mu in cases[k][1]
                                   if coeff is None or coeff]
         i += 1
         return [(coeff, (_reduce(s, e, mu), i)) for coeff, mu in terms]
@@ -254,16 +281,11 @@ def extended_eval(g: AltDimap, p: ExtendedParams,
     edge of `order`.  Cases are tested in priority order: ultraloop,
     proper 1-/ω-/ω²-loop, proper 1-/ω-/ω²-semiloop, then the generic
     three-term case."""
-    return _recurse(g, order, (
-        (lambda c: c.is_ultraloop, ((p.w, MU1),)),
-        (lambda c: c.is_1_loop, ((p.x, MU1),)),
-        (lambda c: c.is_omega_loop, ((p.y, MUW),)),
-        (lambda c: c.is_omega2_loop, ((p.z, MUW2),)),
-        (lambda c: c.is_proper_semiloop(MU1), tuple(zip((p.a, p.b, p.c), ALL_MU))),
-        (lambda c: c.is_proper_semiloop(MUW), tuple(zip((p.d, p.e, p.f), ALL_MU))),
-        (lambda c: c.is_proper_semiloop(MUW2), tuple(zip((p.g, p.h, p.i), ALL_MU))),
-        (lambda c: True, tuple(zip((p.j, p.k, p.l), ALL_MU))),
-    ), Q(1), Q(0), "extended")
+    return _recurse(g, order, tuple(zip(_EXTENDED, (
+        ((p.w, MU1),), ((p.x, MU1),), ((p.y, MUW),), ((p.z, MUW2),),
+        tuple(zip((p.a, p.b, p.c), ALL_MU)), tuple(zip((p.d, p.e, p.f), ALL_MU)),
+        tuple(zip((p.g, p.h, p.i), ALL_MU)), tuple(zip((p.j, p.k, p.l), ALL_MU)),
+    ))), Q(1), Q(0), "extended")
 
 
 # -- the polynomial recursions T_c, T_a, T_i --------------------------------------
@@ -278,27 +300,21 @@ def _clockwise(g: AltDimap, order: Optional[Sequence[Hashable]],
 
     With no order given, the alt_c image of a plane graph P (genus 0,
     every c-face of length 2), on which the table gives T(P; x, y) in
-    every order, is swept in its frontier_order, which keeps the states
-    few.  Any other map is swept in repr order, on which its value may
-    depend.
+    every order, is swept in its frontier_order, kept on edge numbers
+    (_frontier), which keeps the states few.  Any other map is swept in
+    repr order, on which its value may depend.
 
     Every coefficient is x, y or 1 and a row has at most two terms, so
     the sweep accumulates packed ints (poly._PackedRing: a coefficient
     is at most 2^|E|, an exponent at most |E|), unpacked once at the
     end."""
     if order is None and _is_alt_c_image(g):
-        order = frontier_order(g)
+        order = _frontier(g)
     ring = _PackedRing(cls, g.n_edges)
-    x = ring.var(0)
-    y = ring.var(1) if cls is Poly2 else x
-    return ring.unpack(_recurse(g, order, (
-        (lambda c: c.is_omega2_loop, ((None, MUW2),)),
-        (lambda c: c.is_omega_semiloop, ((x, MUW2),)),
-        (lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop, ((y, MU1),)),
-        (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
-                        or c.is_omega2_semiloop),
-         ((None, MU1), (None, MUW2))),
-    ), ring.one, ring.zero, name))
+    x, y = ring.var(0), ring.var(1 if cls is Poly2 else 0)
+    return ring.unpack(_recurse(g, order, tuple(zip(_CLOCKWISE, (
+        ((None, MUW2),), ((x, MUW2),), ((y, MU1),), ((None, MU1), (None, MUW2)),
+    ))), ring.one, ring.zero, name))
 
 
 def T_c(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:

@@ -22,30 +22,29 @@ def _reduce(t: Sequence[Sequence[int]], i: int, mu: int) -> Triple:
 
     By triality G[ω^μ]i is trial^−μ(trial^μ(G)[1]i), so every type is
     the splice of the 1-reduction in the triple (p, q, r) = rotate(t, μ)
-    of trial^μ(G), rotated back: i leaves its q-cycle and its r-cycle,
-    and p, which closes the triple, is rewritten at the points where q∘r
-    changed.  For a triloop the three types give one map: the splice
-    deletes the edge (an ultraloop's whole one-edge component
+    of trial^μ(G), returned in t's order: i leaves its q-cycle and its
+    r-cycle, and p, which closes the triple, is rewritten at the points
+    where q∘r changed.  For a triloop the three types give one map: the
+    splice deletes the edge (an ultraloop's whole one-edge component
     disappears).  The preimages come from the triple identity p∘q∘r =
     id: q⁻¹ = r∘p and r⁻¹ = p∘q.
     """
     a, b, c = _ROTATIONS[mu]
     p, q, r = list(t[a]), list(t[b]), list(t[c])
     pi, qpre, rpre = p[i], r[p[i]], p[q[i]]
-    # r⁻¹(i) and p(i) = r⁻¹(q⁻¹(i)) are the numbers x ≠ i whose q(r(x))
-    # the splice can change; the splice trusts p∘q∘r = id there and at i
-    if (p[q[r[i]]], p[q[r[rpre]]], p[q[r[pi]]]) != (i, rpre, pi):
+    # the splice changes q(r(x)) only at r⁻¹(i) and p(i) = r⁻¹(q⁻¹(i)) and
+    # trusts p∘q∘r = id there and at i; either may be i, rewritten p[i] = i
+    if p[q[r[i]]] != i or p[q[r[rpre]]] != rpre or p[q[r[pi]]] != pi:
         raise InvariantError(f"reducing edge number {i} by type {mu}: "
                              "the triple does not close around it")
     q[qpre], r[rpre] = q[i], r[i]
     q[i] = r[i] = i
-    for x in (rpre, pi):
-        if x != i:
-            p[q[r[x]]] = x
-    p[i] = i
-    new = tuple(p), tuple(q), tuple(r)
-    a, b, c = _ROTATIONS[-mu % 3]
-    return new[a], new[b], new[c]
+    p[q[r[rpre]]], p[q[r[pi]]], p[i] = rpre, pi, i
+    if mu == 0:
+        return tuple(p), tuple(q), tuple(r)
+    if mu == 1:  # (p, q, r) = (σ_ω², σ₁, σ_ω)
+        return tuple(q), tuple(r), tuple(p)
+    return tuple(r), tuple(p), tuple(q)
 
 
 def _live_part(g: AltDimap, t: Triple, live: int) -> AltDimap:

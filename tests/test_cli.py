@@ -222,8 +222,8 @@ def test_tutte_variants_c_and_i_take_the_library_order(capsys, tmp_path,
     doc.write_text(plane_document("tri3x3", rotations))
     p = embedded(rotations)
     asked = []
-    frontier_order = invariants.frontier_order
-    monkeypatch.setattr(invariants, "frontier_order",
+    frontier_order = invariants._frontier
+    monkeypatch.setattr(invariants, "_frontier",
                         lambda g: asked.append(g) or frontier_order(g))
     for variant, swept in (("c", alt_c(p)),
                            ("i", trial_power(reflect(alt_i(p)), 2))):
@@ -244,8 +244,8 @@ def test_tutte_variant_a_takes_the_library_order(capsys, tmp_path,
     doc.write_text(plane_document("tri4x5", rotations))
     p = embedded(rotations)
     asked = []
-    frontier_order = invariants.frontier_order
-    monkeypatch.setattr(invariants, "frontier_order",
+    frontier_order = invariants._frontier
+    monkeypatch.setattr(invariants, "_frontier",
                         lambda g: asked.append(g) or frontier_order(g))
     rc, out, err = run(capsys, "tutte", str(doc), "--variant", "a")
     assert rc == 0, err

@@ -7,23 +7,27 @@ hold it against an eager map-level classification, its semiloop bits
 from the global definition (conftest.semiloop_pair), and the map-level
 engine that it replaced: the eight bits on every edge of every map with
 1-6 edges, and T_c, T_i and extended_eval on every six-edge map in the
-default order.
+default order.  The library's two case tables have the row of each class
+code decided once, at import, and a call builds no EdgeClass.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 
-from altdimaps import (ExtendedParams, SIMPLE_FAMILIES, T_c, T_i,
-                       classify_edge, extended_eval, invariants, reduce_map,
+from altdimaps import (AltDimap, ExtendedParams, SIMPLE_FAMILIES, T_a, T_c,
+                       T_i, alt_a, alt_c, alt_i, classify_edge, extended_eval,
+                       frontier_order, invariants, reduce_map,
                        simple_tutte_eval)
 from altdimaps.catalog import free_loops, posy
 from altdimaps.core import (MU1, MUW, MUW2, EdgeClass, InvariantError,
                             _class_code)
+from altdimaps.perm import Perm
 from altdimaps.poly import Poly1
 
-from conftest import maps_up_to, semiloop_pair
+from conftest import maps_up_to, semiloop_pair, theta, wheel
 
 BITS = ("is_1_loop", "is_omega_loop", "is_omega2_loop", "is_ultraloop",
         "is_standard_loop", "is_1_semiloop", "is_omega_semiloop",
@@ -242,3 +246,82 @@ def test_int_engine_matches_map_engine(name, monkeypatch):
     monkeypatch.setattr(invariants, "_recurse", map_level_recurse)
     old = [_value(recursion, g) for g in maps]
     assert new == old
+
+
+VALID_CODES = (0, 1, 2, 4, 7) + tuple(range(8, 16))
+
+
+@pytest.mark.parametrize("name", ["_CLOCKWISE", "_EXTENDED"])
+def test_decided_rows_are_the_scanned_rows(name):
+    tests = getattr(invariants, name)
+    decided = invariants._DECIDED[tests]
+    assert sorted(decided) == list(VALID_CODES)
+    for code in VALID_CODES:
+        c = EdgeClass(code)
+        scanned = next((k for k, test in enumerate(tests) if test(c)), None)
+        assert decided[code] == scanned, (name, code)
+    # the generic row takes every edge the sixteen-parameter table meets;
+    # T_c's table rejects exactly a proper ω²-semiloop that is neither a
+    # 1- nor an ω-semiloop
+    rejected = [code for code in VALID_CODES if decided[code] is None]
+    assert rejected == ([12] if name == "_CLOCKWISE" else [])
+
+
+def test_two_loop_bits_raise_from_the_engine():
+    # no library path can make a map whose triple does not close, so σ₁
+    # is overwritten by every permutation of the edges of the maps with
+    # 1-3 edges; the engine meets each of 3, 5 and 6 as a first code
+    met = set()
+    for g in maps_up_to(3, n_min=1):
+        edges = list(g.sw.labels)
+        for images in permutations(edges):
+            bad = AltDimap(g.sw, g.sw2)
+            bad._s1 = Perm(dict(zip(edges, images)))
+            for e in edges:
+                code = _class_code(bad.triple, bad.number(e))
+                if code not in (3, 5, 6):
+                    continue
+                met.add(code)
+                order = [e] + [f for f in edges if f != e]
+                for run in (lambda: T_c(bad, order),
+                            lambda: extended_eval(bad, GENERIC, order)):
+                    with pytest.raises(InvariantError,
+                                       match="triple identity violated"):
+                        run()
+    assert met == {3, 5, 6}
+
+
+def test_an_edge_that_fits_no_row_names_its_recursion():
+    # each polynomial recursion rejects an edge of some map with at most
+    # four edges and names itself (the sixteen-parameter table fits every
+    # edge, see above)
+    for T, name in ((T_c, "clockwise"), (T_a, "anticlockwise"),
+                    (T_i, "in-star")):
+        rejected = 0
+        for g in maps_up_to(4):
+            try:
+                T(g)
+            except ValueError as err:
+                rejected += 1
+                assert str(err).endswith(
+                    f"fits no case of the {name} recursion"), (g, err)
+        assert rejected > 0, name
+
+
+def test_a_call_builds_no_edge_class(monkeypatch):
+    # each recursion on its own images of W6 and θ9, extended_eval and
+    # simple_tutte_eval on alt_c's in its frontier order
+    runs = []
+    for p in (wheel(6), theta(9)):
+        c = alt_c(p)
+        order = frontier_order(c)
+        runs += [(T_c, c), (T_a, alt_a(p)), (T_i, alt_i(p)),
+                 (lambda g, order=order: extended_eval(g, GENERIC, order), c),
+                 (lambda g, order=order: simple_tutte_eval(
+                     g, SIMPLE_FAMILIES["three_E"], order), c)]
+    want = [T(g) for T, g in runs]  # warm up
+    built = []
+    monkeypatch.setattr(invariants, "EdgeClass",
+                        lambda code: built.append(code) or EdgeClass(code))
+    assert [T(g) for T, g in runs] == want
+    assert built == []

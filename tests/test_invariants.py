@@ -377,8 +377,8 @@ def test_default_order_is_the_frontier_order_of_plane_images(suite, monkeypatch)
     # (genus 0, c-faces of length 3), a genus-1 map whose c-faces all have
     # length 2, nor when an order is given.
     asked = []
-    frontier = invariants.frontier_order
-    monkeypatch.setattr(invariants, "frontier_order",
+    frontier = invariants._frontier
+    monkeypatch.setattr(invariants, "_frontier",
                         lambda g: asked.append(g) or frontier(g))
     for name, p in suite.items():
         for T, g, swept in (
