@@ -202,6 +202,8 @@ def indicator_from_gf2(rows: Sequence[Sequence[int]], m: int) -> BinFn:
     """Indicator of the GF(2) rowspace of a 0/1 matrix whose column j
     corresponds to ground element j, labelled j.  Always includes the
     empty set."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     masks = []
     for row in rows:
         if len(row) != m:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Any, Dict, Hashable, List, Optional, Sequence,
-                    Tuple, Type)
+from typing import (Any, Callable, Dict, Hashable, List, Optional,
+                    Sequence, Tuple, Type)
 
 from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
                    InvariantError, _class_code, _image_map, map_stats,
@@ -115,26 +115,24 @@ def basic_extended_params(alpha, beta, gamma, delta) -> ExtendedParams:
 
 # -- edge orders ----------------------------------------------------------------
 
-class _Numbers(tuple):
-    """An edge order in edge numbers (_frontier's): _recurse takes it as is."""
-
-
-def _resolve_order(g: AltDimap, order: Optional[Sequence[Hashable]]) -> List[Hashable]:
+def _numbers(g: AltDimap, order: Optional[Sequence[Hashable]]) -> Sequence[int]:
+    """A caller's edge order as edge numbers, None being repr order; the
+    one place an order is validated."""
     if order is None:
-        return list(g.sw.labels)
+        return range(g.n_edges)
     order = list(order)
     if len(order) != g.n_edges or set(order) != set(g.edges):
         raise ValueError("order must be a permutation of the edge set")
-    return order
+    return list(map(g.number, order))
 
 
-def _frontier(g: AltDimap) -> _Numbers:
+def _frontier(g: AltDimap) -> List[int]:
     """frontier_order(g) as edge numbers."""
     n, (a, b, c) = g.n_edges, g.triple
     # key k·n + y is the trimedial edge p⁻¹(y) → y, p the triple's member
     # k; edge e meets, for each p, the keys of p(e) and of e
-    return _Numbers(frontier([(a[e], e, n + b[e], n + e, 2 * n + c[e], 2 * n + e)
-                              for e in range(n)]))
+    return frontier([(a[e], e, n + b[e], n + e, 2 * n + c[e], 2 * n + e)
+                     for e in range(n)])
 
 
 def frontier_order(g: AltDimap) -> List[Hashable]:
@@ -143,9 +141,9 @@ def frontier_order(g: AltDimap) -> List[Hashable]:
     σ_ω², one for each edge of the trimedial graph); ties as in
     multigraph.frontier, the edges numbered in repr order.  The reduced
     part then meets the rest in few edges, which keeps the recursion
-    states few.  T_c, T_a and T_i take this order of the map they sweep
-    when that map is an alt image of a plane graph and no order is given
-    (see _clockwise)."""
+    states few.  T_c, T_a and T_i take this order of the map they sweep,
+    as the edge numbers _frontier gives, when that map is an alt image of
+    a plane graph and no order is given (see _clockwise)."""
     return [g.sw.labels[i] for i in _frontier(g)]
 
 
@@ -164,59 +162,57 @@ def _is_alt_c_image(g: AltDimap) -> bool:
 
 # -- the recursion engine -------------------------------------------------------
 
-# A case table is a sequence of rows (test, terms), tried in priority order;
-# the first row whose test accepts the EdgeClass of the edge being reduced
-# applies.  A test may read the loop and semiloop bits alone, so the row an
-# edge takes is fixed by its core._class_code.  Its terms are (coefficient,
-# reduction type) pairs and the row evaluates to the sum of coefficient ×
-# (value of the reduced map): None takes the sub-result as it is, and a zero
-# drops its term without reducing.  The tests of the library's two tables:
+class _Table(tuple):
+    """A case table's row tests, in priority order: an edge takes the row
+    of the first test that accepts its EdgeClass.  A test reads the loop
+    and semiloop bits alone, so core._class_code fixes the row; rows keeps
+    for each code asked for the index of that test (None if none accepts).
+    EdgeClass raises InvariantError on a code with two loop bits (3, 5 or
+    6) every time, so those are never stored."""
 
-_CLOCKWISE = (lambda c: c.is_omega2_loop, lambda c: c.is_omega_semiloop,
-              lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop,
-              lambda c: not any(map(c.is_semiloop, ALL_MU)))
-_EXTENDED = (lambda c: c.is_ultraloop,
-             *(lambda c, mu=mu: c.is_loop(mu) for mu in ALL_MU),
-             *(lambda c, mu=mu: c.is_proper_semiloop(mu) for mu in ALL_MU),
-             lambda c: True)
+    def __new__(cls, tests: Sequence[Callable[[EdgeClass], bool]]):
+        table = super().__new__(cls, tests)
+        table.rows = {}
+        return table
 
-
-def _decide(tests: Sequence[Any], code: int) -> Optional[int]:
-    """The index of the first of tests accepting EdgeClass(code), or None."""
-    c = EdgeClass(code)
-    return next((k for k, test in enumerate(tests) if test(c)), None)
+    def row(self, code: int) -> Optional[int]:
+        if code not in self.rows:
+            c = EdgeClass(code)
+            self.rows[code] = next((k for k, test in enumerate(self) if test(c)), None)
+        return self.rows[code]
 
 
-_DECIDED = {tests: {code: _decide(tests, code) for code in {*range(16)} - {3, 5, 6}}
-            for tests in (_CLOCKWISE, _EXTENDED)}
+_CLOCKWISE = _Table((lambda c: c.is_omega2_loop, lambda c: c.is_omega_semiloop,
+                     lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop,
+                     lambda c: not any(map(c.is_semiloop, ALL_MU))))
+_EXTENDED = _Table((lambda c: c.is_ultraloop,
+                    *(lambda c, mu=mu: c.is_loop(mu) for mu in ALL_MU),
+                    *(lambda c, mu=mu: c.is_proper_semiloop(mu) for mu in ALL_MU),
+                    lambda c: True))
 
 
-def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
-             cases: Sequence[tuple], one, zero, name: str):
+def _recurse(g: AltDimap, rem: Sequence[int], table: _Table,
+             terms: Sequence[Sequence[Tuple[Any, int]]], one, zero, name: str):
     """Evaluate a case-table recursion, always reducing the first
-    surviving edge of `order` (default: edges sorted by repr; a _Numbers
-    order is taken as it is).  The empty map is worth `one`; a row whose
-    terms are all dropped is worth `zero`; an edge that no row accepts
-    raises ValueError.
+    surviving edge of `rem`, a permutation of G's edge numbers (_numbers
+    or _frontier).  Row k, picked by table.row, is worth the sum over its
+    terms[k], (coefficient, reduction type) pairs, of coefficient × (value
+    of the reduced map): None takes the sub-result as it is, and a zero
+    drops its term without reducing.  The empty map is worth `one`; a row
+    whose terms are all dropped is worth `zero`; an edge that no row
+    accepts raises ValueError.
 
     A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers.
-    The row of the edge to reduce is fixed by its class code
-    (core._class_code: three fixed-point compares, and three face walks
-    for a non-triloop): decided at import for the library's tables
-    (_DECIDED), else by _decide when the call first meets the code.  Its
-    kept terms, bound in a dict of the call, are reduced by
-    minors._reduce, which leaves the reduced edge fixed by all three and
-    returns the new triple as tuples.  The classification and the
-    reduction derive their three types from one rule by rotating the
-    triple (trial).  The recursion is swept level by level
-    (multigraph.sweep), level i holding the states met after i
-    reductions, which have exactly the edges order[i:]; so within a level
-    the images of σ_ω and σ_ω² fix the map, and states are merged on them."""
-    rem = (order if isinstance(order, _Numbers)
-           else list(map(g.number, _resolve_order(g, order))))
+    The edge to reduce has its class code read (core._class_code: three
+    fixed-point compares, and three face walks for a non-triloop); the
+    kept terms of its row, bound in a dict of the call once per code, are
+    reduced by minors._reduce, which leaves the reduced edge fixed by all
+    three and returns the new triple as tuples.  The recursion is swept
+    level by level (multigraph.sweep), level i holding the states met
+    after i reductions, which have exactly the edges rem[i:]; so within a
+    level the images of σ_ω and σ_ω² fix the map, and states are merged
+    on them."""
     n = len(rem)
-    tests = tuple(test for test, _ in cases)
-    decided = _DECIDED.get(tests, {})
     rows: Dict[int, List[Tuple[Any, int]]] = {}  # class code -> kept terms
 
     def row(state: Tuple[Tuple[Tuple[int, ...], ...], int]):
@@ -225,16 +221,16 @@ def _recurse(g: AltDimap, order: Optional[Sequence[Hashable]],
             return None
         e = rem[i]
         code = _class_code(s, e)
-        terms = rows.get(code)
-        if terms is None:
-            k = decided[code] if code in decided else _decide(tests, code)
+        kept = rows.get(code)
+        if kept is None:
+            k = table.row(code)
             if k is None:
                 raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of "
                                  f"the {name} recursion")
-            terms = rows[code] = [(coeff, mu) for coeff, mu in cases[k][1]
-                                  if coeff is None or coeff]
+            kept = rows[code] = [(coeff, mu) for coeff, mu in terms[k]
+                                 if coeff is None or coeff]
         i += 1
-        return [(coeff, (_reduce(s, e, mu), i)) for coeff, mu in terms]
+        return [(coeff, (_reduce(s, e, mu), i)) for coeff, mu in kept]
 
     return sweep((g.triple, 0), lambda st: (st[0][1], st[0][2]), row, one, zero)
 
@@ -281,11 +277,11 @@ def extended_eval(g: AltDimap, p: ExtendedParams,
     edge of `order`.  Cases are tested in priority order: ultraloop,
     proper 1-/ω-/ω²-loop, proper 1-/ω-/ω²-semiloop, then the generic
     three-term case."""
-    return _recurse(g, order, tuple(zip(_EXTENDED, (
+    return _recurse(g, _numbers(g, order), _EXTENDED, (
         ((p.w, MU1),), ((p.x, MU1),), ((p.y, MUW),), ((p.z, MUW2),),
         tuple(zip((p.a, p.b, p.c), ALL_MU)), tuple(zip((p.d, p.e, p.f), ALL_MU)),
         tuple(zip((p.g, p.h, p.i), ALL_MU)), tuple(zip((p.j, p.k, p.l), ALL_MU)),
-    ))), Q(1), Q(0), "extended")
+    ), Q(1), Q(0), "extended")
 
 
 # -- the polynomial recursions T_c, T_a, T_i --------------------------------------
@@ -300,21 +296,22 @@ def _clockwise(g: AltDimap, order: Optional[Sequence[Hashable]],
 
     With no order given, the alt_c image of a plane graph P (genus 0,
     every c-face of length 2), on which the table gives T(P; x, y) in
-    every order, is swept in its frontier_order, kept on edge numbers
+    every order, is swept in its frontier_order as edge numbers
     (_frontier), which keeps the states few.  Any other map is swept in
-    repr order, on which its value may depend.
+    repr order, on which its value may depend.  An order the caller gives
+    is turned into numbers, and validated, by _numbers.
 
     Every coefficient is x, y or 1 and a row has at most two terms, so
     the sweep accumulates packed ints (poly._PackedRing: a coefficient
     is at most 2^|E|, an exponent at most |E|), unpacked once at the
     end."""
-    if order is None and _is_alt_c_image(g):
-        order = _frontier(g)
+    rem = (_frontier(g) if order is None and _is_alt_c_image(g)
+           else _numbers(g, order))
     ring = _PackedRing(cls, g.n_edges)
     x, y = ring.var(0), ring.var(1 if cls is Poly2 else 0)
-    return ring.unpack(_recurse(g, order, tuple(zip(_CLOCKWISE, (
+    return ring.unpack(_recurse(g, rem, _CLOCKWISE, (
         ((None, MUW2),), ((x, MUW2),), ((y, MU1),), ((None, MU1), (None, MUW2)),
-    ))), ring.one, ring.zero, name))
+    ), ring.one, ring.zero, name))
 
 
 def T_c(g: AltDimap, order: Optional[Sequence[Hashable]] = None) -> Poly2:

@@ -301,6 +301,8 @@ def test_binfn_validation():
         BinFn(("a",), [1, 2, 3])
     with pytest.raises(ValueError):
         BinFn(("a", "a"), [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="^m must be nonnegative$"):
+        indicator_from_gf2([], -1)
 
 
 def test_binfn_value_rejects_an_unknown_ground_element():

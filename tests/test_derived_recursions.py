@@ -17,15 +17,19 @@ from altdimaps.poly import Poly1
 from conftest import maps_up_to
 
 
+IN_STAR = invariants._Table((
+    lambda c: c.is_1_loop,
+    lambda c: c.is_proper_semiloop(MUW) or c.is_omega2_loop,
+    lambda c: c.is_proper_semiloop(MUW2) or c.is_omega_loop,
+    lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
+                   or c.is_omega2_semiloop)))
+
+
 def T_i_table(g, order=None):
     """The in-star recursion as its own hand-written case table."""
     x = Poly1.var()
-    return invariants._recurse(g, order, (
-        (lambda c: c.is_1_loop, ((None, MU1),)),
-        (lambda c: c.is_proper_semiloop(MUW) or c.is_omega2_loop, ((x, MUW2),)),
-        (lambda c: c.is_proper_semiloop(MUW2) or c.is_omega_loop, ((x, MUW),)),
-        (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
-                        or c.is_omega2_semiloop), ((None, MUW), (None, MUW2))),
+    return invariants._recurse(g, invariants._numbers(g, order), IN_STAR, (
+        ((None, MU1),), ((x, MUW2),), ((x, MUW),), ((None, MUW), (None, MUW2)),
     ), Poly1.one(), Poly1.zero(), "in-star")
 
 

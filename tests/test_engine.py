@@ -7,8 +7,9 @@ hold it against an eager map-level classification, its semiloop bits
 from the global definition (conftest.semiloop_pair), and the map-level
 engine that it replaced: the eight bits on every edge of every map with
 1-6 edges, and T_c, T_i and extended_eval on every six-edge map in the
-default order.  The library's two case tables have the row of each class
-code decided once, at import, and a call builds no EdgeClass.
+default order.  Each case table (invariants._Table) decides the row of
+a class code the first time it is asked for and keeps it, so a call
+after the first builds no EdgeClass.
 """
 
 from dataclasses import dataclass
@@ -79,20 +80,21 @@ def eager_classify(g, e) -> EagerClass:
                       semiloop_pair(g, e, g.sw.inv(e)))
 
 
-def map_level_recurse(g, order, cases, one, zero, name):
+def map_level_recurse(g, rem, table, terms, one, zero, name):
     """The replaced engine: every state an AltDimap, renumbered by
-    reduce_map and classified eagerly; memo keyed by the tuples alone."""
-    rem = invariants._resolve_order(g, order)
+    reduce_map and classified eagerly, each row found by scanning the
+    table's tests; memo keyed by the tuples alone."""
+    rem = [g.sw.labels[i] for i in rem]
     memo = {}
 
     def row(m, i):
         e = rem[i]
         c = eager_classify(m, e)
-        terms = next((terms for test, terms in cases if test(c)), None)
-        if terms is None:
+        k = next((k for k, test in enumerate(table) if test(c)), None)
+        if k is None:
             raise ValueError(f"edge {e!r} fits no case of the {name} recursion")
         total = None
-        for coeff, mu in terms:
+        for coeff, mu in terms[k]:
             if coeff is not None and not coeff:
                 continue
             sub = yield reduce_map(m, e, mu), i + 1
@@ -213,24 +215,30 @@ def test_a_triloops_semiloop_bits_follow_from_its_loop_bits(six_edge_maps):
     # Rows are looked up per table: two tables handed to the engine under
     # one name, in turn, each give what the map-level engine gives them.
     x = Poly1.var()
-    tables = [(
-        (lambda c: c.is_omega2_loop, ((None, MUW2),)),
-        (lambda c: c.is_omega_semiloop, ((x, MUW2),)),
-        (lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop, ((x, MU1),)),
-        (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
-                        or c.is_omega2_semiloop), ((None, MU1), (None, MUW2))),
-    ), (
-        (lambda c: c.is_1_loop, ((None, MU1),)),
-        (lambda c: c.is_proper_semiloop(MUW) or c.is_omega2_loop, ((x, MUW2),)),
-        (lambda c: c.is_proper_semiloop(MUW2) or c.is_omega_loop, ((x, MUW),)),
-        (lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
-                        or c.is_omega2_semiloop), ((None, MUW), (None, MUW2))),
-    )]
+    clockwise = invariants._Table((
+        lambda c: c.is_omega2_loop,
+        lambda c: c.is_omega_semiloop,
+        lambda c: c.is_proper_semiloop(MU1) or c.is_omega_loop,
+        lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
+                       or c.is_omega2_semiloop)))
+    in_star = invariants._Table((
+        lambda c: c.is_1_loop,
+        lambda c: c.is_proper_semiloop(MUW) or c.is_omega2_loop,
+        lambda c: c.is_proper_semiloop(MUW2) or c.is_omega_loop,
+        lambda c: not (c.is_1_semiloop or c.is_omega_semiloop
+                       or c.is_omega2_semiloop)))
+    tables = [
+        (clockwise, (((None, MUW2),), ((x, MUW2),), ((x, MU1),),
+                     ((None, MU1), (None, MUW2)))),
+        (in_star, (((None, MU1),), ((x, MUW2),), ((x, MUW),),
+                   ((None, MUW), (None, MUW2)))),
+    ]
     differ = 0
     for g in maps_up_to(4):
         got = []
-        for cases in tables:
-            args = (None, cases, Poly1.one(), Poly1.zero(), "in-star")
+        for table, terms in tables:
+            args = (range(g.n_edges), table, terms, Poly1.one(), Poly1.zero(),
+                    "in-star")
             want = _value(lambda g: map_level_recurse(g, *args), g)
             assert _value(lambda g: invariants._recurse(g, *args), g) == want, g
             got.append(want)
@@ -253,18 +261,37 @@ VALID_CODES = (0, 1, 2, 4, 7) + tuple(range(8, 16))
 
 @pytest.mark.parametrize("name", ["_CLOCKWISE", "_EXTENDED"])
 def test_decided_rows_are_the_scanned_rows(name):
-    tests = getattr(invariants, name)
-    decided = invariants._DECIDED[tests]
-    assert sorted(decided) == list(VALID_CODES)
+    table = getattr(invariants, name)
     for code in VALID_CODES:
         c = EdgeClass(code)
-        scanned = next((k for k, test in enumerate(tests) if test(c)), None)
-        assert decided[code] == scanned, (name, code)
+        scanned = next((k for k, test in enumerate(table) if test(c)), None)
+        assert table.row(code) == scanned, (name, code)
     # the generic row takes every edge the sixteen-parameter table meets;
     # T_c's table rejects exactly a proper ω²-semiloop that is neither a
     # 1- nor an ω-semiloop
-    rejected = [code for code in VALID_CODES if decided[code] is None]
+    rejected = [code for code in VALID_CODES if table.row(code) is None]
     assert rejected == ([12] if name == "_CLOCKWISE" else [])
+
+
+def test_each_table_keeps_its_own_rows():
+    # a table built from T_c's tests decides the rows T_c's table decides,
+    # into its own dict; a code with two loop bits raises on every ask and
+    # is never stored
+    clockwise = invariants._CLOCKWISE
+    before = dict(clockwise.rows)
+    fresh = invariants._Table(tuple(clockwise))
+    assert fresh.rows == {}
+    decided = {code: fresh.row(code) for code in VALID_CODES}
+    assert fresh.rows == decided
+    assert clockwise.rows == before
+    assert decided == {code: clockwise.row(code) for code in VALID_CODES}
+    for table in (fresh, clockwise, invariants._EXTENDED):
+        for code in (3, 5, 6):
+            for _ in range(2):
+                with pytest.raises(InvariantError,
+                                   match="triple identity violated"):
+                    table.row(code)
+            assert code not in table.rows
 
 
 def test_two_loop_bits_raise_from_the_engine():

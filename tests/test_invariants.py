@@ -136,6 +136,18 @@ def test_basic_extended_closed_form():
                 assert extended_eval(g, p, order=order) == want
 
 
+@pytest.mark.parametrize("name", ["grid5x5", "W9"])
+def test_basic_extended_closed_form_on_large_alt_images(name):
+    # α^|E|·β^|V|·γ^af·δ^cf on the 80 and 36 edges of alt_c(P), in its
+    # frontier order
+    g = alt_c(grid(5, 5) if name == "grid5x5" else wheel(9))
+    st_ = map_stats(g)
+    want = (Fraction(2) ** st_.n_edges * Fraction(3) ** st_.n_vertices *
+            Fraction(5) ** st_.n_a_faces * Fraction(7) ** st_.n_c_faces)
+    p = basic_extended_params(2, 3, 5, 7)
+    assert extended_eval(g, p, frontier_order(g)) == want
+
+
 def test_extended_sign_family_order_independent():
     # the three-way branch weighted by (a, b, c) = (-1, 1, 1) at every
     # non-triloop edge computes 3^E * (-1)^V; requires b = c and
@@ -368,6 +380,26 @@ def test_T_c_takes_one_value_on_alt_c_images(six_edge_maps):
                                  for _ in range(40)]
         assert len({T_c(g, list(order)) for order in orders}) == 1, g
     assert counts == {0: 1, 2: 2, 4: 7, 6: 26}
+
+
+def test_every_recursion_validates_its_order(suite):
+    # one resolver numbers a caller's order for all five recursions: it
+    # must be a permutation of the edges, and may be any iterable
+    three_e = SIMPLE_FAMILIES["three_E"]
+    basic = basic_extended_params(2, 3, 5, 7)
+    for name in ("triangle", "path2"):
+        p = suite[name]
+        for run, g in (
+                (T_c, alt_c(p)), (T_a, alt_a(p)), (T_i, alt_i(p)),
+                (lambda g, order: extended_eval(g, basic, order), alt_c(p)),
+                (lambda g, order: simple_tutte_eval(g, three_e, order), alt_c(p))):
+            edges = list(g.sw.labels)[::-1]
+            for bad in (edges[:-1], edges[:-1] + edges[:1],
+                        edges[:-1] + [("unknown", "+")]):
+                with pytest.raises(ValueError, match="^order must be a "
+                                   "permutation of the edge set$"):
+                    run(g, bad)
+            assert run(g, (e for e in edges)) == run(g, edges), name
 
 
 def test_default_order_is_the_frontier_order_of_plane_images(suite, monkeypatch):

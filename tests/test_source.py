@@ -69,6 +69,34 @@ def test_one_polynomial_case_table():
     assert callers == ["_clockwise", "extended_eval"]
 
 
+def test_one_path_through_the_engine():
+    # _recurse takes edge numbers and a _Table: orders are numbered by one
+    # resolver, and every table, the library's two included, decides its
+    # own rows; no side path marks the library's orders or looks up its
+    # tables
+    path = next(p for p in SOURCES if p.name == "invariants.py")
+    body = ast.parse(path.read_text(), str(path)).body
+    assigned = {target.id: node.value for node in body
+                if isinstance(node, ast.Assign) for target in node.targets
+                if isinstance(target, ast.Name)}
+    defined = set(assigned) | {node.name for node in body if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_Numbers", "_resolve_order", "_decide", "_DECIDED"}
+    for name in ("_CLOCKWISE", "_EXTENDED"):
+        assert ast.unparse(assigned[name]).startswith("_Table(("), name
+    functions = {node.name: node for node in body
+                 if isinstance(node, ast.FunctionDef)}
+    assert not [sub for sub in ast.walk(functions["_recurse"])
+                if isinstance(sub, ast.Call)
+                and ast.unparse(sub.func) == "isinstance"]
+    passed = sorted((name, ast.unparse(sub.args[2]))
+                    for name, node in functions.items()
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call)
+                    and ast.unparse(sub.func) == "_recurse")
+    assert passed == [("_clockwise", "_CLOCKWISE"), ("extended_eval", "_EXTENDED")]
+
+
 def test_alt_images_are_read_off_the_darts():
     # alt_a and alt_i are pairs of products of ρ⁻¹ and α on the darts of
     # P, like alt_c; neither is built from alt_c by a symmetry

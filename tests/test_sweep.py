@@ -58,9 +58,9 @@ def evaluate(root: Any, key: Callable[[Any], Hashable],
             state = None
 
 
-def dfs_recurse(g, order, cases, one, zero, name):
-    """The engine as it was: memo keyed by (depth, σ_ω, σ_ω²)."""
-    rem = list(map(g.number, invariants._resolve_order(g, order)))
+def dfs_recurse(g, rem, table, terms, one, zero, name):
+    """The engine as it was: memo keyed by (depth, σ_ω, σ_ω²), each row
+    found by scanning the table's tests."""
 
     def row(state):
         # yields each reduced state with its depth, receives its value
@@ -69,12 +69,12 @@ def dfs_recurse(g, order, cases, one, zero, name):
             return one
         e = rem[i]
         c = EdgeClass(_class_code(s, e))
-        terms = next((terms for test, terms in cases if test(c)), None)
-        if terms is None:
+        k = next((k for k, test in enumerate(table) if test(c)), None)
+        if k is None:
             raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of the "
                              f"{name} recursion")
         total = None
-        for coeff, mu in terms:
+        for coeff, mu in terms[k]:
             if coeff is not None and not coeff:
                 continue
             sub = yield tuple(map(tuple, _reduce(s, e, mu))), i + 1
