@@ -73,12 +73,17 @@ class BinFn:
     def is_normalized(self) -> bool:
         return abs(self.values[0] - 1.0) <= _EPS
 
+    def _position(self, label: Hashable) -> int:
+        """The bit position of ground element label (ValueError if none)."""
+        try:
+            return self.ground.index(label)
+        except ValueError:
+            raise ValueError(f"unknown ground element {label!r}") from None
+
     def value(self, subset: Sequence[Hashable]) -> complex:
         idx = 0
         for lab in subset:
-            if lab not in self.ground:
-                raise ValueError(f"unknown ground element {lab!r}")
-            idx |= 1 << self.ground.index(lab)
+            idx |= 1 << self._position(lab)
         return complex(self.values[idx])
 
 
@@ -148,21 +153,11 @@ def lambda_of(mu: complex) -> complex:
     return (1 + mu) / denom
 
 
-def bf_minor(f: BinFn, e, mu: complex) -> BinFn:
-    """Collapse the coordinate of ground element ``e`` by the row
-    (1, lambda(mu)) and renormalize the empty-set entry to 1.
-
-    ``e`` may be a ground label or an integer position.
-    """
-    if isinstance(e, int) and not isinstance(e, bool) and e not in f.ground:
-        pos = e
-        if not 0 <= pos < f.m:
-            raise ValueError(f"element position {e} out of range")
-    else:
-        try:
-            pos = f.ground.index(e)
-        except ValueError:
-            raise ValueError(f"unknown ground element {e!r}") from None
+def bf_minor(f: BinFn, e: Hashable, mu: complex) -> BinFn:
+    """Collapse the coordinate of ground element ``e``, named by its label
+    alone (BinFn._position), by the row (1, lambda(mu)) and renormalize the
+    empty-set entry to 1."""
+    pos = f._position(e)
     lam = lambda_of(mu)
     v = f.values.reshape(2 ** (f.m - 1 - pos), 2, 2 ** pos)
     out = (v[:, 0, :] + lam * v[:, 1, :]).reshape(-1)
@@ -201,7 +196,9 @@ def ultraloop_bf(k: int, labels: Sequence[Hashable] = None) -> BinFn:
 def indicator_from_gf2(rows: Sequence[Sequence[int]], m: int) -> BinFn:
     """Indicator of the GF(2) rowspace of a 0/1 matrix whose column j
     corresponds to ground element j, labelled j.  Always includes the
-    empty set."""
+    empty set.  m must be an int (not a bool) of at least 0."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"m must be an int, got {m!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
     masks = []

@@ -92,10 +92,11 @@ class AltDimap:
         return len(self.sw.labels)
 
     def number(self, e: Hashable) -> int:
-        """The position of edge e in labels."""
-        if e not in self.sw.index:
-            raise ValueError(f"edge {e!r} not in map")
-        return self.sw.index[e]
+        """The position of edge e in labels (ValueError if there is none)."""
+        try:
+            return self.sw.index[e]
+        except (KeyError, TypeError):
+            raise ValueError(f"edge {e!r} not in map") from None
 
     # -- incidence --------------------------------------------------------
 

@@ -116,14 +116,16 @@ def basic_extended_params(alpha, beta, gamma, delta) -> ExtendedParams:
 # -- edge orders ----------------------------------------------------------------
 
 def _numbers(g: AltDimap, order: Optional[Sequence[Hashable]]) -> Sequence[int]:
-    """A caller's edge order as edge numbers, None being repr order; the
-    one place an order is validated."""
+    """Validate a caller's edge order and number it; None is repr order."""
     if order is None:
         return range(g.n_edges)
-    order = list(order)
-    if len(order) != g.n_edges or set(order) != set(g.edges):
+    try:
+        numbers = list(map(g.number, order))
+    except ValueError:  # an unknown or unhashable label
+        numbers = None
+    if numbers is None or sorted(numbers) != list(range(g.n_edges)):
         raise ValueError("order must be a permutation of the edge set")
-    return list(map(g.number, order))
+    return numbers
 
 
 def _frontier(g: AltDimap) -> List[int]:
@@ -165,8 +167,9 @@ def _is_alt_c_image(g: AltDimap) -> bool:
 class _Table(tuple):
     """A case table's row tests, in priority order: an edge takes the row
     of the first test that accepts its EdgeClass.  A test reads the loop
-    and semiloop bits alone, so core._class_code fixes the row; rows keeps
-    for each code asked for the index of that test (None if none accepts).
+    and semiloop bits alone, so core._class_code fixes the row; rows, the
+    one store keyed by class code, keeps for each code asked for the index
+    of that test (None if none accepts), read again by one subscript.
     EdgeClass raises InvariantError on a code with two loop bits (3, 5 or
     6) every time, so those are never stored."""
 
@@ -176,10 +179,12 @@ class _Table(tuple):
         return table
 
     def row(self, code: int) -> Optional[int]:
-        if code not in self.rows:
+        try:
+            return self.rows[code]
+        except KeyError:
             c = EdgeClass(code)
             self.rows[code] = next((k for k, test in enumerate(self) if test(c)), None)
-        return self.rows[code]
+            return self.rows[code]
 
 
 _CLOCKWISE = _Table((lambda c: c.is_omega2_loop, lambda c: c.is_omega_semiloop,
@@ -204,33 +209,29 @@ def _recurse(g: AltDimap, rem: Sequence[int], table: _Table,
 
     A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers.
     The edge to reduce has its class code read (core._class_code: three
-    fixed-point compares, and three face walks for a non-triloop); the
-    kept terms of its row, bound in a dict of the call once per code, are
-    reduced by minors._reduce, which leaves the reduced edge fixed by all
-    three and returns the new triple as tuples.  The recursion is swept
-    level by level (multigraph.sweep), level i holding the states met
-    after i reductions, which have exactly the edges rem[i:]; so within a
-    level the images of σ_ω and σ_ω² fix the map, and states are merged
-    on them."""
-    n = len(rem)
-    rows: Dict[int, List[Tuple[Any, int]]] = {}  # class code -> kept terms
+    fixed-point compares, and three face walks for a non-triloop) and its
+    row found by table.row, whose rows are the one store keyed by class
+    code.  The kept terms of every row, bound once per call in a list
+    indexed like terms, are reduced by minors._reduce, which leaves the
+    reduced edge fixed by all three and returns the new triple as tuples.
+    The recursion is swept level by level (multigraph.sweep), level i
+    holding the states met after i reductions, which have exactly the
+    edges rem[i:]; so within a level the images of σ_ω and σ_ω² fix the
+    map, and states are merged on them."""
+    n, row_of = len(rem), table.row
+    kept = [[(c, mu) for c, mu in row if c is None or c] for row in terms]
 
     def row(state: Tuple[Tuple[Tuple[int, ...], ...], int]):
         s, i = state
         if i == n:
             return None
         e = rem[i]
-        code = _class_code(s, e)
-        kept = rows.get(code)
-        if kept is None:
-            k = table.row(code)
-            if k is None:
-                raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of "
-                                 f"the {name} recursion")
-            kept = rows[code] = [(coeff, mu) for coeff, mu in terms[k]
-                                 if coeff is None or coeff]
+        k = row_of(_class_code(s, e))
+        if k is None:
+            raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of "
+                             f"the {name} recursion")
         i += 1
-        return [(coeff, (_reduce(s, e, mu), i)) for coeff, mu in kept]
+        return [(coeff, (_reduce(s, e, mu), i)) for coeff, mu in kept[k]]
 
     return sweep((g.triple, 0), lambda st: (st[0][1], st[0][2]), row, one, zero)
 

@@ -117,7 +117,7 @@ class Perm:
             x = next(iter(moved.keys() - index.keys()))
             raise ValueError(f"cycle point {x!r} not in domain")
         if len(moved) < count:
-            raise ValueError("a point in two cycles")
+            raise ValueError("a cycle point named twice")
         get = moved.get
         return cls._of(labels, index, tuple([index[get(x, x)] for x in labels]))
 

@@ -179,6 +179,17 @@ def test_minor_shrinks_ground():
         bf_minor(f, "zz", 1)
 
 
+def test_minor_names_an_element_by_its_label_only():
+    # an int that is no label is not read as a position, as in value
+    f = BinFn(("a", 5), [1, 2, 3, 4])
+    assert bf_minor(f, 5, 1).ground == ("a",)
+    for e in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"^unknown ground element {e}$"):
+            bf_minor(f, e, 1)
+        with pytest.raises(ValueError, match=f"^unknown ground element {e}$"):
+            f.value([e])
+
+
 def test_minor_zero_normalizer_rejected():
     f = BinFn(("a",), [1, -1])  # 1-minor: 1 + lambda(1)*(-1) = 0
     with pytest.raises(ValueError):
@@ -303,6 +314,19 @@ def test_binfn_validation():
         BinFn(("a", "a"), [1, 2, 3, 4])
     with pytest.raises(ValueError, match="^m must be nonnegative$"):
         indicator_from_gf2([], -1)
+    for m in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="^m must be an int, got "):
+            indicator_from_gf2([], m)
+    with pytest.raises(ValueError, match="^row length must equal m$"):
+        indicator_from_gf2([[1, 0]], 3)
+    with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
+        indicator_from_gf2([[1, 2]], 2)
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        ultraloop_bf(-1)
+    with pytest.raises(ValueError, match="^need exactly k labels$"):
+        ultraloop_bf(2, labels=("a",))
+    with pytest.raises(ValueError, match="^ground sets differ in size$"):
+        proportional_eq(ultraloop_bf(1), ultraloop_bf(2))
 
 
 def test_binfn_value_rejects_an_unknown_ground_element():

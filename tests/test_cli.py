@@ -1,6 +1,8 @@
 """The command-line surface: every subcommand plus exit codes."""
 
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import altdimaps.cli
 from altdimaps import (InvariantError, alt_a, alt_c, alt_i,
                        build_map, invariants, reflect, trial_power)
-from altdimaps.catalog import free_loops, posy, ultraloop
+from altdimaps.catalog import (canonical_code, free_loops, posies, posy,
+                               ultraloop)
 from altdimaps.cli import TUTTE_MAX_EDGES, main
 from altdimaps.textio import serialize_map
 
@@ -54,6 +57,17 @@ def test_stats(capsys, posy_file):
     rc, out, _ = run(capsys, "stats", posy_file)
     assert rc == 0
     assert out.strip() == "V=1 E=3 af=1 cf=1 k=1 genus=1"
+
+
+def test_stats_reads_a_map_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_map(posy(1), "posy1")))
+    rc, out, _ = run(capsys, "stats", "-")
+    assert rc == 0
+    assert out.strip() == "V=1 E=3 af=1 cf=1 k=1 genus=1"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("garbage\n"))
+    rc, out, err = run(capsys, "stats", "-")
+    assert rc == 1 and out == ""
+    assert err == "error: line 1: unrecognized directive 'garbage'\n"
 
 
 def test_trial_roundtrip(capsys, posy_file):
@@ -128,6 +142,16 @@ def test_enumerate_self_trial(capsys):
                      "--filter", "self-trial")
     assert rc == 0
     assert out.strip().splitlines()[-1] == "count 1"
+
+
+def test_enumerate_posy_filter(capsys):
+    # the five-edge posies are the genus-2 ones and their mirror images
+    rc, out, _ = run(capsys, "enumerate", "--edges", "5", "--filter", "posy")
+    assert rc == 0
+    *codes, count = out.splitlines()
+    assert count == "count 4"
+    assert codes == sorted(codes) == sorted(
+        {canonical_code(m).hex() for p in posies(2) for m in (p, reflect(p))})
 
 
 def test_genus_test_witness(capsys, posy_file):

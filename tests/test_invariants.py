@@ -54,6 +54,17 @@ def test_float_parameters_are_read_exactly():
     assert ExtendedParams(*[0.5] * 16).l == Fraction(1, 2)
 
 
+def test_zero_parameters_and_unknown_families_are_refused():
+    for pos in range(4):
+        args = [2, 3, 5, 7]
+        args[pos] = 0
+        with pytest.raises(ValueError, match="^basic invariant needs nonzero "
+                           "parameters$"):
+            basic_extended_params(*args)
+    with pytest.raises(ValueError, match="^unknown family 'nope'$"):
+        simple_family_value(ultraloop(), "nope")
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_nonfinite_float_parameters_raise_value_error(bad):
     # no exact rational holds them: refused as bad input, not OverflowError

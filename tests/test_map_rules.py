@@ -45,6 +45,23 @@ def test_incidence_rejects_an_unknown_edge(reader):
         getattr(posy(1), reader)("nope")
 
 
+UNKNOWN_EDGE = r"^edge \['x'\] not in map$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, e: altdimaps.T_c(g, [e] * g.n_edges),
+     "^order must be a permutation of the edge set$"),
+    (lambda g, e: altdimaps.reduce_map(g, e, 0), UNKNOWN_EDGE),
+    (lambda g, e: altdimaps.predict_commute(g, e, 0, 0, 1), UNKNOWN_EDGE),
+    (altdimaps.classify_edge, UNKNOWN_EDGE),
+], ids=["T_c", "reduce_map", "predict_commute", "classify_edge"])
+def test_an_unhashable_label_is_an_unknown_edge(call, message):
+    # AltDimap.number reads its dict once and refuses a label it cannot
+    # hash as it refuses any unknown label: ValueError, not TypeError
+    with pytest.raises(ValueError, match=message):
+        call(posy(1), ["x"])
+
+
 def test_euler_genus():
     assert euler_genus(3, 3, 2, 1) == 0  # a triangle in the plane
     assert euler_genus(1, 2, 1, 1) == 1  # two loops on the torus

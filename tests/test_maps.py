@@ -8,6 +8,7 @@ from altdimaps import (AltDimap, EMPTY_MAP, Perm, build_map, classify_edge,
                        rotation_system, trial, trial_power)
 from altdimaps.core import ALL_MU, MUW, MUW2
 from altdimaps.minors import reduce_map
+from altdimaps.multigraph import Multigraph
 from altdimaps.perm import _canonical_repr, numbering
 from altdimaps.catalog import (loop_star_1, loop_star_omega,
                                loop_star_omega2, posy, ultraloop)
@@ -193,6 +194,31 @@ def test_map_from_rotations_rejects_bad_darts(rotations, message):
 def test_mismatched_domains_rejected():
     with pytest.raises(ValueError):
         AltDimap(Perm({0: 0}), Perm({1: 1}))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_map("ab", [("a", "z")], []), "^cycle point 'z' not in domain$"),
+    (lambda: build_map("ab", [("a", "b", "a")], []), "^a cycle point named twice$"),
+    (lambda: build_map("abc", [("a", "b"), ("b", "c")], []),
+     "^a cycle point named twice$"),
+    (lambda: Perm({0: 1, 1: 2}), "^image differs from domain; not a permutation$"),
+    (lambda: Perm({0: 1, 1: 1}), "^not injective; not a permutation$"),
+    (lambda: Perm({0: 1, 1: 0, 2: 2}).restricted([0, 2]),
+     "^restriction does not respect cycles$"),
+    (lambda: Multigraph("uv", [(0, "u", "v"), (0, "v", "u")]),
+     "^duplicate edge ids$"),
+    (lambda: Multigraph("uv", [(0, "u", "w")]), "^edge endpoint not a vertex$"),
+    (lambda: loop_star_1(1), r"^L_\{k,1\} needs k >= 2$"),
+    (lambda: loop_star_omega(1), r"^L_\{k,ω\} needs k >= 2$"),
+    (lambda: loop_star_omega2(1), r"^L_\{k,ω²\} needs k >= 2$"),
+    (lambda: posy(1, 5), r"^genus-1 posies have variants 0\.\.0$"),
+], ids=["build_map_unknown", "build_map_twice", "build_map_two_cycles",
+        "perm_image", "perm_injective",
+        "restricted_across_a_cycle", "multigraph_id", "multigraph_endpoint",
+        "loop_star_1", "loop_star_omega", "loop_star_omega2", "posy_variant"])
+def test_constructors_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_restriction_rejects_a_point_outside_the_domain():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from altdimaps import (classify_edge, commute_check,
+from altdimaps import (build_map, classify_edge, commute_check,
                        genus_excluded_minor_test, is_posy, is_posy_union,
                        is_2_reduction_commutative,
                        is_totally_reduction_commutative, is_tricircuit,
@@ -55,6 +55,29 @@ def test_reduce_kernel_checks_the_triple_identity():
             _reduce((s1, sw, sw2), i, mu)
             with pytest.raises(InvariantError):
                 _reduce(((0, 1, 2), sw, sw2), i, mu)
+
+
+def test_reduce_kernel_checks_each_point_it_trusts():
+    # the identity is checked at i, r⁻¹(i) = p(q(i)) and p(i), where (p, q,
+    # r) = rotate(t, mu), and a triple broken at exactly one of them is
+    # caught: r alone is moved there, so the three points stay put and
+    # p∘q∘r still closes at the other two
+    t = posy(2).triple
+    for mu in range(3):
+        p, q, r = rotate(t, mu)
+        cases = 0
+        for i in range(len(p)):
+            points = [i, p[q[i]], p[i]]
+            if len(set(points)) < 3:
+                continue
+            _reduce(t, i, mu)
+            for k, x in enumerate(points):
+                bad = list(r)
+                bad[x] = r[points[k - 1]]  # p∘q∘r sends x to the point before
+                with pytest.raises(InvariantError):
+                    _reduce(rotate((p, q, tuple(bad)), -mu), i, mu)
+                cases += 1
+        assert cases >= 3, mu
 
 
 def test_predict_commute_rejects_unknown_types_and_edges():
@@ -240,6 +263,12 @@ def test_tricircuit_recognition():
     assert is_tricircuit(tricircuit(2, 1, 1) if False else tricircuit(1, 1, 1))
     assert not is_tricircuit(posy(1))
     assert not is_tricircuit(free_loops(2))  # disconnected
+    assert not is_tricircuit(EMPTY_MAP)
+    # two ω-loops and two ω²-loops: no tricircuit has these loop counts
+    loops = build_map(range(4), [(2, 3)], [(0, 1)])
+    assert [classify_edge(loops, e).is_loop(mu) for e, mu in
+            ((0, 1), (1, 1), (2, 2), (3, 2))] == [True] * 4
+    assert not is_tricircuit(loops)
 
 
 def test_tricircuit_degenerate_forms():

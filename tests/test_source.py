@@ -95,6 +95,22 @@ def test_one_path_through_the_engine():
                     if isinstance(sub, ast.Call)
                     and ast.unparse(sub.func) == "_recurse")
     assert passed == [("_clockwise", "_CLOCKWISE"), ("extended_eval", "_EXTENDED")]
+    # _Table.rows is the one store keyed by class code: _recurse asks
+    # table.row for every state's row and makes no dict or subscript
+    # store of its own, and only _Table writes rows
+    recurse = functions["_recurse"]
+    assert not [sub for sub in ast.walk(recurse)
+                if isinstance(sub, (ast.Dict, ast.DictComp))
+                or isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store)
+                or isinstance(sub, ast.Call) and ast.unparse(sub.func) == "dict"]
+    assert "table.row" in {ast.unparse(sub) for sub in ast.walk(recurse)
+                           if isinstance(sub, ast.Attribute)}
+    writers = [node.name for node in body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and any(isinstance(sub, (ast.Attribute, ast.Subscript))
+                       and isinstance(sub.ctx, ast.Store)
+                       and "rows" in ast.unparse(sub) for sub in ast.walk(node))]
+    assert writers == ["_Table"]
 
 
 def test_alt_images_are_read_off_the_darts():
