@@ -264,10 +264,11 @@ SIMPLE_FAMILIES: Dict[str, SimpleParams] = {
 
 def simple_family_value(g: AltDimap, family: str) -> Fraction:
     """Closed form of one of the five order-independent families."""
+    try:
+        a, b, c, d = map(Q, _FAMILY_POINTS[family])
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown family {family!r}") from None
     st = map_stats(g)
-    if family not in _FAMILY_POINTS:
-        raise ValueError(f"unknown family {family!r}")
-    a, b, c, d = map(Q, _FAMILY_POINTS[family])
     return (a ** st.n_edges * b ** st.n_vertices * c ** st.n_a_faces
             * d ** st.n_c_faces)
 

@@ -195,7 +195,8 @@ def _minors(g: AltDimap,
             floor: int = 0) -> Iterator[Tuple[Hashable, Triple, int]]:
     """Depth-first walk over the minors of G with at least floor edges
     (G first), yielding (key(t, live), t, live) for the first minor met
-    with each key; with no key, every labelled minor is yielded once, its
+    with each key.  A minor whose key is None is deduplicated only as a
+    labelled minor; with no key, every labelled minor is yielded once, its
     key None.
 
     A minor is (t, live): t is its image triple over G's own numbering
@@ -212,7 +213,9 @@ def _minors(g: AltDimap,
     reduction removes one edge, so a pruned subtree holds only minors
     below floor and is popped before anything under it on the stack; keys
     of minors with different edge counts never collide, so the minors at
-    or above floor are yielded in the same order as with floor 0."""
+    or above floor are yielded in the same order as with floor 0.  So a
+    minor at floor, which gets no children, needs a key only where the
+    consumer reads one: its key prunes nothing below it."""
     n = g.n_edges
     met: Set[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = set()
     seen: Set[Hashable] = set()
@@ -223,9 +226,8 @@ def _minors(g: AltDimap,
         if labelled in met:
             continue
         met.add(labelled)
-        k = None
-        if key is not None:
-            k = key(t, live)
+        k = None if key is None else key(t, live)
+        if k is not None:
             if k in seen:
                 continue
             seen.add(k)
@@ -245,7 +247,8 @@ def is_totally_reduction_commutative(g: AltDimap) -> bool:
     of reductions never depends on their order).
 
     Equivalently: in every minor of G (G included), all pairs of
-    reductions commute.  The labelled minor closure is walked and each
+    reductions commute.  The labelled minor closure is walked down to two
+    edges (a minor with at most one edge has no pair to commute) and each
     minor's triple tested as in is_2_reduction_commutative, so no pair of
     composite minors is compared and no minor is made a map.  The pair
     prediction has been verified exhaustively on every map with at most
@@ -258,7 +261,7 @@ def is_totally_reduction_commutative(g: AltDimap) -> bool:
     edges 94 of the 901 maps have it, and the connected ones are exactly
     the pure 1-, ω- and ω²-circuits.
     """
-    return all(_2_commutative(t) for _, t, _ in _minors(g))
+    return all(_2_commutative(t) for _, t, _ in _minors(g, floor=2))
 
 
 # -- posies and the excluded-minor genus test ---------------------------------
@@ -298,18 +301,19 @@ def _posy_union_genus(t: Sequence[Sequence[int]], n: int) -> Optional[int]:
 CLOSURE_MAX_EDGES = 8
 
 
-def _closure_walk(g: AltDimap, floor: int = 0):
-    """_minors keyed by canonical code (live_code); refused above the
-    cap."""
+def _closure_walk(g: AltDimap, key: Callable[[Triple, int], Hashable],
+                  floor: int = 0):
+    """_minors with the given key; refused above the cap."""
     if g.n_edges > CLOSURE_MAX_EDGES:
         raise ValueError(f"minor closure capped at {CLOSURE_MAX_EDGES} edges")
-    return _minors(g, live_code, floor)
+    return _minors(g, key, floor)
 
 
 def minor_closure(g: AltDimap):
     """All minors of G up to isomorphism (including G and the empty map),
     as a dict canonical code -> representative map in _minors order."""
-    return {k: _live_part(g, t, live) for k, t, live in _closure_walk(g)}
+    return {k: _live_part(g, t, live)
+            for k, t, live in _closure_walk(g, live_code)}
 
 
 def excluded_minor_witness(g: AltDimap, k: int) -> Optional[AltDimap]:
@@ -318,8 +322,13 @@ def excluded_minor_witness(g: AltDimap, k: int) -> Optional[AltDimap]:
 
     A posy union of total genus k with c ≥ 1 components has 2k + c edges,
     so the walk has floor 2k + 1 (see _minors): no smaller minor, the
-    empty map included, is keyed or expanded, and the witness is the same
-    map as with the whole closure.  The walk does not prune by genus: the
+    empty map included, is met, and the witness is the same map as with
+    the whole closure.  Only a minor above floor is keyed, by its
+    canonical code (live_code): a minor at floor has no children, so its
+    code would prune nothing.  A floor minor that code would skip is
+    isomorphic to one yielded before it, which was no witness, and
+    posy-union genus is an isomorphism invariant; so the first witness is
+    the same labelled minor.  The walk does not prune by genus: the
     theorem this tests includes that reductions never raise it.  Each
     minor's genus is read off its triple, by is_posy_union's rule, and
     only the witness is made a map.  k must be an int (not a bool) of at
@@ -329,8 +338,13 @@ def excluded_minor_witness(g: AltDimap, k: int) -> Optional[AltDimap]:
         raise ValueError(f"genus k must be an int, got {k!r}")
     if k < 0:
         raise ValueError(f"genus k must be at least 0, got {k}")
+    floor = 2 * k + 1
+
+    def key(t: Triple, live: int) -> Optional[bytes]:
+        return live_code(t, live) if live.bit_count() > floor else None
+
     return next((_live_part(g, t, live)
-                 for _, t, live in _closure_walk(g, 2 * k + 1)
+                 for _, t, live in _closure_walk(g, key, floor)
                  if _posy_union_genus(t, live.bit_count()) == k), None)
 
 

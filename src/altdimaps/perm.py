@@ -127,12 +127,20 @@ class Perm:
             self._pre = inverse(self.img)
         return self._pre
 
+    def _number(self, x: Point) -> int:
+        """The number of point x (ValueError if x, hashable or not, is not
+        in the domain)."""
+        try:
+            return self.index[x]
+        except (KeyError, TypeError):
+            raise ValueError(f"point {x!r} not in domain") from None
+
     def __call__(self, x: Point) -> Point:
-        return self.labels[self.img[self.index[x]]]
+        return self.labels[self.img[self._number(x)]]
 
     def inv(self, x: Point) -> Point:
         """Preimage of x."""
-        return self.labels[self.pre[self.index[x]]]
+        return self.labels[self.pre[self._number(x)]]
 
     def inverse(self) -> "Perm":
         return Perm._of(self.labels, self.index, self.pre, self.img)
@@ -161,11 +169,7 @@ class Perm:
 
     def restricted(self, points: Iterable[Point]) -> "Perm":
         """Restriction to a union of whole cycles (ValueError otherwise)."""
-        sub = {}
-        for x in points:
-            if x not in self.index:
-                raise ValueError(f"point {x!r} not in domain")
-            sub[x] = self(x)
+        sub = {x: self(x) for x in points}
         if not sub.keys() >= set(sub.values()):
             raise ValueError("restriction does not respect cycles")
         return Perm(sub)

@@ -46,6 +46,15 @@ def test_simple_family_values():
     assert simple_family_value(free_loops(0), "zero") == 1
 
 
+@pytest.mark.parametrize("family", ["x", ["x"], None, 3])
+def test_an_unknown_family_is_refused_before_the_map_is_read(family):
+    # any unknown family, hashable or not, is a ValueError, raised before
+    # the map's counts are taken: a non-map is never read
+    for g in (posy(1), None):
+        with pytest.raises(ValueError, match="^unknown family "):
+            simple_family_value(g, family)
+
+
 def test_float_parameters_are_read_exactly():
     # a float is the binary fraction it holds, as in basic_extended_params
     result = simple_tutte_eval(ultraloop(), SimpleParams(0.1, 1, 1, 1))

@@ -1,5 +1,7 @@
 """Core map representation: the permutation triple, trial, stats."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -226,6 +228,18 @@ def test_restriction_rejects_a_point_outside_the_domain():
         Perm({0: 1, 1: 0}).restricted([0, 1, "nope"])
     with pytest.raises(ValueError, match="point 'nope' not in domain"):
         posy(1).restricted(["nope"])
+
+
+@pytest.mark.parametrize("point", ["nope", ["x"], {}])
+def test_one_lookup_rule_for_a_point_outside_the_domain(point):
+    # hashable or not, an unknown point is a ValueError for the image, the
+    # preimage and the restriction alike
+    p = Perm({0: 1, 1: 0})
+    message = "^" + re.escape(f"point {point!r} not in domain") + "$"
+    for call in (p, p.inv, lambda x: p.restricted([0, 1, x]),
+                 lambda x: posy(1).restricted([x])):
+        with pytest.raises(ValueError, match=message):
+            call(point)
 
 
 def test_restriction_reads_its_edges_once():

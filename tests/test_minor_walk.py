@@ -10,8 +10,10 @@ live_code and makes a map only where one leaves the library; the two must
 yield the same (key, map) pairs in the same order at every floor.  The
 readers of a triple (its code and its posy-union genus) must agree with
 the same readers of the map it makes, on every minor the closure walk
-keys.  The genus-k witness search must also key no minor too small to be
-a witness, and the candidate-pair 2-commutativity test must agree with a
+keys.  The genus-k witness search must key no minor at or below its
+floor and find the witness a walk that codes every minor finds, total
+commutativity must stop at two edges with the answer of the walk to the
+empty map, and the candidate-pair 2-commutativity test must agree with a
 copy of the all-pairs loop it replaced.
 """
 
@@ -27,8 +29,8 @@ from altdimaps import (AltDimap, InvariantError, Perm, canonical_code,
 from altdimaps.catalog import (free_loops, live_code, posy, tricircuit,
                                ultraloop)
 from altdimaps.core import ALL_MU
-from altdimaps.minors import (_live_part, _minors, _posy_union_genus,
-                              excluded_minor_witness)
+from altdimaps.minors import (_2_commutative, _live_part, _minors,
+                              _posy_union_genus, excluded_minor_witness)
 
 from conftest import (altdimap_walk, digon_with_omega2_loop, disjoint_union,
                       maps_up_to, witness_a)
@@ -202,17 +204,45 @@ def test_totally_commutative_count(labelled_maps):
                for g in labelled_maps if g.edges) == 80
 
 
-def test_witness_search_keys_nothing_below_its_floor(labelled_maps,
-                                                     monkeypatch):
+def test_witness_search_keys_nothing_at_or_below_its_floor(labelled_maps,
+                                                           monkeypatch):
     """A posy union of total genus k has at least 2k + 1 edges, so the
-    genus-k witness search keys no smaller minor."""
+    genus-k witness search meets no smaller minor, and a minor with 2k + 1
+    edges gets no children, so its code would prune nothing: only larger
+    minors are keyed."""
     keyed = counted_codes(monkeypatch)
     for g in labelled_maps:
         for k in (1, 2):
             keyed.clear()
             excluded_minor_witness(g, k)
-            assert all(live.bit_count() >= 2 * k + 1 for _, live in keyed)
-            assert keyed or g.n_edges < 2 * k + 1
+            assert all(live.bit_count() > 2 * k + 1 for _, live in keyed)
+            assert keyed or g.n_edges <= 2 * k + 1
+
+
+def witness_coding_every_minor(g, k):
+    """excluded_minor_witness as it was: every minor the walk meets, those
+    at its floor of 2k + 1 edges too, keyed by its canonical code."""
+    return next((_live_part(g, t, live)
+                 for _, t, live in _minors(g, live_code, 2 * k + 1)
+                 if _posy_union_genus(t, live.bit_count()) == k), None)
+
+
+def test_witness_matches_the_walk_that_codes_every_minor(six_edge_maps):
+    """The same witness, labels included, as when the floor minors were
+    coded: on every map with at most five edges for k = 0..3, and on the
+    six-edge maps for k = 1."""
+    cases = [(g, k) for g in MAPS for k in range(4)]
+    cases += [(g, 1) for g in six_edge_maps]
+    for g, k in cases:
+        assert excluded_minor_witness(g, k) == witness_coding_every_minor(g, k)
+
+
+def test_total_commutativity_matches_the_walk_to_the_empty_map(six_edge_maps):
+    """Stopping at two edges gives the answer of the walk down to the empty
+    map: a minor with at most one edge has no pair to commute."""
+    for g in MAPS + six_edge_maps:
+        full = all(_2_commutative(t) for _, t, _ in _minors(g))
+        assert is_totally_reduction_commutative(g) == full
 
 
 def all_pairs_2_commutative(g):
