@@ -21,7 +21,7 @@ from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
-from .perm import _canonical_repr, numbering
+from .perm import _canonical_repr, _int_arg, numbering
 
 SQRT2 = math.sqrt(2.0)
 
@@ -181,9 +181,9 @@ def tensor(f: BinFn, g: BinFn) -> BinFn:
 
 def ultraloop_bf(k: int, labels: Sequence[Hashable] = None) -> BinFn:
     """The k-fold tensor power of the single-element function
-    (1, sqrt2 - 1): value (sqrt2-1)^|X| on each subset X."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    (1, sqrt2 - 1): value (sqrt2-1)^|X| on each subset X.  k is an int
+    (not a bool) of at least 0."""
+    _int_arg("k", k, 0)
     if labels is None:
         labels = tuple(range(k))
     elif len(labels) != k:
@@ -197,10 +197,7 @@ def indicator_from_gf2(rows: Sequence[Sequence[int]], m: int) -> BinFn:
     """Indicator of the GF(2) rowspace of a 0/1 matrix whose column j
     corresponds to ground element j, labelled j.  Always includes the
     empty set.  m must be an int (not a bool) of at least 0."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"m must be an int, got {m!r}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _int_arg("m", m, 0)
     masks = []
     for row in rows:
         if len(row) != m:

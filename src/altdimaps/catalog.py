@@ -6,7 +6,7 @@ from itertools import permutations
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .core import AltDimap, EMPTY_MAP, _image_map, build_map, reflect
-from .perm import inverse, orbits
+from .perm import _int_arg, inverse, orbits
 
 
 # -- canonical codes -----------------------------------------------------------
@@ -156,9 +156,7 @@ def _first_per_code(sw: Tuple[int, ...],
 def _coded_maps(n: int) -> List[Tuple[bytes, AltDimap]]:
     """The (canonical code, map) pairs of enumerate_maps(n), sorted by
     code."""
-    if n < 0:
-        raise ValueError(f"edge count must be nonnegative, not {n}")
-    if n > ENUMERATION_MAX_EDGES:
+    if _int_arg("edge count n", n, 0) > ENUMERATION_MAX_EDGES:
         raise ValueError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges")
     # relabelling conjugates sw, so no code is met under two cycle types
     out = {code: (sw, sw2) for sw in map(_perm_of_cycle_type, _partitions(n))
@@ -174,7 +172,8 @@ def enumerate_maps(n: int) -> List[AltDimap]:
     dimap; duplicates are removed by canonical code.  Since relabelling
     acts by simultaneous conjugation, sw may be fixed to one representative
     per cycle type.  The representative of a code is the first candidate
-    met with it.  n is at most ENUMERATION_MAX_EDGES.
+    met with it.  n is an int (not a bool) in 0..ENUMERATION_MAX_EDGES;
+    ValueError otherwise.
     """
     return [g for _, g in _coded_maps(n)]
 
@@ -219,42 +218,35 @@ def ultraloop() -> AltDimap:
 
 
 def free_loops(k: int) -> AltDimap:
-    """U_k: k disjoint ultraloops."""
-    if k < 0:
-        raise ValueError(f"loop count must be nonnegative, not {k}")
-    return build_map(range(k), [], [])
+    """U_k: k disjoint ultraloops (k an int of at least 0)."""
+    return build_map(range(_int_arg("loop count k", k, 0)), [], [])
 
 
 def loop_star_1(k: int) -> AltDimap:
-    """L_{k,1}: a directed k-circuit of 1-loops (k >= 2): one a-face
-    through all edges, with the c-face its reverse."""
-    if k < 2:
-        raise ValueError("L_{k,1} needs k >= 2")
-    cyc = tuple(range(k))
-    return build_map(range(k), [cyc], [cyc[::-1]])
+    """L_{k,1}: a directed k-circuit of 1-loops (k an int of at least 2):
+    one a-face through all edges, with the c-face its reverse."""
+    cyc = tuple(range(_int_arg("loop count k", k, 2)))
+    return build_map(cyc, [cyc], [cyc[::-1]])
 
 
 def loop_star_omega(k: int) -> AltDimap:
-    """L_{k,ω}: k ω-loops at one vertex (k >= 2)."""
-    if k < 2:
-        raise ValueError("L_{k,ω} needs k >= 2")
-    return build_map(range(k), [], [tuple(range(k))])
+    """L_{k,ω}: k ω-loops at one vertex (k an int of at least 2)."""
+    cyc = tuple(range(_int_arg("loop count k", k, 2)))
+    return build_map(cyc, [], [cyc])
 
 
 def loop_star_omega2(k: int) -> AltDimap:
-    """L_{k,ω²}: k ω²-loops at one vertex (k >= 2)."""
-    if k < 2:
-        raise ValueError("L_{k,ω²} needs k >= 2")
-    return build_map(range(k), [tuple(range(k))], [])
+    """L_{k,ω²}: k ω²-loops at one vertex (k an int of at least 2)."""
+    cyc = tuple(range(_int_arg("loop count k", k, 2)))
+    return build_map(cyc, [cyc], [])
 
 
 def posies(k: int) -> List[AltDimap]:
     """The posies of genus k (one vertex, 2k+1 edges, one a-face, one
     c-face), up to isomorphism and mirror image.  Mirror pairs are
-    represented by the member with the smaller canonical code."""
-    if k < 0:
-        raise ValueError(f"genus must be nonnegative, not {k}")
-    n = 2 * k + 1
+    represented by the member with the smaller canonical code.  k is an
+    int (not a bool) of at least 0."""
+    n = 2 * _int_arg("genus k", k, 0) + 1
     sw = tuple(range(1, n)) + (0,)  # one a-face forces sw to an n-cycle
     swi = inverse(sw)
     # sw2 ranges over the n-cycles (0, *rest) that leave one vertex: those
@@ -270,10 +262,9 @@ def posies(k: int) -> List[AltDimap]:
 
 
 def posy(k: int, variant: int = 0) -> AltDimap:
+    """posies(k)[variant], variant an int in 0..len(posies(k)) - 1."""
     ps = posies(k)
-    if not 0 <= variant < len(ps):
-        raise ValueError(f"genus-{k} posies have variants 0..{len(ps) - 1}")
-    return ps[variant]
+    return ps[_int_arg(f"genus-{k} posy variant", variant, 0, len(ps) - 1)]
 
 
 def tricircuit(p: int, q: int, r: int) -> AltDimap:
@@ -281,9 +272,10 @@ def tricircuit(p: int, q: int, r: int) -> AltDimap:
     and r ω²-loops attached at one of its vertices, the two loop kinds on
     opposite sides of the circuit.  Degenerate cases: p = 0 gives a pure
     loop star (only one loop kind can share a vertex); a single edge of
-    any kind is an ultraloop."""
-    if p < 0 or q < 0 or r < 0:
-        raise ValueError("tricircuit parameters must be nonnegative")
+    any kind is an ultraloop.  p, q and r are ints (not bools) of at
+    least 0."""
+    for name, x in zip("pqr", (p, q, r)):
+        _int_arg(name, x, 0)
     if p == 0 and q == 0 and r == 0:
         return EMPTY_MAP
     if p == 0:

@@ -24,7 +24,7 @@ from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
 from .embedded import EmbeddedGraph, euler_genus
 from .minors import _reduce
 from .multigraph import Multigraph, frontier, sweep, tutte_poly
-from .perm import inverse, numbering
+from .perm import _int_arg, inverse, numbering
 from .poly import Poly, Poly1, Poly2, _PackedRing
 
 Q = Fraction
@@ -404,8 +404,7 @@ def alt_i(eg: EmbeddedGraph, orientation_choice: int = 0) -> AltDimap:
     σ₁ is α under orientation 1 and its conjugate ρ⁻¹∘α∘ρ under
     orientation 0: one in-star for each edge e of eg, the medial
     vertices, and under orientation 1 the in-star of e is {(e, 0), (e, 1)}
-    itself."""
-    if orientation_choice not in (0, 1):
-        raise ValueError("orientation_choice must be 0 or 1")
+    itself.  orientation_choice is the int 0 or 1 (not a bool)."""
+    _int_arg("orientation_choice", orientation_choice, 0, 1)
     pair = tuple(map(eg.alpha.__getitem__, eg.rho)), inverse(eg.rho)
     return _image_map(*(pair if orientation_choice else pair[::-1]), eg.darts)

@@ -6,11 +6,11 @@ from typing import (Callable, Hashable, Iterator, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import canonical_code, live_code, tricircuit
-from .core import (_ROTATIONS, ALL_MU, MU1, AltDimap, InvariantError,
+from .core import (_ROTATIONS, ALL_MU, MU1, MUW2, AltDimap, InvariantError,
                    _image_map, map_stats, rotate)
 from .embedded import euler_genus
 from .multigraph import Multigraph
-from .perm import orbits
+from .perm import _int_arg, orbits
 
 Triple = Tuple[Tuple[int, ...], ...]
 
@@ -56,24 +56,18 @@ def _live_part(g: AltDimap, t: Triple, live: int) -> AltDimap:
                       [x for x in range(g.n_edges) if live >> x & 1])
 
 
-def _check_mu(*mus: int) -> None:
-    """Refuse any reduction type but the ints 0, 1 and 2 (bools too)."""
-    for mu in mus:
-        if not isinstance(mu, int) or isinstance(mu, bool) or mu not in ALL_MU:
-            raise ValueError(f"unknown reduction type {mu!r}")
-
-
 def reduce_seq(g: AltDimap,
                steps: Sequence[Tuple[Hashable, int]]) -> AltDimap:
     """The minor of G after the reductions (e, mu) of steps in order, on
     G's image triple (see _reduce); one map, numbered as G without the
-    reduced edges, is built at the end (a map equal to G for no steps)."""
+    reduced edges, is built at the end (a map equal to G for no steps).
+    Each mu is an int (not a bool) in 0..2."""
     t, live = g.triple, (1 << g.n_edges) - 1
     for e, mu in steps:
         i = g.number(e)
         if not live >> i & 1:
             raise ValueError(f"edge {e!r} not in map")
-        _check_mu(mu)
+        _int_arg("reduction type mu", mu, MU1, MUW2)
         t, live = _reduce(t, i, mu), live ^ (1 << i)
     return _live_part(g, t, live)
 
@@ -114,10 +108,12 @@ def predict_commute(g: AltDimap, e: Hashable, mu: int,
     Only {[1]e, [ω]f} with f = σ_ω(e), {[ω]e, [ω²]f} with f = σ₁(e) and
     {[ω²]e, [1]f} with f = σ_ω²(e) can fail: one pattern up to triality,
     decided by _pattern_commutes.  Equal types never form it, and neither
-    does an ultraloop, which no permutation moves.
+    does an ultraloop, which no permutation moves.  mu and nu are ints
+    (not bools) in 0..2.
     """
     i, j = g.number(e), g.number(f)
-    _check_mu(mu, nu)
+    _int_arg("reduction type mu", mu, MU1, MUW2)
+    _int_arg("reduction type nu", nu, MU1, MUW2)
     if i == j:
         raise ValueError("need two distinct edges")
     t = g.triple
@@ -334,11 +330,7 @@ def excluded_minor_witness(g: AltDimap, k: int) -> Optional[AltDimap]:
     only the witness is made a map.  k must be an int (not a bool) of at
     least 0.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"genus k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError(f"genus k must be at least 0, got {k}")
-    floor = 2 * k + 1
+    floor = 2 * _int_arg("genus k", k, 0) + 1
 
     def key(t: Triple, live: int) -> Optional[bytes]:
         return live_code(t, live) if live.bit_count() > floor else None

@@ -28,6 +28,17 @@ def _canonical_repr(x) -> str:
     return r
 
 
+def _int_arg(name: str, value, least: int, most: int = None) -> int:
+    """value, if it is an int (not a bool) in least..most (no upper bound
+    when most is None): the library's one check of an integer argument.
+    ValueError naming the argument and its bounds otherwise."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and least <= value and (most is None or value <= most)):
+        return value
+    bounds = f"of at least {least}" if most is None else f"in {least}..{most}"
+    raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
+
+
 def numbering(points: Iterable[Point]) -> Tuple[tuple, Dict[Point, int]]:
     """The distinct points sorted by repr (labels), and the index that maps
     each to its position.  Labels holding frozensets sort by a repr with

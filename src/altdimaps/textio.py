@@ -136,22 +136,24 @@ def _escape(match) -> str:
     return quote(match.group(), safe="")
 
 
-def _token(x) -> str:
-    """str(x) as one document token (see the module docstring)."""
-    return _RESERVED.sub(_escape, str(x))
+def _text(x) -> str:
+    """The text of a label or a map name, which every writer prints and
+    sorts by: its str, or perm._canonical_repr of an x that is not a str
+    but prints a frozenset, whose str follows its insertion history."""
+    t = str(x)
+    return _canonical_repr(x) if "frozenset(" in t and not isinstance(x, str) else t
+
+
+def _token(text: str) -> str:
+    """A text as one document token (see the module docstring)."""
+    return _RESERVED.sub(_escape, text)
 
 
 def _tokens(g: AltDimap) -> Tuple[Dict, Dict]:
-    """Each edge label's text, which every writer prints and sorts by, and
-    that text as one document token.  The text is the label's str, or
-    perm._canonical_repr of a label that is not a str but prints a
-    frozenset, whose str follows its insertion history."""
-    texts, tokens = {}, {}
-    for e in g.edges:
-        t = str(e)
-        if "frozenset(" in t and not isinstance(e, str):
-            t = _canonical_repr(e)
-        texts[e], tokens[e] = t, _RESERVED.sub(_escape, t)
+    """Each edge label's text (_text) and that text as one document
+    token."""
+    texts = {e: _text(e) for e in g.edges}
+    tokens = {e: _token(t) for e, t in texts.items()}
     if "" in tokens.values():
         raise ValueError("an edge label's str is empty; cannot write it")
     if len(set(tokens.values())) < len(tokens):
@@ -174,10 +176,10 @@ def _cycles_text(perm, texts: Dict, tokens: Dict) -> str:
 def serialize_map(g: AltDimap, name: str = "m") -> str:
     """Emit the canonical document: cycles sorted by least element,
     fixed points omitted, one permutation per line.  The name is written
-    as one token, escaped as the labels are."""
+    by the labels' rule (_text), as one token."""
     texts, tokens = _tokens(g)
     edges = sorted(g.edges, key=texts.__getitem__)
-    return (f"map {_token(name)}\n"
+    return (f"map {_token(_text(name))}\n"
             f"edges {' '.join(map(tokens.get, edges))}\n"
             f"sigma_omega {_cycles_text(g.sw, texts, tokens)}\n"
             f"sigma_omega2 {_cycles_text(g.sw2, texts, tokens)}\n")

@@ -312,16 +312,16 @@ def test_binfn_validation():
         BinFn(("a",), [1, 2, 3])
     with pytest.raises(ValueError):
         BinFn(("a", "a"), [1, 2, 3, 4])
-    with pytest.raises(ValueError, match="^m must be nonnegative$"):
+    with pytest.raises(ValueError, match="^m must be an int of at least 0, got -1$"):
         indicator_from_gf2([], -1)
     for m in (2.5, True, "3"):
-        with pytest.raises(ValueError, match="^m must be an int, got "):
+        with pytest.raises(ValueError, match="^m must be an int of at least 0, got "):
             indicator_from_gf2([], m)
     with pytest.raises(ValueError, match="^row length must equal m$"):
         indicator_from_gf2([[1, 0]], 3)
     with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
         indicator_from_gf2([[1, 2]], 2)
-    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+    with pytest.raises(ValueError, match="^k must be an int of at least 0, got -1$"):
         ultraloop_bf(-1)
     with pytest.raises(ValueError, match="^need exactly k labels$"):
         ultraloop_bf(2, labels=("a",))

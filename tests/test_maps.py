@@ -8,14 +8,19 @@ from hypothesis import given, strategies as st
 from altdimaps import (AltDimap, EMPTY_MAP, Perm, build_map, classify_edge,
                        map_from_rotations, map_stats, reflect,
                        rotation_system, trial, trial_power)
+from altdimaps.binfn import indicator_from_gf2, ultraloop_bf
 from altdimaps.core import ALL_MU, MUW, MUW2
-from altdimaps.minors import reduce_map
+from altdimaps.invariants import alt_i
+from altdimaps.minors import (commute_check, excluded_minor_witness,
+                              genus_excluded_minor_test, predict_commute,
+                              reduce_map, reduce_seq)
 from altdimaps.multigraph import Multigraph
 from altdimaps.perm import _canonical_repr, numbering
-from altdimaps.catalog import (loop_star_1, loop_star_omega,
-                               loop_star_omega2, posy, ultraloop)
+from altdimaps.catalog import (enumerate_maps, free_loops, loop_star_1,
+                               loop_star_omega, loop_star_omega2, posies,
+                               posy, tricircuit, ultraloop)
 
-from conftest import maps_up_to, random_maps, semiloop_pair
+from conftest import maps_up_to, random_maps, semiloop_pair, wheel
 
 
 # -- the defining identity ---------------------------------------------------
@@ -210,10 +215,10 @@ def test_mismatched_domains_rejected():
     (lambda: Multigraph("uv", [(0, "u", "v"), (0, "v", "u")]),
      "^duplicate edge ids$"),
     (lambda: Multigraph("uv", [(0, "u", "w")]), "^edge endpoint not a vertex$"),
-    (lambda: loop_star_1(1), r"^L_\{k,1\} needs k >= 2$"),
-    (lambda: loop_star_omega(1), r"^L_\{k,ω\} needs k >= 2$"),
-    (lambda: loop_star_omega2(1), r"^L_\{k,ω²\} needs k >= 2$"),
-    (lambda: posy(1, 5), r"^genus-1 posies have variants 0\.\.0$"),
+    (lambda: loop_star_1(1), "^loop count k must be an int of at least 2, got 1$"),
+    (lambda: loop_star_omega(1), "^loop count k must be an int of at least 2, got 1$"),
+    (lambda: loop_star_omega2(1), "^loop count k must be an int of at least 2, got 1$"),
+    (lambda: posy(1, 5), r"^genus-1 posy variant must be an int in 0\.\.0, got 5$"),
 ], ids=["build_map_unknown", "build_map_twice", "build_map_two_cycles",
         "perm_image", "perm_injective",
         "restricted_across_a_cycle", "multigraph_id", "multigraph_endpoint",
@@ -221,6 +226,51 @@ def test_mismatched_domains_rejected():
 def test_constructors_refuse_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+P1 = posy(1)
+
+
+@pytest.mark.parametrize("name, least, most, call", [
+    ("edge count n", 0, None, enumerate_maps),
+    ("genus k", 0, None, posies),
+    ("genus-1 posy variant", 0, 0, lambda v: posy(1, v)),
+    ("loop count k", 0, None, free_loops),
+    ("loop count k", 2, None, loop_star_1),
+    ("loop count k", 2, None, loop_star_omega),
+    ("loop count k", 2, None, loop_star_omega2),
+    ("p", 0, None, lambda v: tricircuit(v, 1, 0)),
+    ("q", 0, None, lambda v: tricircuit(1, v, 0)),
+    ("r", 0, None, lambda v: tricircuit(1, 0, v)),
+    ("reduction type mu", 0, 2, lambda v: reduce_map(P1, 0, v)),
+    ("reduction type mu", 0, 2, lambda v: reduce_seq(P1, [(1, 0), (0, v)])),
+    ("reduction type mu", 0, 2, lambda v: predict_commute(P1, 0, v, 1, 0)),
+    ("reduction type nu", 0, 2, lambda v: predict_commute(P1, 0, 0, 1, v)),
+    ("reduction type mu", 0, 2, lambda v: commute_check(P1, 0, v, 1, 0)),
+    ("reduction type nu", 0, 2, lambda v: commute_check(P1, 0, 0, 1, v)),
+    ("genus k", 0, None, lambda v: excluded_minor_witness(P1, v)),
+    ("genus k", 0, None, lambda v: genus_excluded_minor_test(P1, v)),
+    ("k", 0, None, ultraloop_bf),
+    ("k", 0, None, lambda v: ultraloop_bf(v, labels="ab")),
+    ("m", 0, None, lambda v: indicator_from_gf2([], v)),
+    ("orientation_choice", 0, 1, lambda v: alt_i(wheel(3), v)),
+], ids=["enumerate_maps", "posies", "posy_variant", "free_loops",
+        "loop_star_1", "loop_star_omega", "loop_star_omega2", "tricircuit_p",
+        "tricircuit_q", "tricircuit_r", "reduce_map", "reduce_seq",
+        "predict_commute_mu", "predict_commute_nu", "commute_check_mu",
+        "commute_check_nu", "excluded_minor_witness",
+        "genus_excluded_minor_test", "ultraloop_bf", "ultraloop_bf_labels",
+        "indicator_from_gf2", "alt_i"])
+def test_integer_arguments_share_one_check(name, least, most, call):
+    # every integer argument is an int, not a bool, in its range, checked
+    # by perm._int_arg with one wording; 2.5 and "3" once raised TypeError,
+    # and True was read as 1
+    bounds = f"of at least {least}" if most is None else f"in {least}..{most}"
+    bad = [2.5, True, "3", least - 1] + ([] if most is None else [most + 1])
+    for value in bad:
+        text = f"{name} must be an int {bounds}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call(value)
 
 
 def test_restriction_rejects_a_point_outside_the_domain():

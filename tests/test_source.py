@@ -304,6 +304,21 @@ def test_only_perm_sorts_labels_by_repr():
     assert found == []
 
 
+def test_one_integer_argument_check():
+    # an integer argument is refused as a bool, or as no int, or out of
+    # range, by perm._int_arg alone; cli._json_complex refuses a bool too,
+    # but as a JSON number, which may be a float
+    found = sorted({f"{path.name}:{node.name}"
+                    for path in SOURCES
+                    for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                    if isinstance(node, ast.FunctionDef)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call)
+                    and ast.unparse(sub.func) == "isinstance"
+                    and "bool" in ast.unparse(sub.args[1])})
+    assert found == ["cli.py:_json_complex", "perm.py:_int_arg"]
+
+
 def test_core_walks_no_cycle_of_its_own():
     # the incidence readers read the in-stars off Perm.cycles
     path = next(p for p in SOURCES if p.name == "core.py")

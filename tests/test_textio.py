@@ -1,11 +1,16 @@
 """Map and plane-graph documents, DOT and JSON exports."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import altdimaps
 from altdimaps import (AltDimap, DocumentError, Perm, alt_a, alt_c, alt_i,
                        build_map, edge_class_summary, export_dot,
                        export_json, isomorphic, map_stats, parse_map,
@@ -244,3 +249,26 @@ def test_frozenset_labels_write_alike():
     assert maps[0] == maps[1]
     for write in (serialize_map, export_dot, export_json):
         assert write(maps[0]) == write(maps[1])
+
+
+NAME_SCRIPT = """
+from altdimaps import posy
+from altdimaps.textio import serialize_map
+print(serialize_map(posy(1), frozenset(['ab', 'cd', 'ef'])).splitlines()[0])
+"""
+
+
+def test_a_map_name_is_written_by_the_label_rule():
+    # the name line once held the name's plain str, so a frozenset name
+    # followed the set's insertion history, which the hash seed decides
+    src = Path(altdimaps.__file__).parent.parent
+    outputs = []
+    for seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", NAME_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        outputs.append(run.stdout)
+    assert outputs == ["map frozenset%28{'ab',%20'cd',%20'ef'}%29\n"] * 2
