@@ -263,8 +263,8 @@ P1 = posy(1)
         "indicator_from_gf2", "alt_i"])
 def test_integer_arguments_share_one_check(name, least, most, call):
     # every integer argument is an int, not a bool, in its range, checked
-    # by perm._int_arg with one wording; 2.5 and "3" once raised TypeError,
-    # and True was read as 1
+    # by perm._int_arg with one wording: 2.5 and "3" are no count, and True
+    # is not 1
     bounds = f"of at least {least}" if most is None else f"in {least}..{most}"
     bad = [2.5, True, "3", least - 1] + ([] if most is None else [most + 1])
     for value in bad:

@@ -259,8 +259,8 @@ print(serialize_map(posy(1), frozenset(['ab', 'cd', 'ef'])).splitlines()[0])
 
 
 def test_a_map_name_is_written_by_the_label_rule():
-    # the name line once held the name's plain str, so a frozenset name
-    # followed the set's insertion history, which the hash seed decides
+    # a frozenset's str follows its insertion history, which the hash seed
+    # decides; the name, like a label, is written in its canonical order
     src = Path(altdimaps.__file__).parent.parent
     outputs = []
     for seed in (0, 1):
