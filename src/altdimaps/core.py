@@ -16,7 +16,7 @@ from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .embedded import EmbeddedGraph, euler_genus
-from .perm import Perm, numbering, orbits
+from .perm import Perm, _cycle_count, numbering, orbits
 
 # The three reduction/loop types, as exponents of the rotation ω:
 # 0 ↔ 1, 1 ↔ ω, 2 ↔ ω².
@@ -181,9 +181,7 @@ class MapStats:
 
 
 def map_stats(g: AltDimap) -> MapStats:
-    v = len(g.s1.cycles())
-    af = len(g.sw.cycles())
-    cf = len(g.sw2.cycles())
+    v, af, cf = map(_cycle_count, g.triple)
     e = g.n_edges
     k = len(g.orbits())
     return MapStats(e, v, af, cf, af + cf, k, euler_genus(v, e, af + cf, k))

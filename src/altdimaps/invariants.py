@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import (Any, Callable, Dict, Hashable, List, Optional,
                     Sequence, Tuple, Type)
 
@@ -23,8 +24,8 @@ from .core import (ALL_MU, MU1, MUW, MUW2, AltDimap, EdgeClass,
                    reflect, trial_power)
 from .embedded import EmbeddedGraph, euler_genus
 from .minors import _reduce
-from .multigraph import Multigraph, frontier, sweep, tutte_poly
-from .perm import _int_arg, inverse, numbering
+from .multigraph import Multigraph, sweep, tutte_poly
+from .perm import _cycle_count, _int_arg, inverse, numbering
 from .poly import Poly, Poly1, Poly2, _PackedRing
 
 Q = Fraction
@@ -121,7 +122,7 @@ def _numbers(g: AltDimap, order: Optional[Sequence[Hashable]]) -> Sequence[int]:
         return range(g.n_edges)
     try:
         numbers = list(map(g.number, order))
-    except ValueError:  # an unknown or unhashable label
+    except (TypeError, ValueError):  # not iterable, or an unknown label
         numbers = None
     if numbers is None or sorted(numbers) != list(range(g.n_edges)):
         raise ValueError("order must be a permutation of the edge set")
@@ -129,12 +130,43 @@ def _numbers(g: AltDimap, order: Optional[Sequence[Hashable]]) -> Sequence[int]:
 
 
 def _frontier(g: AltDimap) -> List[int]:
-    """frontier_order(g) as edge numbers."""
-    n, (a, b, c) = g.n_edges, g.triple
-    # key k·n + y is the trimedial edge p⁻¹(y) → y, p the triple's member
-    # k; edge e meets, for each p, the keys of p(e) and of e
-    return frontier([(a[e], e, n + b[e], n + e, 2 * n + c[e], 2 * n + e)
-                     for e in range(n)])
+    """frontier_order(g) as edge numbers: multigraph.frontier on the
+    trimedial keys, walked on the triple itself.  Key k·n + y, p the
+    triple's member k, is the trimedial edge p⁻¹(y) → y, which joins
+    exactly the edges y and p⁻¹(y); edge i meets, for each p in turn, the
+    key of p(i) and then its own.  So when i is taken, each key is new
+    exactly when its other edge, p(i) or p⁻¹(i), is still untaken, and it
+    raises that edge's score; a fixed point of p meets one new key and
+    raises none."""
+    n = g.n_edges
+    perms = [(p.img, p.pre) for p in (g.s1, g.sw, g.sw2)]
+    score: List = [0] * n  # None once taken
+    first = [0] * n  # keys met when the edge's first key was met
+    heap: List[Tuple[int, int, int]] = []
+    order, met, fresh = [], 0, 0
+    while len(order) < n:
+        if heap:
+            s, _, i = heappop(heap)
+            if -s != score[i]:  # taken, or a stale entry
+                continue
+        else:
+            while score[fresh] is None:
+                fresh += 1
+            i = fresh
+        order.append(i)
+        score[i] = None
+        for img, pre in perms:
+            if img[i] == i:
+                met += 1
+                continue
+            for j in (img[i], pre[i]):
+                s = score[j]
+                if s is not None:
+                    met += 1
+                    score[j] = s = s + 1
+                    f = first[j] = first[j] or met
+                    heappush(heap, (-s, f, j))
+    return order
 
 
 def frontier_order(g: AltDimap) -> List[Hashable]:
@@ -158,8 +190,8 @@ def _is_alt_c_image(g: AltDimap) -> bool:
     if any(i == j or sw2[j] != i for i, j in enumerate(sw2)):
         return False
     n = len(sw2)
-    return euler_genus(len(g.s1.cycles()), n, len(g.sw.cycles()) + n // 2,
-                       len(g.orbits())) == 0
+    return euler_genus(_cycle_count(g.s1.img), n,
+                       _cycle_count(g.sw.img) + n // 2, len(g.orbits())) == 0
 
 
 # -- the recursion engine -------------------------------------------------------
@@ -208,32 +240,35 @@ def _recurse(g: AltDimap, rem: Sequence[int], table: _Table,
     accepts raises ValueError.
 
     A state is the image triple (σ₁, σ_ω, σ_ω²) over G's edge numbers.
-    The edge to reduce has its class code read (core._class_code: three
-    fixed-point compares, and three face walks for a non-triloop) and its
-    row found by table.row, whose rows are the one store keyed by class
-    code.  The kept terms of every row, bound once per call in a list
-    indexed like terms, are reduced by minors._reduce, which leaves the
-    reduced edge fixed by all three and returns the new triple as tuples.
     The recursion is swept level by level (multigraph.sweep), level i
     holding the states met after i reductions, which have exactly the
-    edges rem[i:]; so within a level the images of σ_ω and σ_ω² fix the
-    map, and states are merged on them."""
+    edges rem[i:]; so the edge a state of level i reduces is rem[i], and
+    within a level the images of σ_ω and σ_ω² fix the map, which is the
+    key the step gives each substate.  The edge to reduce has its class
+    code read (core._class_code: three fixed-point compares, and three
+    face walks for a non-triloop) and its row found by table.row, whose
+    rows are the one store keyed by class code.  The kept terms of every
+    row, bound once per call in a list indexed like terms, are reduced by
+    minors._reduce, which leaves the reduced edge fixed by all three and
+    returns the new triple as tuples."""
     n, row_of = len(rem), table.row
     kept = [[(c, mu) for c, mu in row if c is None or c] for row in terms]
 
-    def row(state: Tuple[Tuple[Tuple[int, ...], ...], int]):
-        s, i = state
-        if i == n:
+    def row(s: Tuple[Tuple[int, ...], ...], level: int):
+        if level == n:
             return None
-        e = rem[i]
+        e = rem[level]
         k = row_of(_class_code(s, e))
         if k is None:
             raise ValueError(f"edge {g.sw.labels[e]!r} fits no case of "
                              f"the {name} recursion")
-        i += 1
-        return [(coeff, (_reduce(s, e, mu), i)) for coeff, mu in kept[k]]
+        out = []
+        for coeff, mu in kept[k]:
+            t = _reduce(s, e, mu)
+            out.append((coeff, (t[1], t[2]), t))
+        return out
 
-    return sweep((g.triple, 0), lambda st: (st[0][1], st[0][2]), row, one, zero)
+    return sweep(g.triple, row, one, zero)
 
 
 # -- simple and extended invariants ----------------------------------------------
@@ -375,15 +410,18 @@ def alt_c(eg: EmbeddedGraph) -> AltDimap:
                    [(e, "+-"[i]) for e, i in eg.darts])
     st = map_stats(g)
     # a vertex without darts bounds a face of its own but gives the map
-    # no vertex, so it is left out of the face identity
-    faces = eg.trace_faces()
-    n_e, n_f = len(eg.edges), sum(1 for f in faces if f)
+    # no vertex, so it is left out of the face identity: the faces with
+    # darts are the cycles of ρ∘α
+    n_e = len(eg.edges)
+    n_f = _cycle_count(tuple(map(eg.rho.__getitem__, eg.alpha)))
     if st.n_c_faces != n_e or st.n_a_faces != n_f:
         raise InvariantError("doubled map fails the face-count identities")
     # eg's Euler relation, with the map's genus and components (σ_ω and
     # σ_ω² generate ⟨ρ, α⟩); each dartless vertex is one more component
-    k = st.n_components + len(faces) - n_f
-    if len(eg.vertices) - n_e + len(faces) != 2 * (k - st.genus):
+    # and one more face
+    bare = sum(1 for rot in eg.rotations.values() if not rot)
+    k = st.n_components + bare
+    if len(eg.vertices) - n_e + n_f + bare != 2 * (k - st.genus):
         raise InvariantError("doubled map does not have the genus of the graph")
     return g
 

@@ -72,42 +72,42 @@ def frontier(keys: Sequence[Sequence[Hashable]]) -> List[int]:
     return order
 
 
-def sweep(root: Any, key: Callable[[Any], Hashable],
-          step: Callable[[Any], Optional[List[Tuple[Any, Any]]]],
+def sweep(root: Any,
+          step: Callable[[Any, int], Optional[List[Tuple[Any, Hashable, Any]]]],
           one: Any, zero: Any) -> Any:
-    """The value of the state root under a linear recursion.  step(state)
-    returns None for a leaf, which is worth one, and otherwise the list of
-    (coefficient, substate) pairs whose coefficient × value sum to the
-    state's value; a coefficient None takes the substate's value as it is.
-    No leaf reached means the value zero.
+    """The value of the state root under a linear recursion.
+    step(state, level), level the number of steps from the root, returns
+    None for a leaf, which is worth one, and otherwise the list of
+    (coefficient, key, substate) triples whose coefficient × substate
+    value sum to the state's value; a coefficient None takes the
+    substate's value as it is.  No leaf reached means the value zero.
 
     This is the top-down frontier method of Sekine, Imai and Tani (ISAAC
     1995).  The states are swept level by level, the substates of level i
     making level i + 1, and each carries the sum, over its paths from the
     root, of the products of their coefficients.  States of a level with
-    equal key(state) are merged by adding these sums, so the key must fix
-    the state's value.  A level is emptied as it is expanded, so at most
-    two are held at once.  A state is expanded even when its sum is 0, so
-    an error its expansion raises is still met."""
-    level: Dict[Hashable, List[Any]] = {key(root): [root, one]}
-    value = None
+    equal keys are merged by adding these sums, so within its level a key
+    must fix the state's value.  A level is emptied as it is expanded, so
+    at most two are held at once.  A state is expanded even when its sum
+    is 0, so an error its expansion raises is still met."""
+    level: Dict[Hashable, List[Any]] = {None: [root, one]}
+    value, depth = None, 0
     while level:
         below: Dict[Hashable, List[Any]] = {}
         while level:
             state, acc = level.popitem()[1]
-            terms = step(state)
+            terms = step(state, depth)
             if terms is None:
                 value = acc if value is None else value + acc
                 continue
-            for coeff, sub in terms:
+            for coeff, k, sub in terms:
                 term = acc if coeff is None else coeff * acc
-                k = key(sub)
                 met = below.get(k)
                 if met is None:
                     below[k] = [sub, term]
                 else:  # keep the state met first, so the new one dies young
                     met[1] = met[1] + term
-        level = below
+        level, depth = below, depth + 1
     return zero if value is None else value
 
 
@@ -141,30 +141,34 @@ def tutte_poly(g: Multigraph) -> Poly2:
     being the endpoints of the surviving edges, flattened to (u0, v0, u1,
     v1, …) with the vertices renumbered by first appearance.  The tuple
     fixes the remaining multigraph up to its vertices without edges, which
-    do not change the polynomial, so states with equal tuples are merged
-    exactly.  The edge order is free: T(G) is its subset expansion, which
-    names no order.  So the edges go in the frontier order of their
-    endpoints (the edge with the most endpoints met so far next; ties as
-    in frontier, the edge ids in perm.numbering order): the reduced edges
-    then meet the rest in few vertices, and the states that differ only
-    in how the reduced part was cut coincide.  The sums are packed ints
-    (poly._PackedRing: every coefficient is x, y or 1 and a state has at
-    most two substates, so a coefficient is at most 2^|E| and an exponent
-    at most |E|), unpacked once at the end."""
+    do not change the polynomial, so a state is its own key and states
+    with equal tuples are merged exactly.  The edge order is free: T(G)
+    is its subset expansion, which names no order.  So the edges go in
+    the frontier order of their endpoints (the edge with the most
+    endpoints met so far next; ties as in frontier, the edge ids in
+    perm.numbering order): the reduced edges then meet the rest in few
+    vertices, and the states that differ only in how the reduced part was
+    cut coincide.  The sums are packed ints (poly._PackedRing: every
+    coefficient is x, y or 1 and a state has at most two substates, so a
+    coefficient is at most 2^|E| and an exponent at most |E|), unpacked
+    once at the end."""
     by_id = {e[0]: e[1:] for e in g.edges}
     ends = [by_id[e] for e in numbering(by_id)[0]]
     ring = _PackedRing(Poly2, len(g.edges))
     x, y = ring.var(0), ring.var(1)
 
-    def step(s: Tuple[int, ...]):
+    def step(s: Tuple[int, ...], level: int):
         if not s:
             return None
         u, v, rest = s[0], s[1], s[2:]
         if u == v:
-            return [(y, _renumber(rest))]
+            r = _renumber(rest)
+            return [(y, r, r)]
         if not _joined(rest, u, v):
-            return [(x, _renumber(rest, v, u))]
-        return [(None, _renumber(rest)), (None, _renumber(rest, v, u))]
+            r = _renumber(rest, v, u)
+            return [(x, r, r)]
+        r, c = _renumber(rest), _renumber(rest, v, u)
+        return [(None, r, r), (None, c, c)]
 
     root = _renumber([w for i in frontier(ends) for w in ends[i]])
-    return ring.unpack(sweep(root, lambda s: s, step, ring.one, ring.zero))
+    return ring.unpack(sweep(root, step, ring.one, ring.zero))

@@ -66,6 +66,21 @@ def inverse(img: Sequence[int]) -> Tuple[int, ...]:
     return tuple(pre)
 
 
+def _cycle_count(img: Sequence[int]) -> int:
+    """The number of cycles, fixed points included, of the permutation of
+    0..n-1 with images img."""
+    seen = bytearray(len(img))
+    count = 0
+    for i in range(len(img)):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = img[j]
+    return count
+
+
 def orbits(*imgs: Sequence[int]) -> List[List[int]]:
     """The orbits of ⟨imgs⟩, permutations of 0..n-1 given as image tuples,
     each in breadth-first order under the images alone (a finite orbit

@@ -168,23 +168,34 @@ class _PackedRing:
                       * self.bits)
 
     def unpack(self, acc: int) -> Poly:
-        """The polynomial packed in acc, read from its binary digits: slot
-        k is the k-th group of B digits from the right, and the search for
-        the next digit 1 skips the zero slots between two terms."""
+        """The polynomial packed in acc, slot k being bits k·B to
+        k·B + B − 1.  A part of acc longer than 4,096 bits and one slot is
+        split in two at a slot boundary, until every part is short, so a
+        shift moves a short int and a zero part is dropped whole.  A short
+        part is read from the low end: its lowest set bit names the slot
+        of its next term, and it is shifted past each term read."""
         b, d = self.bits, self.stride
         if acc < 0:
             raise InvariantError("packed polynomial is negative")
         if acc.bit_length() > self.slots * b:
             raise InvariantError(f"packed polynomial of {acc.bit_length()} "
                                  f"bits exceeds {self.slots} slots of {b}")
-        digits = format(acc, "b")
-        top = len(digits)
+        mask, two = (1 << b) - 1, self.cls is Poly2
         coeffs: Dict[Tuple[int, ...], int] = {}
-        pos = digits.rfind("1")
-        while pos >= 0:
-            k = (top - 1 - pos) // b
-            start = max(top - (k + 1) * b, 0)
-            coeffs[divmod(k, d) if self.cls is Poly2 else (k,)] = \
-                int(digits[start:top - k * b], 2)
-            pos = digits.rfind("1", 0, start)
+        parts = [(acc, 0)]  # (part, the slot of its bit 0)
+        while parts:
+            part, k = parts.pop()
+            top = part.bit_length()
+            if top > 4096 and top > b:
+                half = (top + b - 1) // b // 2 * b
+                parts.append((part >> half, k + half // b))
+                parts.append((part & ((1 << half) - 1), k))
+                continue
+            while part:
+                skip = ((part & -part).bit_length() - 1) // b
+                part >>= skip * b
+                k += skip
+                coeffs[divmod(k, d) if two else (k,)] = part & mask
+                part >>= b
+                k += 1
         return self.cls(coeffs)

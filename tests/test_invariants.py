@@ -422,6 +422,22 @@ def test_every_recursion_validates_its_order(suite):
             assert run(g, (e for e in edges)) == run(g, edges), name
 
 
+def test_an_order_that_is_no_iterable_is_refused():
+    # an int or a float names no edges: the resolver refuses it with its
+    # ValueError, not the TypeError of iterating over it
+    three_e = SIMPLE_FAMILIES["three_E"]
+    basic = basic_extended_params(2, 3, 5, 7)
+    p = theta(2)
+    for run, g in (
+            (T_c, alt_c(p)), (T_a, alt_a(p)), (T_i, alt_i(p)),
+            (lambda g, order: extended_eval(g, basic, order), alt_c(p)),
+            (lambda g, order: simple_tutte_eval(g, three_e, order), alt_c(p))):
+        for bad in (5, 2.5):
+            with pytest.raises(ValueError, match="^order must be a "
+                               "permutation of the edge set$"):
+                run(g, bad)
+
+
 def test_default_order_is_the_frontier_order_of_plane_images(suite, monkeypatch):
     # frontier_order is asked for the map each recursion sweeps: alt_c(P)
     # itself for T_c, reflect(alt_a(P)) for T_a, trial²(reflect(alt_i(P)))

@@ -149,6 +149,18 @@ def test_packed_boundaries():
     assert one.unpack(acc) == Poly1({n: 2 ** n})
 
 
+def test_packed_terms_on_both_sides_of_a_split():
+    # unpack splits an int longer than 4,096 bits at slot boundaries: every
+    # slot full (2^n or 2^n − 1 on alternate slots) meets every split, and
+    # a slot of B > 4,096 bits is read whole
+    for n in (63, 100, 200):
+        p = Poly1({i: 2 ** n - i % 2 for i in range(n + 1)})
+        assert _PackedRing(Poly1, n).unpack(pack(p, n)) == p, n
+    n = 4096
+    p = Poly1({0: 1, 1: 2 ** n, n: 2 ** n - 1})
+    assert _PackedRing(Poly1, n).unpack(pack(p, n)) == p
+
+
 def test_packed_rejects_an_over_wide_int():
     n = 4
     for cls, slots in ((Poly1, n + 1), (Poly2, (n + 1) ** 2)):

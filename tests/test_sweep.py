@@ -6,9 +6,11 @@ depth-first walk on an explicit stack that did this before, with the
 engine's row generator and the oracle's expansion, unchanged.  Both must
 give the same whole polynomials (and rationals) on the plane graphs below:
 in frontier order on all of them, and in repr order on those with at most
-12 edges.  multigraph.frontier, which gives both the edge order of the
-oracle and frontier_order, is checked against the heap it replaced, in
-which every item waited from the start.  The states that each default-order
+12 edges.  multigraph.frontier, which gives the edge order of the oracle,
+is checked against the heap it replaced, in which every item waited from
+the start; invariants._frontier, which gives frontier_order by walking the
+trimedial keys on the triple itself, is checked against both, on the images
+and on every map with at most 6 edges.  The states that each default-order
 sweep expands are pinned as counts.
 """
 
@@ -26,7 +28,8 @@ from altdimaps.minors import _reduce
 from altdimaps.multigraph import _joined, _renumber, frontier, sweep
 from altdimaps.poly import Poly2
 
-from conftest import grid, plane_suite, theta, triangulated_grid, wheel
+from conftest import (grid, maps_up_to, plane_suite, theta,
+                      triangulated_grid, wheel)
 from test_engine import GENERIC
 
 
@@ -156,11 +159,11 @@ STATE_COUNTS = {
 def test_default_orders_expand_the_pinned_states(monkeypatch):
     counts = []
 
-    def counting_sweep(root, key, step, one, zero):
-        def counted(state):
+    def counting_sweep(root, step, one, zero):
+        def counted(state, level):
             counts[-1] += 1
-            return step(state)
-        return sweep(root, key, counted, one, zero)
+            return step(state, level)
+        return sweep(root, counted, one, zero)
 
     monkeypatch.setattr(invariants, "sweep", counting_sweep)
     planes = {**{f"W{k}": wheel(k) for k in range(3, 7)},
@@ -213,15 +216,30 @@ def reference_frontier_order(g):
     return [g.sw.labels[i] for i in reference_frontier(keys)]
 
 
-def test_frontier_matches_the_reference():
+def trimedial_keys(g):
+    """The keys that _frontier walks, as multigraph.frontier reads them:
+    key k·n + y is the trimedial edge p⁻¹(y) → y, p the triple's member
+    k, and edge e meets, for each p, the key of p(e) and then its own."""
+    n, (a, b, c) = g.n_edges, g.triple
+    return [(a[e], e, n + b[e], n + e, 2 * n + c[e], 2 * n + e)
+            for e in range(n)]
+
+
+def test_frontier_matches_the_reference(six_edge_maps):
     # every graph of the sweep test: its oracle's endpoint keys, and the
-    # trimedial keys of its images and of the maps T_a and T_i sweep
+    # trimedial keys of its images and of the maps T_a and T_i sweep; then
+    # every map with at most 6 edges, whose fixed points, ultraloops and
+    # several components no plane image has
+    maps = []
     for name, p in graphs().items():
         ends = [e[1:] for e in plane_multigraph(p).edges]
         assert frontier(ends) == reference_frontier(ends), name
-        for g in (alt_c(p), alt_a(p), alt_i(p, 0), alt_i(p, 1)):
-            for h in (g, reflect(g), trial_power(reflect(g), 2)):
-                assert frontier_order(h) == reference_frontier_order(h), name
+        maps += [(name, g) for g in (alt_c(p), alt_a(p), alt_i(p, 0), alt_i(p, 1))]
+    maps += [(f"{g.n_edges} edges", g) for g in maps_up_to(5, 1) + six_edge_maps]
+    for name, g in maps:
+        for h in (g, reflect(g), trial_power(reflect(g), 2)):
+            assert invariants._frontier(h) == frontier(trimedial_keys(h)), (name, h)
+            assert frontier_order(h) == reference_frontier_order(h), (name, h)
 
 
 @given(st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=12))
